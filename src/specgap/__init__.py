@@ -32,7 +32,6 @@ from .grid import (  # noqa: F401
     norm_freq,
     save_state,
     load_state,
-    suggest_grid,
 )
 from .operators import (  # noqa: F401
     HermitianOperator,
@@ -70,6 +69,7 @@ from .asymptotics import (  # noqa: F401
     VerdictStatus,
     StudyReport,
     SweepSettings,
+    suggest_grid,
     scaled_gap,
     extrapolate_limit,
     localization_metrics,

@@ -34,14 +34,14 @@ from .eigensolve import (
     largest_eigenpairs,
     smallest_eigenpairs,
 )
-from .grid import Grid, norm, suggest_grid, to_frequency_values
+from .grid import DEFAULT_NODE_BUDGET, Grid, build_grid, norm, to_frequency_values
 from .operators import (
     build_model_operator,
     build_scaled_operator,
     make_scaled_symbols,
     normalized_pair,
 )
-from .profiles import ProfilePair
+from .profiles import ProfilePair, _sphere_directions
 
 __all__ = [
     "LocalizationMetrics",
@@ -51,6 +51,9 @@ __all__ = [
     "VerdictStatus",
     "StudyReport",
     "SweepSettings",
+    "GridSuggestion",
+    "suggest_grid",
+    "choose_grid",
     "scaled_gap",
     "extrapolate_limit",
     "localization_metrics",
@@ -201,7 +204,7 @@ class StudyReport:
 class SweepSettings:
     """Everything a sweep needs besides the pair, the ladder and k."""
 
-    solver: SolveSettings = field(default_factory=lambda: SolveSettings(tol=1e-9))
+    solver: SolveSettings = field(default_factory=SolveSettings)
     model_mode: Mode | None = None
     grid: Grid | None = None
     radii: tuple[float, ...] = (2.0, 4.0, 8.0)
@@ -372,6 +375,124 @@ def localization_metrics(
 
 
 # ---------------------------------------------------------------------------
+# Grid choice
+# ---------------------------------------------------------------------------
+
+# The suggested box and resolution put both principal walls at this
+# multiple of the coarse model-eigenvalue scale.
+_WALL_MARGIN = 50.0
+
+
+@dataclass(frozen=True)
+class GridSuggestion:
+    dimension: int
+    n_per_axis: int
+    half_length: float
+    reasoning: tuple[str, ...]
+
+    def build(self) -> Grid:
+        return build_grid(self.dimension, self.n_per_axis, self.half_length)
+
+
+def suggest_grid(
+    pair: ProfilePair,
+    k: int = 1,
+    alphas: Sequence[float] | None = None,
+) -> GridSuggestion:
+    """Pick a box size and resolution for the scaled-operator family.
+
+    After the scaling reduction the eigenfunctions of interest live on
+    O(1) scales, so one grid serves a whole alpha ladder.  The box is
+    sized so the principal potential wall 2*A0*V0*Phi reaches
+    ``_WALL_MARGIN`` times a coarse estimate of the k-th model
+    eigenvalue, and the resolution so the principal multiplier
+    V0^2*Psi does the same at the top lattice frequency; when an alpha
+    ladder is supplied the symbol itself must also have decayed below
+    1e-8 of its peak at the top frequency for the smallest alpha.
+    """
+    d = pair.dimension
+    reasoning: list[str] = []
+
+    # Coarse model-eigenvalue scale from a small dense solve.
+    n_coarse = {1: 128, 2: 32}.get(d, 16)
+    coarse = build_grid(d, n_coarse, 10.0)
+    pairs = smallest_eigenpairs(
+        build_model_operator(pair, coarse),
+        SolveSettings(k=k, tol=1e-6, mode=Mode.DENSE_FULL, rng_seed=0),
+    )
+    mu_scale = max(pairs[-1].value, 1e-6)
+    reasoning.append(
+        f"coarse dense solve on {coarse.describe()} puts the target eigenvalue scale at {mu_scale:.3g}"
+    )
+    target = _WALL_MARGIN * mu_scale
+
+    dirs_min_phi = _min_on_sphere(pair.v_profile)
+    dirs_min_psi = _min_on_sphere(pair.a_profile)
+    a0 = pair.a_profile.max_value
+    v0 = pair.v_profile.max_value
+
+    # Potential wall 2*A0*V0*Phi(L) >= target.
+    L = (target / (2.0 * a0 * v0 * dirs_min_phi)) ** (1.0 / pair.v_profile.degree)
+    L = max(8.0, float(np.ceil(1.25 * L)))
+    reasoning.append(
+        f"half_length {L:g} makes the position wall reach {_WALL_MARGIN:g}x the eigenvalue scale"
+    )
+
+    # Multiplier wall V0^2*Psi(xi_max) >= target.
+    xi_max = (target / (v0**2 * dirs_min_psi)) ** (1.0 / pair.a_profile.degree)
+
+    if alphas:
+        # Scaled symbol must be decayed at the top frequency for the
+        # smallest alpha: a(alpha^(beta/(beta+gamma)) * xi_max) <= 1e-8 * A0.
+        gamma = pair.a_profile.degree
+        beta = pair.v_profile.degree
+        s = min(alphas) ** (beta / (beta + gamma))
+        xi = xi_max
+        probe_dirs = np.eye(d)[:1]
+        for _ in range(200):
+            val = float(np.max(pair.a_profile.evaluate(s * xi * probe_dirs)))
+            if val <= 1e-8 * a0:
+                break
+            xi *= 1.25
+        if xi > xi_max:
+            reasoning.append(
+                f"raised the frequency cutoff to {xi:.3g} so the scaled symbol decays below 1e-8"
+            )
+        xi_max = xi
+
+    n = 2 ** int(np.ceil(np.log2(max(16.0, 2.0 * L * xi_max / np.pi))))
+    while n**d > DEFAULT_NODE_BUDGET and n > 16:
+        n //= 2
+        reasoning.append(f"halved the resolution to {n} per axis to respect the node budget")
+    reasoning.append(
+        f"{n} nodes per axis put the top lattice frequency at {np.pi * n / (2 * L):.3g}"
+    )
+    return GridSuggestion(dimension=d, n_per_axis=n, half_length=L, reasoning=tuple(reasoning))
+
+
+def _min_on_sphere(profile) -> float:
+    dirs = _sphere_directions(profile.dimension, 64, seed=3)
+    vals = np.asarray(profile.principal(dirs), dtype=float)
+    vals = vals[np.isfinite(vals) & (vals > 0)]
+    return float(vals.min()) if vals.size else 1.0
+
+
+def choose_grid(
+    pair: ProfilePair,
+    k: int,
+    alphas: Sequence[float],
+    grid: Grid | None = None,
+) -> tuple[Grid, tuple[str, ...]]:
+    """The grid a study runs on, with the reasoning the report records:
+    ``grid`` itself when supplied, else :func:`suggest_grid`'s choice for
+    ``pair`` (normalized to unit maxima)."""
+    if grid is not None:
+        return grid, ("grid supplied explicitly",)
+    suggestion = suggest_grid(pair, k=k, alphas=alphas)
+    return suggestion.build(), suggestion.reasoning
+
+
+# ---------------------------------------------------------------------------
 # The sweep
 # ---------------------------------------------------------------------------
 
@@ -402,13 +523,7 @@ def run_sweep(
         raise ValueError("k must be at least 1")
 
     norm_pair, scale = normalized_pair(pair)
-    if settings.grid is not None:
-        grid = settings.grid
-        grid_reasoning: tuple[str, ...] = ("grid supplied explicitly",)
-    else:
-        suggestion = suggest_grid(norm_pair, k=k, alphas=alphas)
-        grid = suggestion.build()
-        grid_reasoning = suggestion.reasoning
+    grid, grid_reasoning = choose_grid(norm_pair, k, alphas, settings.grid)
     grid_id = grid.describe()
 
     model_settings = replace(settings.solver, k=k, mode=settings.model_mode)
@@ -513,7 +628,9 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 
 def verify_limit_law(
-    report: StudyReport, rel_final: float = 0.05, rel_extrap: float = 0.02
+    report: StudyReport,
+    rel_final: float = SweepSettings.rel_final,
+    rel_extrap: float = SweepSettings.rel_extrap,
 ) -> list[Verdict]:
     """Evaluate the three-part finite-alpha criterion per index.
 
@@ -524,54 +641,45 @@ def verify_limit_law(
     to INCONCLUSIVE (the approach direction is not guaranteed); anything
     else that misses is a FAIL.  Every verdict carries its reasons.
     """
+    sigma = report.config["profiles"]["sigma"]
     verdicts: list[Verdict] = []
+
+    def unjudged(n: int, status: VerdictStatus, mu: float, reason: str) -> None:
+        nan = float("nan")
+        verdicts.append(
+            Verdict(n, status, mu, nan, nan, False, False, rel_final, rel_extrap, (reason,))
+        )
+
     k = max((r.n for r in report.records), default=0)
     for n in range(1, k + 1):
         recs = sorted((r for r in report.records if r.n == n), key=lambda r: -r.alpha)
         mu = report.model_eigenvalues[n - 1][0] if len(report.model_eigenvalues) >= n else None
         if mu is None or mu <= 0:
-            verdicts.append(
-                Verdict(n, VerdictStatus.INCONCLUSIVE, float("nan"), float("nan"),
-                        float("nan"), False, False, rel_final, rel_extrap,
-                        ("model eigenvalue unavailable",))
-            )
+            unjudged(n, VerdictStatus.INCONCLUSIVE, float("nan"), "model eigenvalue unavailable")
             continue
-        reasons: list[str] = []
         bad = [r for r in recs if not r.converged]
         if bad:
-            reasons.append(
-                "inconclusive: solver did not converge at alpha="
-                + ", ".join(f"{r.alpha:g}" for r in bad)
-            )
-            verdicts.append(
-                Verdict(n, VerdictStatus.INCONCLUSIVE, mu, float("nan"), float("nan"),
-                        False, False, rel_final, rel_extrap, tuple(reasons))
-            )
+            unjudged(n, VerdictStatus.INCONCLUSIVE, mu,
+                     "inconclusive: solver did not converge at alpha="
+                     + ", ".join(f"{r.alpha:g}" for r in bad))
             continue
         if len(recs) < 3:
-            verdicts.append(
-                Verdict(n, VerdictStatus.INCONCLUSIVE, mu, float("nan"), float("nan"),
-                        False, False, rel_final, rel_extrap,
-                        ("inconclusive: insufficient ladder",))
-            )
+            unjudged(n, VerdictStatus.INCONCLUSIVE, mu, "inconclusive: insufficient ladder")
             continue
 
         sigma_slack = [
-            10.0 * r.residual * r.alpha ** (-_sigma_of(report)) + 1e-12 * mu for r in recs
+            10.0 * r.residual * r.alpha ** (-sigma) + 1e-12 * mu for r in recs
         ]
         negative = [
             r for r, s in zip(recs, sigma_slack) if r.scaled_gap < -s
         ]
         if negative:
-            worst = negative[0]
-            verdicts.append(
-                Verdict(n, VerdictStatus.FAIL, mu, float("nan"), float("nan"), False, False,
-                        rel_final, rel_extrap,
-                        (f"negative scaled gap at alpha={worst.alpha:g} "
-                         f"(lambda above the spectral bound)",))
-            )
+            unjudged(n, VerdictStatus.FAIL, mu,
+                     f"negative scaled gap at alpha={negative[0].alpha:g} "
+                     f"(lambda above the spectral bound)")
             continue
 
+        reasons: list[str] = []
         final = recs[-1]
         final_rel = abs(final.scaled_gap - mu) / mu
         final_ok = final_rel <= rel_final
@@ -603,7 +711,7 @@ def verify_limit_law(
         if not mono_ok:
             reasons.append("error ladder |gap - mu| is not nonincreasing")
 
-        one_slack = max(final.residual * final.alpha ** (-_sigma_of(report)), 1e-3)
+        one_slack = max(final.residual * final.alpha ** (-sigma), 1e-3)
         one_sided_ok = final.scaled_gap <= mu * (1.0 + one_slack)
         if not one_sided_ok:
             reasons.append(
@@ -633,6 +741,3 @@ def verify_limit_law(
         )
     return verdicts
 
-
-def _sigma_of(report: StudyReport) -> float:
-    return float(report.config.get("profiles", {}).get("sigma", 1.0))

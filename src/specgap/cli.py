@@ -17,26 +17,25 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .asymptotics import SweepSettings, VerdictStatus, run_sweep
+from .asymptotics import SweepSettings, VerdictStatus, choose_grid, run_sweep
 from .config import (
     ConfigError,
     RunConfig,
     build_profiles,
     emit_config,
+    grid_of,
     model_mode_of,
     parse_config,
 )
 from .eigensolve import (
     InnerSolveStallError,
-    Mode,
     NoConvergenceError,
     SolveSettings,
+    bottom_mode,
     smallest_eigenpairs,
 )
-from .expr import ExpressionError
-from .grid import GridError, build_grid, suggest_grid
-from .operators import OperatorError, build_model_operator, normalized_pair
-from .profiles import ProfileError, validate_profile
+from .operators import build_model_operator, normalized_pair
+from .profiles import validate_profile
 from .reportio import (
     model_csv_text,
     render_report,
@@ -75,14 +74,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config(text)
-
-
 def _resolve_threads(args, cfg: RunConfig) -> int:
     if args.threads is not None:
         if args.threads < 1:
@@ -100,19 +91,32 @@ def _resolve_threads(args, cfg: RunConfig) -> int:
     return cfg.threads
 
 
-def _grid_for(cfg: RunConfig, pair):
-    if cfg.grid_mode == "manual":
-        return build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length), (
-            "grid supplied explicitly",
-        )
-    norm_pair, _ = normalized_pair(pair)
-    suggestion = suggest_grid(norm_pair, k=cfg.eigen_count, alphas=cfg.alphas)
-    return suggestion.build(), suggestion.reasoning
+def _configured_run(args) -> RunConfig:
+    # fold CLI overrides into the config so the report echo reproduces
+    # the run exactly
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    cfg = parse_config(text)
+    return replace(
+        cfg,
+        seed=cfg.seed if args.seed is None else args.seed,
+        threads=_resolve_threads(args, cfg),
+    )
+
+
+def _solve_settings(cfg: RunConfig) -> SolveSettings:
+    return SolveSettings(
+        k=cfg.eigen_count,
+        tol=cfg.tol,
+        max_iterations=cfg.max_iterations,
+        rng_seed=cfg.seed,
+    )
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    pair = build_profiles(cfg)
+    pair = build_profiles(_configured_run(args))
     ok = True
     for role_name, spec in [("symbol", pair.a_profile), ("weight", pair.v_profile)]:
         report = validate_profile(spec)
@@ -130,22 +134,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_model_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    pair = build_profiles(cfg)
-    grid, _ = _grid_for(cfg, pair)
-    norm_pair, scale = normalized_pair(pair)
-    mode = model_mode_of(cfg)
-    settings = SolveSettings(
-        k=cfg.eigen_count,
-        tol=cfg.tol,
-        max_iterations=cfg.max_iterations,
-        rng_seed=cfg.seed if args.seed is None else args.seed,
-        mode=mode,
+    cfg = _configured_run(args)
+    norm_pair, scale = normalized_pair(build_profiles(cfg))
+    grid, _ = choose_grid(norm_pair, cfg.eigen_count, cfg.alphas, grid_of(cfg))
+    mode = bottom_mode(grid.size, model_mode_of(cfg))
+    pairs = smallest_eigenpairs(
+        build_model_operator(norm_pair, grid), replace(_solve_settings(cfg), mode=mode)
     )
-    pairs = smallest_eigenpairs(build_model_operator(norm_pair, grid), settings)
-    mode_name = (settings.mode or (
-        Mode.DENSE_FULL if grid.size <= 4096 else Mode.SHIFT_INVERT_BOTTOM
-    )).value
     rows = [
         {
             "n": i + 1,
@@ -153,7 +148,7 @@ def cmd_model_spectrum(args) -> int:
             "residual": scale * p.residual,
             "N": grid.n_per_axis,
             "L": grid.half_length,
-            "mode": mode_name,
+            "mode": mode.value,
         }
         for i, p in enumerate(pairs)
     ]
@@ -166,26 +161,14 @@ def cmd_model_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _run_configured_sweep(args, cfg: RunConfig):
-    # fold CLI overrides into the config so the report echo reproduces
-    # the run exactly
-    cfg = replace(
-        cfg,
-        seed=cfg.seed if args.seed is None else args.seed,
-        threads=_resolve_threads(args, cfg),
-    )
+def _run_configured_sweep(args):
+    """Run the configured sweep, write its files and print the report."""
+    cfg = _configured_run(args)
     pair = build_profiles(cfg)
-    grid, _ = _grid_for(cfg, pair)
-    solver = SolveSettings(
-        k=cfg.eigen_count,
-        tol=cfg.tol,
-        max_iterations=cfg.max_iterations,
-        rng_seed=cfg.seed,
-    )
     settings = SweepSettings(
-        solver=solver,
+        solver=_solve_settings(cfg),
         model_mode=model_mode_of(cfg),
-        grid=grid,
+        grid=grid_of(cfg),
         radii=cfg.radii,
         rel_final=cfg.rel_final,
         rel_extrap=cfg.rel_extrap,
@@ -194,28 +177,21 @@ def _run_configured_sweep(args, cfg: RunConfig):
     )
     report = run_sweep(pair, cfg.alphas, cfg.eigen_count, settings)
     report.config["source"] = emit_config(cfg)
+    paths = write_report_files(report, args.out)
+    print(render_report(report.to_dict()))
+    print(f"wrote {paths['records']}, {paths['report']}, {paths['plot']}")
     return report
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    report = _run_configured_sweep(args, cfg)
-    paths = write_report_files(report, args.out)
-    print(render_report(report.to_dict()))
-    print(f"wrote {paths['records']}, {paths['report']}, {paths['plot']}")
+    report = _run_configured_sweep(args)
     if any(not record.converged for record in report.records):
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    if len(cfg.alphas) < 3:
-        raise ConfigError("verify needs an alpha ladder with at least 3 points")
-    report = _run_configured_sweep(args, cfg)
-    paths = write_report_files(report, args.out)
-    print(render_report(report.to_dict()))
-    print(f"wrote {paths['records']}, {paths['report']}, {paths['plot']}")
+    report = _run_configured_sweep(args)
     if any(not record.converged for record in report.records):
         return EXIT_NUMERICAL
     if all(v.status is VerdictStatus.PASS for v in report.verdicts):
@@ -246,10 +222,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ProfileError, ExpressionError, GridError, OperatorError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # every specgap input error is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergenceError, InnerSolveStallError) as exc:
@@ -259,3 +232,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -3,8 +3,9 @@
 Runs are described by an INI document (key-value pairs in nested
 sections, parsed with :mod:`configparser`).  ``parse_config`` and
 ``emit_config`` round-trip: emitting a parsed document yields the
-normalized form of the input.  See the README for the full schema and
-the documented range of every field.
+normalized form of the input.  The ``[symbol]``/``[weight]`` profile
+sections are read by ``_profile_from_section``; every other key is a row
+of ``_SCHEMA``, and ``_validate`` documents the range of every field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import configparser
 import io
 from dataclasses import dataclass, field
 
-from .eigensolve import Mode
+from .asymptotics import SweepSettings
+from .eigensolve import Mode, SolveSettings
+from .grid import Grid, build_grid
 from .profiles import (
     ProfilePair,
     ProfileRole,
@@ -26,7 +29,7 @@ from .profiles import (
 from .expr import ExpressionError
 
 __all__ = ["ConfigError", "ProfileConfig", "RunConfig", "parse_config", "emit_config",
-           "build_profiles", "DEFAULT_CONFIG"]
+           "build_profiles"]
 
 
 class ConfigError(ValueError):
@@ -54,34 +57,82 @@ class RunConfig:
     grid_mode: str = "auto"  # auto | manual
     grid_n: int = 1024
     grid_half_length: float = 20.0
-    tol: float = 1e-9
-    max_iterations: int = 6000
-    seed: int = 74082
+    tol: float = SolveSettings.tol
+    max_iterations: int = SolveSettings.max_iterations
+    seed: int = SolveSettings.rng_seed
     model_mode: str = "auto"  # auto | dense | shift_invert
-    rel_final: float = 0.05
-    rel_extrap: float = 0.02
-    radii: tuple[float, ...] = (2.0, 4.0, 8.0)
-    emit_eigenfunctions: bool = False
-    threads: int = 1
+    rel_final: float = SweepSettings.rel_final
+    rel_extrap: float = SweepSettings.rel_extrap
+    radii: tuple[float, ...] = SweepSettings.radii
+    emit_eigenfunctions: bool = SweepSettings.keep_vectors
+    threads: int = SweepSettings.threads
 
 
 _MODEL_MODES = {"auto": None, "dense": Mode.DENSE_FULL, "shift_invert": Mode.SHIFT_INVERT_BOTTOM}
 
 
-def _floats(text: str, what: str) -> tuple[float, ...]:
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _word(text: str) -> str:
+    return text.strip().lower()
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if _word(text) not in states:
+        raise ValueError(f"expected one of {', '.join(states)}")
+    return states[_word(text)]
+
+
+_g = "{:g}".format
+
+
+def _g_list(xs: tuple[float, ...]) -> str:
+    return ", ".join(f"{x:g}" for x in xs)
+
+
+# The INI schema outside the profile sections, in emitted order:
+# (section, key, RunConfig field, parse, format).
+_SCHEMA = (
+    ("problem", "dimension", "dimension", int, str),
+    ("problem", "alphas", "alphas", _floats, _g_list),
+    ("problem", "eigen_count", "eigen_count", int, str),
+    ("grid", "mode", "grid_mode", _word, str),
+    ("grid", "n", "grid_n", int, str),
+    ("grid", "half_length", "grid_half_length", float, _g),
+    ("solver", "tol", "tol", float, _g),
+    ("solver", "max_iterations", "max_iterations", int, str),
+    ("solver", "seed", "seed", int, str),
+    ("solver", "model_mode", "model_mode", _word, str),
+    ("tolerances", "rel_final", "rel_final", float, _g),
+    ("tolerances", "rel_extrap", "rel_extrap", float, _g),
+    ("localization", "radii", "radii", _floats, _g_list),
+    ("output", "emit_eigenfunctions", "emit_eigenfunctions", _boolean,
+     lambda b: "true" if b else "false"),
+    ("run", "threads", "threads", int, str),
+)
+# Only a manual grid is described by these fields.
+_MANUAL_GRID_FIELDS = ("grid_n", "grid_half_length")
+
+
+def _parsed(section: str, key: str, raw: str, parse):
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"{what}: could not parse number list from {text!r}") from exc
+        raise ConfigError(f"[{section}] {key}: invalid value {raw!r} ({exc})") from exc
 
 
 def _profile_from_section(sec: configparser.SectionProxy, name: str) -> ProfileConfig:
-    kind = sec.get("kind", "catalog").strip().lower()
+    default = ProfileConfig()
+    kind = sec.get("kind", default.kind).strip().lower()
     if kind == "catalog":
+        params = sec.get("params")
         return ProfileConfig(
             kind="catalog",
-            name=sec.get("name", "gaussian_power").strip(),
-            params=_floats(sec.get("params", "2"), f"[{name}] params"),
+            name=sec.get("name", default.name).strip(),
+            params=default.params if params is None else _parsed(name, "params", params, _floats),
         )
     if kind == "expression":
         expr = sec.get("expr", "").strip()
@@ -90,14 +141,14 @@ def _profile_from_section(sec: configparser.SectionProxy, name: str) -> ProfileC
             raise ConfigError(f"[{name}] expression profiles need both expr and principal")
         if "degree" not in sec:
             raise ConfigError(f"[{name}] expression profiles need a degree")
-        margin = sec.getfloat("margin") if "margin" in sec else None
+        margin = _parsed(name, "margin", sec["margin"], float) if "margin" in sec else None
         return ProfileConfig(
             kind="expression",
             name="",
             params=(),
             expr=expr,
             principal=principal,
-            degree=sec.getfloat("degree"),
+            degree=_parsed(name, "degree", sec["degree"], float),
             margin=margin,
         )
     raise ConfigError(f"[{name}] unknown profile kind {kind!r}")
@@ -105,82 +156,23 @@ def _profile_from_section(sec: configparser.SectionProxy, name: str) -> ProfileC
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI run description; raises :class:`ConfigError` with a
-    diagnostic on malformed input or out-of-range values."""
+    diagnostic on malformed input or out-of-range values.  Missing
+    sections and keys take :class:`RunConfig`'s defaults."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc
 
-    try:
-        symbol = (
-            _profile_from_section(parser["symbol"], "symbol")
-            if parser.has_section("symbol")
-            else ProfileConfig()
-        )
-        weight = (
-            _profile_from_section(parser["weight"], "weight")
-            if parser.has_section("weight")
-            else ProfileConfig()
-        )
-
-        problem = parser["problem"] if parser.has_section("problem") else {}
-        dimension = int(problem.get("dimension", 1))
-        alphas = _floats(problem.get("alphas", "0.2, 0.1, 0.05, 0.025"), "[problem] alphas")
-        eigen_count = int(problem.get("eigen_count", 1))
-
-        grid = parser["grid"] if parser.has_section("grid") else {}
-        grid_mode = str(grid.get("mode", "auto")).strip().lower()
-        grid_n = int(grid.get("n", 1024))
-        grid_half_length = float(grid.get("half_length", 20.0))
-
-        solver = parser["solver"] if parser.has_section("solver") else {}
-        tol = float(solver.get("tol", 1e-9))
-        max_iterations = int(solver.get("max_iterations", 6000))
-        seed = int(solver.get("seed", 74082))
-        model_mode = str(solver.get("model_mode", "auto")).strip().lower()
-
-        tols = parser["tolerances"] if parser.has_section("tolerances") else {}
-        rel_final = float(tols.get("rel_final", 0.05))
-        rel_extrap = float(tols.get("rel_extrap", 0.02))
-
-        loc = parser["localization"] if parser.has_section("localization") else {}
-        radii = _floats(loc.get("radii", "2, 4, 8"), "[localization] radii")
-
-        out = parser["output"] if parser.has_section("output") else {}
-        emit_eig = str(out.get("emit_eigenfunctions", "false")).strip().lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-
-        run = parser["run"] if parser.has_section("run") else {}
-        threads = int(run.get("threads", 1))
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from exc
-
-    cfg = RunConfig(
-        symbol=symbol,
-        weight=weight,
-        dimension=dimension,
-        alphas=alphas,
-        eigen_count=eigen_count,
-        grid_mode=grid_mode,
-        grid_n=grid_n,
-        grid_half_length=grid_half_length,
-        tol=tol,
-        max_iterations=max_iterations,
-        seed=seed,
-        model_mode=model_mode,
-        rel_final=rel_final,
-        rel_extrap=rel_extrap,
-        radii=radii,
-        emit_eigenfunctions=emit_eig,
-        threads=threads,
-    )
+    values = {
+        name: _profile_from_section(parser[name], name)
+        for name in ("symbol", "weight")
+        if parser.has_section(name)
+    }
+    for section, key, name, parse, _ in _SCHEMA:
+        if parser.has_option(section, key):
+            values[name] = _parsed(section, key, parser.get(section, key), parse)
+    cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
 
@@ -226,39 +218,22 @@ def emit_config(cfg: RunConfig) -> str:
         parser[name]["kind"] = p.kind
         if p.kind == "catalog":
             parser[name]["name"] = p.name
-            parser[name]["params"] = ", ".join(f"{x:g}" for x in p.params)
+            parser[name]["params"] = _g_list(p.params)
         else:
             parser[name]["expr"] = p.expr
             parser[name]["principal"] = p.principal
-            parser[name]["degree"] = f"{p.degree:g}"
+            parser[name]["degree"] = _g(p.degree)
             if p.margin is not None:
-                parser[name]["margin"] = f"{p.margin:g}"
+                parser[name]["margin"] = _g(p.margin)
 
     profile_section("symbol", cfg.symbol)
     profile_section("weight", cfg.weight)
-    parser.add_section("problem")
-    parser["problem"]["dimension"] = str(cfg.dimension)
-    parser["problem"]["alphas"] = ", ".join(f"{a:g}" for a in cfg.alphas)
-    parser["problem"]["eigen_count"] = str(cfg.eigen_count)
-    parser.add_section("grid")
-    parser["grid"]["mode"] = cfg.grid_mode
-    if cfg.grid_mode == "manual":
-        parser["grid"]["n"] = str(cfg.grid_n)
-        parser["grid"]["half_length"] = f"{cfg.grid_half_length:g}"
-    parser.add_section("solver")
-    parser["solver"]["tol"] = f"{cfg.tol:g}"
-    parser["solver"]["max_iterations"] = str(cfg.max_iterations)
-    parser["solver"]["seed"] = str(cfg.seed)
-    parser["solver"]["model_mode"] = cfg.model_mode
-    parser.add_section("tolerances")
-    parser["tolerances"]["rel_final"] = f"{cfg.rel_final:g}"
-    parser["tolerances"]["rel_extrap"] = f"{cfg.rel_extrap:g}"
-    parser.add_section("localization")
-    parser["localization"]["radii"] = ", ".join(f"{r:g}" for r in cfg.radii)
-    parser.add_section("output")
-    parser["output"]["emit_eigenfunctions"] = "true" if cfg.emit_eigenfunctions else "false"
-    parser.add_section("run")
-    parser["run"]["threads"] = str(cfg.threads)
+    for section, key, name, _, fmt in _SCHEMA:
+        if name in _MANUAL_GRID_FIELDS and cfg.grid_mode != "manual":
+            continue
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = fmt(getattr(cfg, name))
 
     buf = io.StringIO()
     parser.write(buf)
@@ -290,4 +265,8 @@ def model_mode_of(cfg: RunConfig) -> Mode | None:
     return _MODEL_MODES[cfg.model_mode]
 
 
-DEFAULT_CONFIG = emit_config(RunConfig())
+def grid_of(cfg: RunConfig) -> Grid | None:
+    """The manual grid, or None when the grid is left to the study."""
+    if cfg.grid_mode != "manual":
+        return None
+    return build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length)

@@ -8,13 +8,15 @@ Three modes:
   selective) reorthogonalization is used throughout; ghost eigenvalues
   would poison an asymptotic sweep.
 * ``DENSE_FULL`` -- materialize the operator column by column and call
-  LAPACK; permitted only up to 4096 unknowns.
+  LAPACK; permitted only up to ``DENSE_SIZE_LIMIT`` unknowns.
 * ``SHIFT_INVERT_BOTTOM`` -- Lanczos on (A + c I)^-1 with inner
   conjugate-gradient solves, matrix-free; residuals are certified
   against the original operator.
 
-All randomness flows from the seed in :class:`SolveSettings`; identical
-settings produce bit-identical results within one build.
+:func:`bottom_mode` is the one place that picks between the last two
+for a model-operator solve.  All randomness flows from the seed in
+:class:`SolveSettings`; identical settings produce bit-identical results
+within one build.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .grid import StateVector
+from .grid import StateVector, inner, norm, to_frequency_values, to_position_values
 from .operators import HermitianOperator
 
 __all__ = [
@@ -39,12 +41,16 @@ __all__ = [
     "InnerSolveStallError",
     "largest_eigenpairs",
     "smallest_eigenpairs",
+    "bottom_mode",
     "certify",
     "cluster_eigenvalues",
     "DENSE_SIZE_LIMIT",
 ]
 
 DENSE_SIZE_LIMIT = 4096
+# Shift-invert runs Lanczos on (A + _SHIFT I)^-1; model operators are
+# positive, so the inverse has norm <= 1/_SHIFT.
+_SHIFT = 1.0
 # Lanczos may not ask for more than this fraction of the grid dimension.
 MAX_SUBSPACE_FRACTION = 0.25
 
@@ -71,8 +77,6 @@ class SolveSettings:
     max_iterations: int = 6000
     rng_seed: int = 74082
     mode: Mode | None = None
-    shift: float = 1.0
-    inner_tol: float | None = None
     inner_max_iterations: int = 50000
 
     def __post_init__(self):
@@ -153,17 +157,14 @@ def _random_start(shape, rng: np.random.Generator, against: list[np.ndarray]) ->
 
 
 def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, which: str,
-                     certify_apply=None, lock_tol: float | None = None):
+                     lock_tol: float):
     """Return (values, vectors) of the k extreme eigenpairs of a Hermitian
     operator given by ``apply_values`` on arrays of the given shape.
 
-    ``which`` is 'largest' or 'smallest'.  ``certify_apply`` defaults to
-    ``apply_values`` and is the map residuals are certified against;
-    ``lock_tol`` is the absolute residual threshold for locking a pair.
+    ``which`` is 'largest' or 'smallest'; ``lock_tol`` is the absolute
+    residual threshold for locking a pair.
     """
-    certify_apply = certify_apply or apply_values
     rng = np.random.default_rng(settings.rng_seed)
-    tol = settings.tol if lock_tol is None else lock_tol
     locked_vals: list[float] = []
     locked_vecs: list[np.ndarray] = []
     steps = 0
@@ -227,9 +228,9 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
             if ny <= 1e-12:
                 continue
             y = y / ny
-            r = _norm2(certify_apply(y) - theta[idx] * y)
+            r = _norm2(apply_values(y) - theta[idx] * y)
             best_residuals.append(r)
-            if r > tol:
+            if r > lock_tol:
                 pending_start = y
                 break
             y = _orthogonalize(y, locked_vecs)
@@ -248,7 +249,7 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
     v_mat = np.stack([v.ravel() for v in locked_vecs], axis=1)
     v_mat, _ = np.linalg.qr(v_mat)
     a_cols = np.stack(
-        [certify_apply(v_mat[:, j].reshape(shape)).ravel() for j in range(v_mat.shape[1])],
+        [apply_values(v_mat[:, j].reshape(shape)).ravel() for j in range(v_mat.shape[1])],
         axis=1,
     )
     small = v_mat.conj().T @ a_cols
@@ -261,7 +262,7 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
     vectors = (v_mat @ rot)[:, sel]
     values = vals[sel]
     residuals = [
-        _norm2(certify_apply(vectors[:, j].reshape(shape)).ravel() - values[j] * vectors[:, j])
+        _norm2(apply_values(vectors[:, j].reshape(shape)).ravel() - values[j] * vectors[:, j])
         for j in range(k)
     ]
     return values, [vectors[:, j].reshape(shape) for j in range(k)], residuals
@@ -317,13 +318,12 @@ _CG_TOL_KWARG = "rtol" if "rtol" in inspect.signature(cg).parameters else "tol"
 
 
 def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
-    shift = settings.shift
     n = op.grid.size
     shape = op.grid.shape
 
     def shifted_matvec(x: np.ndarray) -> np.ndarray:
         arr = x.reshape(shape)
-        return (op.apply_values(arr) + shift * arr).ravel()
+        return (op.apply_values(arr) + _SHIFT * arr).ravel()
 
     a_op = LinearOperator((n, n), matvec=shifted_matvec, dtype=np.complex128)
 
@@ -331,10 +331,8 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
     if op.multiplier_part is not None:
         # Frequency-diagonal preconditioner: exact inverse of the stiff
         # multiplier part plus the mean of the potential.
-        from .grid import to_frequency_values, to_position_values
-
         q_mean = float(np.mean(op.potential_part)) if op.potential_part is not None else 0.0
-        diag = op.multiplier_part + shift + q_mean
+        diag = op.multiplier_part + _SHIFT + q_mean
         diag = np.maximum(diag, 1e-8 * np.max(np.abs(diag)))
 
         def precond(x: np.ndarray) -> np.ndarray:
@@ -345,9 +343,7 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
 
         m_op = LinearOperator((n, n), matvec=precond, dtype=np.complex128)
 
-    inner_tol = settings.inner_tol
-    if inner_tol is None:
-        inner_tol = max(1e-13, settings.tol * 1e-4)
+    inner_tol = max(1e-13, settings.tol * 1e-4)
 
     def inverse_apply(values: np.ndarray) -> np.ndarray:
         rhs = values.ravel()
@@ -365,7 +361,14 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
 # Public solves
 # ---------------------------------------------------------------------------
 
-def _as_pairs(op: HermitianOperator, values, vectors, residuals) -> list[EigenPair]:
+def _certified_pairs(op: HermitianOperator, values, vectors, residuals,
+                     threshold: float) -> list[EigenPair]:
+    """Package a solve's output; every residual must be within ``threshold``."""
+    if any(r > threshold for r in residuals):
+        raise NoConvergenceError(
+            "certified residuals exceed the requested tolerance",
+            best_residuals=residuals,
+        )
     weight = np.sqrt(op.grid.cell_volume)
     pairs = []
     for val, vec, res in zip(values, vectors, residuals):
@@ -411,26 +414,28 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
             op.apply_values, op.grid.shape, op.grid.size, settings.k, settings, "largest",
             lock_tol=threshold,
         )
-    if any(r > threshold for r in residuals):
-        raise NoConvergenceError(
-            "certified residuals exceed the requested tolerance",
-            best_residuals=residuals,
-        )
-    return _as_pairs(op, values, vectors, residuals)
+    return _certified_pairs(op, values, vectors, residuals, threshold)
+
+
+def bottom_mode(size: int, mode: Mode | None = None) -> Mode:
+    """The model-solve mode for ``size`` unknowns: ``mode`` when given,
+    else ``DENSE_FULL`` up to ``DENSE_SIZE_LIMIT`` and
+    ``SHIFT_INVERT_BOTTOM`` above it."""
+    if mode is not None:
+        return mode
+    return Mode.DENSE_FULL if size <= DENSE_SIZE_LIMIT else Mode.SHIFT_INVERT_BOTTOM
 
 
 def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[EigenPair]:
     """The k smallest eigenpairs, ascending, for positive model-type
     operators.
 
-    ``DENSE_FULL`` (default up to 4096 unknowns) materializes the
-    operator; ``SHIFT_INVERT_BOTTOM`` runs Lanczos on (A + shift)^-1 with
-    inner CG solves and certifies residuals against the original
-    operator.
+    ``DENSE_FULL`` materializes the operator; ``SHIFT_INVERT_BOTTOM``
+    runs Lanczos on (A + shift)^-1 with inner CG solves and certifies
+    residuals against the original operator.  Without an explicit mode,
+    :func:`bottom_mode` picks one from the grid size.
     """
-    mode = settings.mode
-    if mode is None:
-        mode = Mode.DENSE_FULL if op.grid.size <= DENSE_SIZE_LIMIT else Mode.SHIFT_INVERT_BOTTOM
+    mode = bottom_mode(op.grid.size, settings.mode)
     if mode is Mode.LANCZOS_TOP:
         raise ValueError("plain Lanczos targets the largest pairs; use largest_eigenpairs")
 
@@ -445,14 +450,13 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
             settings.k,
             settings,
             "largest",
-            certify_apply=inverse_apply,
-            lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/shift
+            lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
         )
         # Map back and certify against the original operator.
         values = []
         residuals = []
         for theta, vec in zip(inv_values, vectors):
-            mu = 1.0 / theta - settings.shift
+            mu = 1.0 / theta - _SHIFT
             r = _norm2(op.apply_values(vec) - mu * vec)
             values.append(mu)
             residuals.append(r)
@@ -461,12 +465,7 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
         vectors = [vectors[i] for i in order]
         residuals = [residuals[i] for i in order]
     threshold = settings.tol * _operator_scale(op, values)
-    if any(r > threshold for r in residuals):
-        raise NoConvergenceError(
-            "certified residuals exceed the requested tolerance",
-            best_residuals=residuals,
-        )
-    return _as_pairs(op, values, vectors, residuals)
+    return _certified_pairs(op, values, vectors, residuals, threshold)
 
 
 def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertReport:
@@ -476,12 +475,10 @@ def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertRe
     :class:`SolveSettings`, so pairs returned by a solve at a given
     tolerance certify at that tolerance.
     """
-    from .grid import inner as weighted_inner, norm as weighted_norm
-
     norm_dev = 0.0
     max_res = 0.0
     for pair in pairs:
-        norm_dev = max(norm_dev, abs(weighted_norm(pair.vector) - 1.0))
+        norm_dev = max(norm_dev, abs(norm(pair.vector) - 1.0))
         applied = op.apply(pair.vector)
         res_vec = applied.values - pair.value * pair.vector.values
         max_res = max(
@@ -490,7 +487,7 @@ def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertRe
     gram_off = 0.0
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            gram_off = max(gram_off, abs(weighted_inner(pairs[i].vector, pairs[j].vector)))
+            gram_off = max(gram_off, abs(inner(pairs[i].vector, pairs[j].vector)))
     threshold = tol * _operator_scale(op, [p.value for p in pairs])
     return CertReport(
         norms_ok=norm_dev <= 1e-10,

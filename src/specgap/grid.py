@@ -16,7 +16,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "GridError",
     "Grid",
     "StateVector",
-    "GridSuggestion",
     "build_grid",
     "state",
     "random_state",
@@ -36,7 +34,6 @@ __all__ = [
     "norm_freq",
     "save_state",
     "load_state",
-    "suggest_grid",
     "DEFAULT_NODE_BUDGET",
 ]
 
@@ -247,108 +244,3 @@ def load_state(path) -> StateVector:
         raise GridError("state dump payload does not match the header")
     values = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
     return StateVector(grid, values)
-
-
-# ---------------------------------------------------------------------------
-# Heuristic grid chooser
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridSuggestion:
-    dimension: int
-    n_per_axis: int
-    half_length: float
-    reasoning: tuple[str, ...]
-
-    def build(self, max_nodes: int = DEFAULT_NODE_BUDGET) -> Grid:
-        return build_grid(self.dimension, self.n_per_axis, self.half_length, max_nodes)
-
-
-def suggest_grid(
-    pair,
-    k: int = 1,
-    alphas: Sequence[float] | None = None,
-    margin_factor: float = 50.0,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-) -> GridSuggestion:
-    """Pick a box size and resolution for the scaled-operator family.
-
-    After the scaling reduction the eigenfunctions of interest live on
-    O(1) scales, so one grid serves a whole alpha ladder.  The box is
-    sized so the principal potential wall 2*A0*V0*Phi reaches
-    ``margin_factor`` times a coarse estimate of the k-th model
-    eigenvalue, and the resolution so the principal multiplier
-    V0^2*Psi does the same at the top lattice frequency; when an alpha
-    ladder is supplied the symbol itself must also have decayed below
-    1e-8 of its peak at the top frequency for the smallest alpha.
-    """
-    from .operators import build_model_operator  # local import: cycle avoidance
-    from .eigensolve import Mode, SolveSettings, smallest_eigenpairs
-
-    d = pair.dimension
-    reasoning: list[str] = []
-
-    # Coarse model-eigenvalue scale from a small dense solve.
-    n_coarse = {1: 128, 2: 32}.get(d, 16)
-    coarse = build_grid(d, n_coarse, 10.0, max_nodes=max_nodes)
-    pairs = smallest_eigenpairs(
-        build_model_operator(pair, coarse),
-        SolveSettings(k=k, tol=1e-6, mode=Mode.DENSE_FULL, rng_seed=0),
-    )
-    mu_scale = max(pairs[-1].value, 1e-6)
-    reasoning.append(
-        f"coarse dense solve on {coarse.describe()} puts the target eigenvalue scale at {mu_scale:.3g}"
-    )
-    target = margin_factor * mu_scale
-
-    dirs_min_phi = _min_on_sphere(pair.v_profile)
-    dirs_min_psi = _min_on_sphere(pair.a_profile)
-    a0 = pair.a_profile.max_value
-    v0 = pair.v_profile.max_value
-
-    # Potential wall 2*A0*V0*Phi(L) >= target.
-    L = (target / (2.0 * a0 * v0 * dirs_min_phi)) ** (1.0 / pair.v_profile.degree)
-    L = max(8.0, float(np.ceil(1.25 * L)))
-    reasoning.append(
-        f"half_length {L:g} makes the position wall reach {margin_factor:g}x the eigenvalue scale"
-    )
-
-    # Multiplier wall V0^2*Psi(xi_max) >= target.
-    xi_max = (target / (v0**2 * dirs_min_psi)) ** (1.0 / pair.a_profile.degree)
-
-    if alphas:
-        # Scaled symbol must be decayed at the top frequency for the
-        # smallest alpha: a(alpha^(beta/(beta+gamma)) * xi_max) <= 1e-8 * A0.
-        gamma = pair.a_profile.degree
-        beta = pair.v_profile.degree
-        s = min(alphas) ** (beta / (beta + gamma))
-        xi = xi_max
-        probe_dirs = np.eye(d)[:1]
-        for _ in range(200):
-            val = float(np.max(pair.a_profile.evaluate(s * xi * probe_dirs)))
-            if val <= 1e-8 * a0:
-                break
-            xi *= 1.25
-        if xi > xi_max:
-            reasoning.append(
-                f"raised the frequency cutoff to {xi:.3g} so the scaled symbol decays below 1e-8"
-            )
-        xi_max = xi
-
-    n = 2 ** int(np.ceil(np.log2(max(16.0, 2.0 * L * xi_max / np.pi))))
-    while n**d > max_nodes and n > 16:
-        n //= 2
-        reasoning.append(f"halved the resolution to {n} per axis to respect the node budget")
-    reasoning.append(
-        f"{n} nodes per axis put the top lattice frequency at {np.pi * n / (2 * L):.3g}"
-    )
-    return GridSuggestion(dimension=d, n_per_axis=n, half_length=L, reasoning=tuple(reasoning))
-
-
-def _min_on_sphere(profile) -> float:
-    from .profiles import _sphere_directions
-
-    dirs = _sphere_directions(profile.dimension, 64, seed=3)
-    vals = np.asarray(profile.principal(dirs), dtype=float)
-    vals = vals[np.isfinite(vals) & (vals > 0)]
-    return float(vals.min()) if vals.size else 1.0

@@ -67,7 +67,6 @@ class HermitianOperator:
     apply_values: Callable[[np.ndarray], np.ndarray]
     upper_bound: float | None = None
     label: str = ""
-    hermitian: bool = True
     multiplier_part: np.ndarray | None = None
     potential_part: np.ndarray | None = None
 

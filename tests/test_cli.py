@@ -1,12 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specgap import load_state
+import specgap
+from specgap import SolveSettings, SweepSettings, load_state, suggest_grid
 from specgap.cli import main
-from specgap.config import ConfigError, emit_config, parse_config
+from specgap.config import (
+    ConfigError,
+    RunConfig,
+    build_profiles,
+    emit_config,
+    parse_config,
+)
+from specgap.operators import normalized_pair
+
+SRC = Path(specgap.__file__).resolve().parent.parent
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GAUSSIAN_MINI = textwrap.dedent(
     """
@@ -52,6 +67,14 @@ class TestConfigRoundTrip:
         assert cfg.symbol.kind == "catalog"
         assert cfg.rel_final == 0.05
         assert cfg.alphas == (0.2, 0.1, 0.05, 0.025)
+        assert parse_config("") == RunConfig()
+        run, solve, sweep = RunConfig(), SolveSettings(), SweepSettings()
+        assert (run.tol, run.seed, run.max_iterations) == (
+            solve.tol, solve.rng_seed, solve.max_iterations
+        )
+        assert (run.rel_final, run.rel_extrap, run.radii, run.threads) == (
+            sweep.rel_final, sweep.rel_extrap, sweep.radii, sweep.threads
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -68,6 +91,7 @@ class TestConfigRoundTrip:
             "[tolerances]\nrel_final = 2\n",
             "[localization]\nradii = 0\n",
             "[run]\nthreads = 0\n",
+            "[output]\nemit_eigenfunctions = ture\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -106,6 +130,18 @@ class TestValidateCommand:
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])
         assert rc == 2
+
+    def test_runs_as_a_module(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap.cli", "validate",
+             "--config", str(CONFIGS / "gaussian.ini")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.startswith("[symbol] ") and line.endswith(": pass") for line in lines)
+        assert any(line.startswith("[weight] ") and line.endswith(": pass") for line in lines)
 
 
 class TestModelSpectrumCommand:
@@ -181,6 +217,16 @@ class TestSweepAndVerify:
         rc = main(["sweep", "--config", write(tmp_path, text),
                    "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_auto_grid_reasoning_reaches_the_report(self, tmp_path):
+        text = GAUSSIAN_MINI.replace("mode = manual\nn = 512\nhalf_length = 14", "mode = auto")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        cfg = parse_config(text)
+        norm_pair, _ = normalized_pair(build_profiles(cfg))
+        expected = suggest_grid(norm_pair, k=cfg.eigen_count, alphas=cfg.alphas).reasoning
+        assert payload["provenance"]["grid_reasoning"] == list(expected)
 
     def test_eigenfunction_dumps_loadable(self, tmp_path):
         text = GAUSSIAN_MINI + "\n[output]\nemit_eigenfunctions = true\n"

@@ -22,7 +22,7 @@ from specgap import (
     smallest_eigenpairs,
     state,
 )
-from specgap.eigensolve import DENSE_SIZE_LIMIT, materialize_dense
+from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense
 from specgap.operators import HermitianOperator
 
 # frozen two-resolution regression value for the quartic-multiplier model
@@ -171,6 +171,12 @@ class TestBottomSolves:
         assert big.size > DENSE_SIZE_LIMIT
         with pytest.raises(ValueError, match="dense"):
             smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-8, mode=Mode.DENSE_FULL))
+
+    def test_bottom_mode_switches_above_dense_limit(self):
+        assert bottom_mode(DENSE_SIZE_LIMIT) is Mode.DENSE_FULL
+        assert bottom_mode(DENSE_SIZE_LIMIT + 1) is Mode.SHIFT_INVERT_BOTTOM
+        assert bottom_mode(8, Mode.SHIFT_INVERT_BOTTOM) is Mode.SHIFT_INVERT_BOTTOM
+        assert bottom_mode(DENSE_SIZE_LIMIT + 1, Mode.DENSE_FULL) is Mode.DENSE_FULL
 
     def test_inner_solve_stall_reported(self, gaussian_pair, grid_512):
         op = build_model_operator(gaussian_pair, grid_512)
