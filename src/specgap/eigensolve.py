@@ -13,6 +13,10 @@ Three modes:
   conjugate-gradient solves, matrix-free; residuals are certified
   against the original operator.
 
+A ``real`` operator (even multiplier samples) runs in real arithmetic
+throughout: float64 start vectors, Krylov bases, dense matrices and CG
+solves, and float64 eigenvectors.  Other operators run in complex128.
+
 :func:`bottom_mode` is the one place that picks between the last two
 for a model-operator solve.  All randomness flows from the seed in
 :class:`SolveSettings`; identical settings produce bit-identical results
@@ -22,15 +26,14 @@ within one build.
 from __future__ import annotations
 
 import enum
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .grid import StateVector, inner, norm, to_frequency_values, to_position_values
-from .operators import HermitianOperator
+from .grid import StateVector, inner, norm
+from .operators import HermitianOperator, fourier_multiplier
 
 __all__ = [
     "Mode",
@@ -131,8 +134,9 @@ class InnerSolveStallError(RuntimeError):
 # Lanczos core (full reorthogonalization, deflated restarts)
 # ---------------------------------------------------------------------------
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.vdot(a.ravel(), b.ravel()))
+def _vdot(a: np.ndarray, b: np.ndarray):
+    # A numpy scalar, so a real Krylov basis stays real.
+    return np.vdot(a.ravel(), b.ravel())
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -146,9 +150,12 @@ def _orthogonalize(w: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return w
 
 
-def _random_start(shape, rng: np.random.Generator, against: list[np.ndarray]) -> np.ndarray:
+def _random_start(shape, rng: np.random.Generator, against: list[np.ndarray],
+                  real: bool) -> np.ndarray:
     for _ in range(20):
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
+        if not real:
+            v = v + 1j * rng.standard_normal(shape)
         v = _orthogonalize(v, against)
         nv = _norm2(v)
         if nv > 1e-8:
@@ -157,12 +164,13 @@ def _random_start(shape, rng: np.random.Generator, against: list[np.ndarray]) ->
 
 
 def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, which: str,
-                     lock_tol: float):
+                     lock_tol: float, real: bool):
     """Return (values, vectors) of the k extreme eigenpairs of a Hermitian
     operator given by ``apply_values`` on arrays of the given shape.
 
     ``which`` is 'largest' or 'smallest'; ``lock_tol`` is the absolute
-    residual threshold for locking a pair.
+    residual threshold for locking a pair; ``real`` draws real start
+    vectors, which keeps the whole iteration real.
     """
     rng = np.random.default_rng(settings.rng_seed)
     locked_vals: list[float] = []
@@ -182,10 +190,10 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
         if pending_start is not None:
             q = _orthogonalize(pending_start, locked_vecs)
             nq = _norm2(q)
-            q = q / nq if nq > 1e-8 else _random_start(shape, rng, locked_vecs)
+            q = q / nq if nq > 1e-8 else _random_start(shape, rng, locked_vecs, real)
             pending_start = None
         else:
-            q = _random_start(shape, rng, locked_vecs)
+            q = _random_start(shape, rng, locked_vecs, real)
         basis: list[np.ndarray] = [q]
         alphas: list[float] = []
         betas: list[float] = []
@@ -273,15 +281,17 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
 # ---------------------------------------------------------------------------
 
 def materialize_dense(op: HermitianOperator) -> np.ndarray:
-    """Apply the operator to every basis vector; only for small grids."""
+    """Apply the operator to every basis vector; only for small grids.
+    The matrix is float64 for a ``real`` operator, else complex128."""
     n = op.grid.size
     if n > DENSE_SIZE_LIMIT:
         raise ValueError(
             f"dense materialization permitted only up to {DENSE_SIZE_LIMIT} unknowns, got {n}"
         )
     shape = op.grid.shape
-    cols = np.empty((n, n), dtype=np.complex128)
-    basis = np.zeros(n, dtype=np.complex128)
+    dtype = np.float64 if op.real else np.complex128
+    cols = np.empty((n, n), dtype=dtype)
+    basis = np.zeros(n, dtype=dtype)
     for j in range(n):
         basis[j] = 1.0
         cols[:, j] = op.apply_values(basis.reshape(shape)).ravel()
@@ -298,24 +308,27 @@ def _dense_extreme(op: HermitianOperator, k: int, which: str):
         lo, hi = n - k, n - 1
     else:
         lo, hi = 0, k - 1
-    vals, vecs = sla.eigh(mat, subset_by_index=[lo, hi])
-    if which == "largest":
-        vals = vals[::-1]
-        vecs = vecs[:, ::-1]
+    _, vecs = sla.eigh(mat, subset_by_index=[lo, hi])
+    # eigh's values are accurate only to ~eps*|A| (1e-9 for a quartic
+    # symbol at N=1024) and move with the BLAS path.  The Rayleigh quotient
+    # <Av, v> of each vector, from the apply the residual needs anyway, is
+    # off by ~residual^2/gap plus the apply's rounding on a smooth vector.
     shape = op.grid.shape
-    residuals = [
-        _norm2(op.apply_values(vecs[:, j].reshape(shape)).ravel() - vals[j] * vecs[:, j])
-        for j in range(k)
-    ]
-    return vals, [vecs[:, j].reshape(shape) for j in range(k)], residuals
+    vectors = [vecs[:, j].reshape(shape) for j in range(k)]
+    vals, residuals = [], []
+    for v in vectors:
+        av = op.apply_values(v)
+        theta = float(np.real(_vdot(v, av)))
+        vals.append(theta)
+        residuals.append(_norm2(av - theta * v))
+    order = np.argsort(vals)[::-1] if which == "largest" else np.argsort(vals)
+    return ([vals[i] for i in order], [vectors[i] for i in order],
+            [residuals[i] for i in order])
 
 
 # ---------------------------------------------------------------------------
 # Shift-invert machinery
 # ---------------------------------------------------------------------------
-
-_CG_TOL_KWARG = "rtol" if "rtol" in inspect.signature(cg).parameters else "tol"
-
 
 def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
     n = op.grid.size
@@ -325,7 +338,8 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
         arr = x.reshape(shape)
         return (op.apply_values(arr) + _SHIFT * arr).ravel()
 
-    a_op = LinearOperator((n, n), matvec=shifted_matvec, dtype=np.complex128)
+    dtype = np.float64 if op.real else np.complex128
+    a_op = LinearOperator((n, n), matvec=shifted_matvec, dtype=dtype)
 
     m_op = None
     if op.multiplier_part is not None:
@@ -334,21 +348,19 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
         q_mean = float(np.mean(op.potential_part)) if op.potential_part is not None else 0.0
         diag = op.multiplier_part + _SHIFT + q_mean
         diag = np.maximum(diag, 1e-8 * np.max(np.abs(diag)))
+        inverse_diag, _ = fourier_multiplier(1.0 / diag)
 
         def precond(x: np.ndarray) -> np.ndarray:
-            arr = x.reshape(shape)
-            return to_position_values(
-                op.grid, to_frequency_values(op.grid, arr) / diag
-            ).ravel()
+            return inverse_diag(x.reshape(shape)).ravel()
 
-        m_op = LinearOperator((n, n), matvec=precond, dtype=np.complex128)
+        m_op = LinearOperator((n, n), matvec=precond, dtype=dtype)
 
     inner_tol = max(1e-13, settings.tol * 1e-4)
 
     def inverse_apply(values: np.ndarray) -> np.ndarray:
         rhs = values.ravel()
-        kwargs = {_CG_TOL_KWARG: inner_tol, "atol": 0.0, "maxiter": settings.inner_max_iterations}
-        x, info = cg(a_op, rhs, M=m_op, **kwargs)
+        x, info = cg(a_op, rhs, M=m_op, rtol=inner_tol, atol=0.0,
+                     maxiter=settings.inner_max_iterations)
         if info != 0:
             achieved = _norm2(shifted_matvec(x) - rhs) / max(_norm2(rhs), 1e-300)
             raise InnerSolveStallError(achieved, settings.inner_max_iterations)
@@ -412,7 +424,7 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
             )
         values, vectors, residuals = _lanczos_extreme(
             op.apply_values, op.grid.shape, op.grid.size, settings.k, settings, "largest",
-            lock_tol=threshold,
+            lock_tol=threshold, real=op.real,
         )
     return _certified_pairs(op, values, vectors, residuals, threshold)
 
@@ -451,6 +463,7 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
             settings,
             "largest",
             lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
+            real=op.real,
         )
         # Map back and certify against the original operator.
         values = []

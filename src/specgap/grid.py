@@ -9,6 +9,12 @@ like the continuum transform with the (2*pi)^(-d/2) factor, so it is
 unitary between the h^d-weighted position inner product and the
 (pi/L)^d-weighted frequency inner product, and sampled exp(-x^2/2) maps
 to sampled exp(-xi^2/2) up to grid truncation.
+
+The transform is the FFT times the phase (-1)^(j1+...+jd) and the scale
+(h/sqrt(2 pi))^d.  Inside a Fourier multiplier op(m) = inverse * m *
+transform both cancel, so operators apply plain (real, when they can)
+FFTs; :func:`to_frequency_values` and :func:`to_position_values` serve
+where frequency-side values are read (forms, localization).
 """
 
 from __future__ import annotations
@@ -146,7 +152,9 @@ def build_grid(
 
 @dataclass
 class StateVector:
-    """Complex-valued grid function with discrete L^2 geometry."""
+    """Grid function with discrete L^2 geometry.  Values are complex128,
+    or float64 for eigenvectors of real operators; dumps store both as
+    (re, im) pairs."""
 
     grid: Grid
     values: np.ndarray

@@ -9,6 +9,17 @@ Three operator shapes are built here, all acting on grid functions:
   from the principal homogeneous parts,
 * plain multiplier-plus-potential operators for oracle tests.
 
+Every apply goes through :func:`fourier_multiplier`.  Inside op(m) the
+transform's phase (-1)^(j1+...+jd) and its (h/sqrt(2 pi))^(+-d) scales
+cancel, so op(m) is just ifftn(m * fftn(v)).  When the samples m are
+even on the lattice (m[k] == m[-k mod N] on every axis; true for radial
+symbols, not for a quadratic form with cross terms, which differs on the
+Nyquist rows) op(m) maps real vectors to real vectors and is computed
+with the half-spectrum real FFT; the operator is then marked ``real``
+and the solvers run in real arithmetic.  The unitary transforms of
+:mod:`specgap.grid` remain where frequency-side values are read: the
+forms below.
+
 All forms use the same h^d / (pi/L)^d quadrature weights as the inner
 product, which turns the flatness/gap identities into exact discrete
 algebra instead of asymptotic statements.
@@ -20,16 +31,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 
-from .grid import (
-    Grid,
-    StateVector,
-    inner,
-    norm,
-    state,
-    to_frequency_values,
-    to_position_values,
-)
+from .grid import Grid, StateVector, inner, norm, to_frequency_values
 from .profiles import ProfilePair, ProfileSpec
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "build_model_operator",
     "build_multiplier_operator",
     "build_multiplier_plus_potential",
+    "fourier_multiplier",
     "symbol_flatness_form",
     "weight_flatness_form",
     "model_form",
@@ -61,6 +66,9 @@ class HermitianOperator:
     ``multiplier_part``/``potential_part`` are optional structural hints
     (real samples on the frequency lattice / nodes) that solvers may use
     for preconditioning; they never change what ``apply_values`` does.
+    ``real`` is set by the builders when the multiplier samples are even
+    on the lattice, so the operator maps real vectors to real vectors and
+    solvers may work in float64.
     """
 
     grid: Grid
@@ -69,6 +77,7 @@ class HermitianOperator:
     label: str = ""
     multiplier_part: np.ndarray | None = None
     potential_part: np.ndarray | None = None
+    real: bool = False
 
     def apply(self, u: StateVector) -> StateVector:
         if u.grid != self.grid:
@@ -123,13 +132,51 @@ def make_scaled_symbols(pair: ProfilePair, alpha: float, grid: Grid) -> ScaledSy
     )
 
 
+def _is_even(m: np.ndarray) -> bool:
+    """m[k] == m[-k mod N] on every axis (the mirror of FFT order)."""
+    axes = tuple(range(m.ndim))
+    return bool(np.array_equal(m, np.roll(np.flip(m, axes), 1, axes)))
+
+
+def fourier_multiplier(m: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+    """``(v -> op(m) v, real)`` for real samples m on the frequency lattice.
+
+    ``real`` says m is even on the lattice; the apply then uses the
+    half-spectrum real FFT and returns float64 for float64 input (complex
+    input goes through as its real and imaginary parts).  Otherwise the
+    apply is the complex ifftn(m * fftn(v)).
+    """
+    shape = m.shape
+    axes = tuple(range(m.ndim))
+    if not _is_even(m):
+        def complex_apply(values: np.ndarray) -> np.ndarray:
+            return sfft.ifftn(m * sfft.fftn(values, axes=axes), axes=axes)
+
+        return complex_apply, False
+
+    half = np.ascontiguousarray(m[..., : shape[-1] // 2 + 1])
+
+    def real_apply(values: np.ndarray) -> np.ndarray:
+        return sfft.irfftn(half * sfft.rfftn(values, axes=axes), s=shape, axes=axes)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(values):
+            return real_apply(values.real) + 1j * real_apply(values.imag)
+        return real_apply(values)
+
+    return apply, True
+
+
 def _sandwich(grid: Grid, weight: np.ndarray, multiplier: np.ndarray, label: str) -> HermitianOperator:
+    op_m, real = fourier_multiplier(multiplier)
+
     def apply_values(values: np.ndarray) -> np.ndarray:
-        inner_vals = to_frequency_values(grid, weight * values)
-        return weight * to_position_values(grid, multiplier * inner_vals)
+        return weight * op_m(weight * values)
 
     bound = float(np.max(np.abs(multiplier)) * np.max(np.abs(weight)) ** 2)
-    return HermitianOperator(grid=grid, apply_values=apply_values, upper_bound=bound, label=label)
+    return HermitianOperator(
+        grid=grid, apply_values=apply_values, upper_bound=bound, label=label, real=real
+    )
 
 
 def build_scaled_operator(pair: ProfilePair, alpha: float, grid: Grid) -> HermitianOperator:
@@ -202,16 +249,14 @@ def build_multiplier_operator(grid: Grid, multiplier_values: np.ndarray) -> Herm
     m = _finite_or_raise(np.asarray(multiplier_values, dtype=float), "multiplier")
     if m.shape != grid.shape:
         raise OperatorError("multiplier samples must live on the frequency lattice")
-
-    def apply_values(values: np.ndarray) -> np.ndarray:
-        return to_position_values(grid, m * to_frequency_values(grid, values))
-
+    apply_values, real = fourier_multiplier(m)
     return HermitianOperator(
         grid=grid,
         apply_values=apply_values,
         upper_bound=float(np.max(np.abs(m))),
         label="multiplier",
         multiplier_part=m,
+        real=real,
     )
 
 
@@ -226,10 +271,10 @@ def build_multiplier_plus_potential(
     q = _finite_or_raise(np.asarray(potential_values, dtype=float), "potential")
     if m.shape != grid.shape or q.shape != grid.shape:
         raise OperatorError("sample shapes must match the grid")
+    op_m, real = fourier_multiplier(m)
 
     def apply_values(values: np.ndarray) -> np.ndarray:
-        freq_part = to_position_values(grid, m * to_frequency_values(grid, values))
-        return freq_part + q * values
+        return op_m(values) + q * values
 
     bound = float(np.max(m) + np.max(q))
     return HermitianOperator(
@@ -239,6 +284,7 @@ def build_multiplier_plus_potential(
         label=label,
         multiplier_part=m,
         potential_part=q,
+        real=real,
     )
 
 

@@ -130,6 +130,18 @@ class TestBottomSolves:
         assert abs(values[512] - values[1024]) <= 1e-7 * values[1024]
         assert values[1024] == pytest.approx(QUARTIC_MODEL_GROUND, rel=1e-8)
 
+    def test_dense_values_are_rayleigh_quotients(self):
+        # |A| ~ 4e7 here (xi^4 at the top lattice frequency), so eigh's own
+        # values carry ~1e-9 of BLAS-path noise; Rayleigh quotients do not.
+        a4 = make_catalog_profile("gaussian_power", [4], 1)
+        v2 = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
+        op = build_model_operator(make_pair(a4, v2), build_grid(1, 1024, 20.0))
+        dense, si = (
+            smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-9, mode=mode))[0].value
+            for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM)
+        )
+        assert abs(dense - si) <= 1e-12 * si
+
     def test_2d_harmonic_multiplicity_pattern(self):
         a = make_catalog_profile("gaussian_power", [2], 2)
         v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
@@ -188,6 +200,23 @@ class TestBottomSolves:
                 ),
             )
         assert exc_info.value.achieved_residual > 0
+
+
+class TestRealArithmetic:
+    def test_real_operators_give_float64_vectors(self, gaussian_pair, grid_256):
+        scaled = build_scaled_operator(gaussian_pair, 0.1, grid_256)
+        model = build_model_operator(gaussian_pair, grid_256)
+        assert scaled.real and model.real
+        solves = [
+            largest_eigenpairs(scaled, SolveSettings(k=2, tol=1e-9, mode=Mode.LANCZOS_TOP)),
+            smallest_eigenpairs(model, SolveSettings(k=2, tol=1e-9, mode=Mode.DENSE_FULL)),
+            smallest_eigenpairs(
+                model, SolveSettings(k=2, tol=1e-9, mode=Mode.SHIFT_INVERT_BOTTOM)
+            ),
+        ]
+        for pairs in solves:
+            for p in pairs:
+                assert p.vector.values.dtype == np.float64
 
 
 class TestOracleEquivalence:

@@ -3,6 +3,7 @@ import pytest
 
 from specgap import (
     GridError,
+    StateVector,
     build_grid,
     inner,
     inner_freq,
@@ -156,6 +157,13 @@ class TestSerialization:
         back = load_state(path)
         assert back.grid == g
         np.testing.assert_array_equal(back.values, u.values)
+
+        # real-valued vectors (real solves) dump with zero imaginary parts
+        real = StateVector(g, rng.standard_normal(g.shape))
+        save_state(real, path)
+        back = load_state(path)
+        np.testing.assert_array_equal(back.values.real, real.values)
+        assert not np.any(back.values.imag)
 
     def test_header_layout(self, tmp_path):
         import struct

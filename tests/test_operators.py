@@ -27,7 +27,9 @@ from specgap import (
     validate_profile,
     weight_flatness_form,
 )
+from specgap.grid import to_frequency_values, to_position_values
 from specgap.operators import normalized_pair
+from specgap.profiles import expression_profile
 
 from conftest import constant_profile
 
@@ -394,3 +396,86 @@ class TestNormalization:
         unit = build_scaled_operator(norm_pair, 0.2, grid_256).apply(u)
         deviation = np.max(np.abs(big.values - 12.0 * unit.values))
         assert deviation <= 1e-13 * np.max(np.abs(big.values))
+
+
+def _transform_apply(grid, m, values):
+    """op(m) through the unitary transforms, phase and scales included."""
+    return to_position_values(grid, m * to_frequency_values(grid, values))
+
+
+# catalog (symbol, weight) pairs, a grid size per dimension, and whether
+# the sampled symbol is even on the lattice
+_CATALOG_PAIRS = [
+    (1, ("gaussian_power", [2]), ("gaussian_power", [2]), 64, True),
+    (1, ("rational_power", [3]), ("gaussian_power", [4]), 64, True),
+    (2, ("aniso_gaussian", [2.0, 0.0, 0.0, 1.0]), ("rational_power", [2]), 16, True),
+    (2, ("gaussian_power", [1.5]), ("aniso_gaussian", [1.0, -0.3, -0.3, 0.7]), 16, True),
+    (3, ("rational_power", [2]), ("gaussian_power", [2]), 8, True),
+    (3, ("aniso_gaussian", [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.5]),
+     ("gaussian_power", [2]), 8, True),
+    # A cross term is odd in each coordinate, and the lattice holds -N/2 but
+    # not +N/2: on the Nyquist rows the sampled symbol is not even.
+    (2, ("aniso_gaussian", [2.0, 0.5, 0.5, 1.0]), ("rational_power", [2]), 16, False),
+]
+
+_NON_EVEN_EXPR = "exp(-(norm(x) + x1/2))"
+_NON_EVEN_PRINCIPAL = "norm(x) + x1/2"
+
+
+class TestRealApply:
+    @pytest.mark.parametrize("d, a_spec, v_spec, n, even", _CATALOG_PAIRS)
+    def test_catalog_operators_match_the_transform_apply(self, d, a_spec, v_spec, n, even):
+        a = make_catalog_profile(a_spec[0], a_spec[1], d)
+        v = make_catalog_profile(v_spec[0], v_spec[1], d, role=ProfileRole.WEIGHT_V)
+        pair = make_pair(a, v)
+        grid = build_grid(d, n, 5.0)
+        sym = make_scaled_symbols(pair, 0.3, grid)
+        w, b = sym.weight_values, sym.multiplier_values
+        scaled = build_scaled_operator(pair, 0.3, grid)
+        model = build_model_operator(pair, grid)
+        assert scaled.real is even and model.real is even
+
+        def scaled_reference(x):
+            return w * _transform_apply(grid, b, w * x)
+
+        def model_reference(x):
+            return _transform_apply(grid, model.multiplier_part, x) + model.potential_part * x
+
+        rng = np.random.default_rng(30 + d)
+        real_in = rng.standard_normal(grid.shape)
+        complex_in = real_in + 1j * rng.standard_normal(grid.shape)
+        for op, reference in ((scaled, scaled_reference), (model, model_reference)):
+            real_out = op.apply_values(real_in)
+            assert real_out.dtype == (np.float64 if even else np.complex128)
+            for x, got in ((real_in, real_out), (complex_in, op.apply_values(complex_in))):
+                want = reference(x)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_non_even_symbol_validates_and_stays_complex(self):
+        a = expression_profile(_NON_EVEN_EXPR, _NON_EVEN_PRINCIPAL, 1, 1)
+        assert validate_profile(a).passed
+        v = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
+        pair = make_pair(a, v)
+        grid = build_grid(1, 64, 5.0)
+        model = build_model_operator(pair, grid)
+        assert not model.real
+        assert not build_scaled_operator(pair, 0.3, grid).real
+        x = np.random.default_rng(36).standard_normal(grid.shape)
+        want = _transform_apply(grid, model.multiplier_part, x) + model.potential_part * x
+        got = model.apply_values(x)
+        assert np.iscomplexobj(got)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_non_even_symbol_dense_and_shift_invert_agree(self):
+        a = expression_profile(_NON_EVEN_EXPR, _NON_EVEN_PRINCIPAL, 1, 1)
+        v = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
+        op = build_model_operator(make_pair(a, v), build_grid(1, 256, 20.0))
+        values = {
+            mode: [p.value for p in smallest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, mode=mode))]
+            for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM)
+        }
+        dense, si = values[Mode.DENSE_FULL], values[Mode.SHIFT_INVERT_BOTTOM]
+        np.testing.assert_allclose(dense, si, rtol=1e-11)
+        np.testing.assert_allclose(
+            dense, [1.0915782382417, 2.3844137370876, 3.3986951675210], rtol=1e-11
+        )
