@@ -6,11 +6,22 @@ Three modes:
   with deflation of converged pairs until the requested extreme
   eigenpairs are certified.  Grid sizes here are modest, so full (not
   selective) reorthogonalization is used throughout; ghost eigenvalues
-  would poison an asymptotic sweep.
-* ``DENSE_FULL`` -- materialize the operator column by column and call
-  LAPACK; permitted only up to ``DENSE_SIZE_LIMIT`` unknowns.
-* ``SHIFT_INVERT_BOTTOM`` -- Lanczos on (A + c I)^-1 with inner
-  conjugate-gradient solves, matrix-free; residuals are certified
+  would poison an asymptotic sweep.  Each new Krylov vector is
+  orthogonalized against the locked vectors and the cycle basis at once
+  (classical Gram-Schmidt run twice over one 2-D array).  A cycle ends
+  as soon as the Ritz residual estimates beta_m*|s_m,i| of the wanted
+  pairs are below a tenth of the lock tolerance; each candidate is then
+  locked only after an explicit residual check.  Once k pairs are
+  locked, a completeness probe runs one more cycle from a random start
+  outside the locked span, until its leading Ritz pair converges or it
+  spans the whole complement.  A value beyond the k-th locked one (a
+  degenerate copy the earlier cycles could not see) is locked and the
+  probe repeats; otherwise the solve is done.
+* ``DENSE_FULL`` -- materialize the operator column by column into one
+  Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
+  to ``DENSE_SIZE_LIMIT`` unknowns.
+* ``SHIFT_INVERT_BOTTOM`` -- the same Lanczos core on (A + c I)^-1 with
+  inner conjugate-gradient solves, matrix-free; residuals are certified
   against the original operator.
 
 A ``real`` operator (even multiplier samples) runs in real arithmetic
@@ -134,6 +145,11 @@ class InnerSolveStallError(RuntimeError):
 # Lanczos core (full reorthogonalization, deflated restarts)
 # ---------------------------------------------------------------------------
 
+# A cycle stops once every wanted Ritz pair's residual estimate
+# beta_m * |s_{m,i}| is below this fraction of the lock tolerance.
+_CONVERGED = 0.1
+
+
 def _vdot(a: np.ndarray, b: np.ndarray):
     # A numpy scalar, so a real Krylov basis stays real.
     return np.vdot(a.ravel(), b.ravel())
@@ -143,119 +159,189 @@ def _norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.ravel()))
 
 
-def _orthogonalize(w: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for _ in range(2):  # two sweeps of classical Gram-Schmidt
-        for q in basis:
-            w = w - _vdot(q, w) * q
+def _project_out(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Remove from the flat vector ``w``, in place, its components along the
+    orthonormal ``rows``: classical Gram-Schmidt run twice, each pass one
+    product with the whole block."""
+    if len(rows):
+        for _ in range(2):
+            w -= (rows @ w.conj()).conj() @ rows
     return w
 
 
-def _random_start(shape, rng: np.random.Generator, against: list[np.ndarray],
-                  real: bool) -> np.ndarray:
+class _Rows:
+    """Locked vectors followed by the current cycle's Lanczos basis, as
+    the rows of one 2-D array that grows when a cycle outruns it."""
+
+    def __init__(self, capacity: int, size: int, dtype):
+        self.array = np.empty((capacity, size), dtype=dtype)
+        self.locked = 0
+
+    def reserve(self, count: int) -> None:
+        if count > len(self.array):
+            grown = np.empty((max(count, int(1.5 * len(self.array))), self.array.shape[1]),
+                             dtype=self.array.dtype)
+            grown[: len(self.array)] = self.array
+            self.array = grown
+
+    def lock(self, y: np.ndarray) -> None:
+        # A Ritz vector of the cycle just run: its row is a basis row, so it fits.
+        self.array[self.locked] = y
+        self.locked += 1
+
+    def start(self, v: np.ndarray | None) -> bool:
+        """Make ``v`` minus its locked components the first basis row;
+        False when too little of it is left."""
+        if v is None:
+            return False
+        self.reserve(self.locked + 1)
+        w = _project_out(np.array(v, dtype=self.array.dtype).ravel(), self.array[: self.locked])
+        nw = _norm2(w)
+        if nw <= 1e-8:
+            return False
+        self.array[self.locked] = w / nw
+        return True
+
+
+def _random_start(rows: _Rows, shape, rng: np.random.Generator, real: bool) -> None:
     for _ in range(20):
         v = rng.standard_normal(shape)
         if not real:
             v = v + 1j * rng.standard_normal(shape)
-        v = _orthogonalize(v, against)
-        nv = _norm2(v)
-        if nv > 1e-8:
-            return v / nv
+        if rows.start(v):
+            return
     raise NoConvergenceError("could not generate a start vector outside the locked span")
 
 
-def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, which: str,
-                     lock_tol: float, real: bool):
-    """Return (values, vectors) of the k extreme eigenpairs of a Hermitian
-    operator given by ``apply_values`` on arrays of the given shape.
+def _leading_ritz(alphas: list[float], betas: list[float], count: int):
+    """The ``count`` largest eigenvalues (descending) of the Lanczos
+    tridiagonal matrix and their eigenvectors as columns."""
+    m = len(alphas)
+    theta, s_mat = sla.eigh_tridiagonal(
+        np.array(alphas), np.array(betas[: m - 1]), select="i", select_range=(m - count, m - 1)
+    )
+    return theta[::-1], s_mat[:, ::-1]
 
-    ``which`` is 'largest' or 'smallest'; ``lock_tol`` is the absolute
-    residual threshold for locking a pair; ``real`` draws real start
-    vectors, which keeps the whole iteration real.
+
+def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
+                   stop_tol: float):
+    """Run Lanczos from the first basis row, reorthogonalizing each new
+    vector against the locked rows and the basis so far.
+
+    Stops after ``max_steps`` steps, on breakdown (an invariant subspace),
+    or once the ``want`` leading Ritz pairs have residual estimates below
+    ``stop_tol``.  Returns ``(theta, s_mat, m, converged)``: the leading
+    Ritz values and tridiagonal eigenvectors, the cycle length, and
+    whether the leading pairs are final (estimates met or breakdown).
+    """
+    arr, base = rows.array, rows.locked
+    alphas: list[float] = []
+    betas: list[float] = []
+    scale = 1.0
+    converged = False
+    for j in range(max_steps):
+        q = arr[base + j]
+        av = apply_values(q.reshape(shape)).ravel()
+        alpha = float(np.real(_vdot(q, av)))
+        alphas.append(alpha)
+        w = av - alpha * q
+        if j:
+            w -= betas[-1] * arr[base + j - 1]
+        _project_out(w, arr[: base + j + 1])
+        beta = _norm2(w)
+        scale = max(scale, abs(alpha), beta)
+        m = j + 1
+        if beta <= 1e-14 * scale:
+            converged = True  # invariant subspace exhausted
+            break
+        betas.append(beta)
+        if m >= want:
+            _, s_mat = _leading_ritz(alphas, betas, want)
+            if np.all(beta * np.abs(s_mat[-1]) < stop_tol):
+                converged = True
+                break
+        if m == max_steps:
+            break
+        rows.reserve(base + m + 1)
+        arr = rows.array
+        arr[base + m] = w / beta
+    m = len(alphas)
+    theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
+    return theta, s_mat, m, converged
+
+
+def _lanczos_largest(apply_values, shape, size, k, settings: SolveSettings,
+                     lock_tol: float, real: bool):
+    """Return (values, vectors, residuals) of the k largest eigenpairs of a
+    Hermitian operator given by ``apply_values`` on arrays of the given
+    shape.
+
+    ``lock_tol`` is the absolute residual threshold for locking a pair;
+    ``real`` draws real start vectors, which keeps the whole iteration
+    real.  Cycles run until the wanted pairs converge, with deflation of
+    the locked pairs.  Once k pairs are locked, a probe cycle from a fresh
+    start outside the locked span must find nothing beyond the k-th
+    value; what it does find beyond is locked and probed past in turn, so
+    a degenerate copy that the earlier cycles could not see is not lost.
     """
     rng = np.random.default_rng(settings.rng_seed)
-    locked_vals: list[float] = []
-    locked_vecs: list[np.ndarray] = []
-    steps = 0
     cycle_dim = min(size, max(4 * k + 40, 80))
+    rows = _Rows(k + cycle_dim + 1, size, np.float64 if real else np.complex128)
+    locked_vals: list[float] = []
+    steps = 0
     best_residuals: list[float] = []
     pending_start: np.ndarray | None = None
 
-    while len(locked_vals) < k:
+    while True:
+        probe = len(locked_vals) >= k
+        if probe and rows.locked == size:
+            break
         if steps >= settings.max_iterations:
+            note = "; completeness probe unfinished" if probe else ""
             raise NoConvergenceError(
                 f"no convergence after {steps} Lanczos steps "
-                f"({len(locked_vals)}/{k} pairs certified)",
+                f"({min(len(locked_vals), k)}/{k} pairs certified{note})",
                 best_residuals=best_residuals,
             )
-        if pending_start is not None:
-            q = _orthogonalize(pending_start, locked_vecs)
-            nq = _norm2(q)
-            q = q / nq if nq > 1e-8 else _random_start(shape, rng, locked_vecs, real)
-            pending_start = None
-        else:
-            q = _random_start(shape, rng, locked_vecs, real)
-        basis: list[np.ndarray] = [q]
-        alphas: list[float] = []
-        betas: list[float] = []
-        q_prev = None
-        beta_prev = 0.0
-        for _ in range(min(cycle_dim, settings.max_iterations - steps)):
-            w = apply_values(basis[-1])
-            steps += 1
-            if locked_vecs:
-                w = _orthogonalize(w, locked_vecs)
-            alpha = float(np.real(_vdot(basis[-1], w)))
-            alphas.append(alpha)
-            w = w - alpha * basis[-1]
-            if q_prev is not None:
-                w = w - beta_prev * q_prev
-            w = _orthogonalize(w, basis)
-            beta = _norm2(w)
-            scale = max(1.0, max(abs(a) for a in alphas), max(betas, default=0.0))
-            if beta <= 1e-14 * scale:
-                break  # invariant subspace exhausted; restart handles the rest
-            betas.append(beta)
-            q_prev = basis[-1]
-            beta_prev = beta
-            basis.append(w / beta)
-
-        m = len(alphas)
-        if m == 0:
-            continue
-        theta, s_mat = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[: m - 1]))
-        order = np.argsort(theta)[::-1] if which == "largest" else np.argsort(theta)
-        q_array = np.stack(basis[:m], axis=0)
+        if not rows.start(pending_start):
+            _random_start(rows, shape, rng, real)
+        pending_start = None
+        want = 1 if probe else k - len(locked_vals)
+        # A probe may end only on convergence or once it spans the complement.
+        length = size - rows.locked if probe else min(cycle_dim, size - rows.locked)
+        length = min(length, settings.max_iterations - steps)
+        theta, s_mat, m, converged = _lanczos_cycle(
+            apply_values, shape, rows, length, want, _CONVERGED * lock_tol
+        )
+        steps += m
+        if probe:
+            if not (converged or m == size - rows.locked):
+                continue  # cut by the step budget
+            kth = sorted(locked_vals, reverse=True)[k - 1]
+            if theta[0] <= kth + lock_tol:
+                break
+        ritz = s_mat.T @ rows.array[rows.locked : rows.locked + m]
 
         # Lock converged Ritz pairs in strict extremal order: stopping at the
         # first unconverged candidate keeps the locked set a prefix of the
-        # extreme spectrum (up to exact duplicates, which deflation absorbs).
+        # extreme spectrum of the deflated operator.
         best_residuals = []
-        for idx in order[: k - len(locked_vals) + 1]:
-            y = np.tensordot(s_mat[:, idx], q_array, axes=(0, 0))
-            ny = _norm2(y)
-            if ny <= 1e-12:
-                continue
-            y = y / ny
-            r = _norm2(apply_values(y) - theta[idx] * y)
+        for value, y in zip(theta, ritz):
+            y = y / _norm2(y)
+            r = _norm2(apply_values(y.reshape(shape)).ravel() - value * y)
             best_residuals.append(r)
             if r > lock_tol:
                 pending_start = y
                 break
-            y = _orthogonalize(y, locked_vecs)
-            ny = _norm2(y)
-            if ny <= 1e-8:
-                continue  # numerically inside the locked span already
-            locked_vecs.append(y / ny)
-            locked_vals.append(float(theta[idx]))
-            if len(locked_vals) == k:
-                break
-        if len(locked_vals) < k:
+            rows.lock(y)
+            locked_vals.append(float(value))
+        if not probe and len(locked_vals) < k:
             cycle_dim = min(size, int(np.ceil(cycle_dim * 1.5)))
 
     # Rayleigh-Ritz polish over the locked span: orthonormal basis, small
-    # projected matrix, rotate.  Fixes ordering and orthogonality at once.
-    v_mat = np.stack([v.ravel() for v in locked_vecs], axis=1)
-    v_mat, _ = np.linalg.qr(v_mat)
+    # projected matrix, rotate.  Fixes ordering and orthogonality at once,
+    # and keeps the k largest when probes locked more.
+    v_mat, _ = np.linalg.qr(rows.array[: rows.locked].T)
     a_cols = np.stack(
         [apply_values(v_mat[:, j].reshape(shape)).ravel() for j in range(v_mat.shape[1])],
         axis=1,
@@ -263,17 +349,12 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
     small = v_mat.conj().T @ a_cols
     small = 0.5 * (small + small.conj().T)
     vals, rot = np.linalg.eigh(small)
-    if which == "largest":
-        sel = np.argsort(vals)[::-1][:k]
-    else:
-        sel = np.argsort(vals)[:k]
-    vectors = (v_mat @ rot)[:, sel]
+    sel = np.argsort(vals)[::-1][:k]
     values = vals[sel]
-    residuals = [
-        _norm2(apply_values(vectors[:, j].reshape(shape)).ravel() - values[j] * vectors[:, j])
-        for j in range(k)
-    ]
-    return values, [vectors[:, j].reshape(shape) for j in range(k)], residuals
+    vectors = v_mat @ rot[:, sel]
+    # The residuals come from the applies above: A (V R) = (A V) R.
+    residuals = np.linalg.norm(a_cols @ rot[:, sel] - vectors * values, axis=0)
+    return values, [vectors[:, j].reshape(shape) for j in range(k)], [float(r) for r in residuals]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +363,8 @@ def _lanczos_extreme(apply_values, shape, size, k, settings: SolveSettings, whic
 
 def materialize_dense(op: HermitianOperator) -> np.ndarray:
     """Apply the operator to every basis vector; only for small grids.
-    The matrix is float64 for a ``real`` operator, else complex128."""
+    The matrix is float64 for a ``real`` operator, else complex128, and
+    Fortran-ordered, so LAPACK can work on it without a copy."""
     n = op.grid.size
     if n > DENSE_SIZE_LIMIT:
         raise ValueError(
@@ -290,13 +372,24 @@ def materialize_dense(op: HermitianOperator) -> np.ndarray:
         )
     shape = op.grid.shape
     dtype = np.float64 if op.real else np.complex128
-    cols = np.empty((n, n), dtype=dtype)
+    mat = np.empty((n, n), dtype=dtype, order="F")
     basis = np.zeros(n, dtype=dtype)
     for j in range(n):
         basis[j] = 1.0
-        cols[:, j] = op.apply_values(basis.reshape(shape)).ravel()
+        mat[:, j] = op.apply_values(basis.reshape(shape)).ravel()
         basis[j] = 0.0
-    return 0.5 * (cols + cols.conj().T)
+    # Average the triangles in place, a block pair at a time.
+    block = 256
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        diag = mat[rows, rows]
+        diag[...] = 0.5 * (diag + diag.conj().T)
+        for hi in range(lo + block, n, block):
+            cols = slice(hi, hi + block)
+            upper = 0.5 * (mat[rows, cols] + mat[cols, rows].conj().T)
+            mat[rows, cols] = upper
+            mat[cols, rows] = upper.conj().T
+    return mat
 
 
 def _dense_extreme(op: HermitianOperator, k: int, which: str):
@@ -308,7 +401,7 @@ def _dense_extreme(op: HermitianOperator, k: int, which: str):
         lo, hi = n - k, n - 1
     else:
         lo, hi = 0, k - 1
-    _, vecs = sla.eigh(mat, subset_by_index=[lo, hi])
+    _, vecs = sla.eigh(mat, subset_by_index=[lo, hi], overwrite_a=True)
     # eigh's values are accurate only to ~eps*|A| (1e-9 for a quartic
     # symbol at N=1024) and move with the BLAS path.  The Rayleigh quotient
     # <Av, v> of each vector, from the apply the residual needs anyway, is
@@ -422,8 +515,8 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
             raise ValueError(
                 f"k={settings.k} exceeds {limit} (quarter of the grid dimension)"
             )
-        values, vectors, residuals = _lanczos_extreme(
-            op.apply_values, op.grid.shape, op.grid.size, settings.k, settings, "largest",
+        values, vectors, residuals = _lanczos_largest(
+            op.apply_values, op.grid.shape, op.grid.size, settings.k, settings,
             lock_tol=threshold, real=op.real,
         )
     return _certified_pairs(op, values, vectors, residuals, threshold)
@@ -455,13 +548,12 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
         values, vectors, residuals = _dense_extreme(op, settings.k, "smallest")
     else:
         inverse_apply = _make_inverse_apply(op, settings)
-        inv_values, vectors, _ = _lanczos_extreme(
+        inv_values, vectors, _ = _lanczos_largest(
             inverse_apply,
             op.grid.shape,
             op.grid.size,
             settings.k,
             settings,
-            "largest",
             lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
             real=op.real,
         )

@@ -63,6 +63,8 @@ class OperatorError(ValueError):
 class HermitianOperator:
     """Matrix-free Hermitian apply contract on a fixed grid.
 
+    ``upper_bound``, when given, bounds the operator norm ||A|| (not just
+    the top of the spectrum); certification scales its tolerance by it.
     ``multiplier_part``/``potential_part`` are optional structural hints
     (real samples on the frequency lattice / nodes) that solvers may use
     for preconditioning; they never change what ``apply_values`` does.
@@ -276,7 +278,7 @@ def build_multiplier_plus_potential(
     def apply_values(values: np.ndarray) -> np.ndarray:
         return op_m(values) + q * values
 
-    bound = float(np.max(m) + np.max(q))
+    bound = float(np.max(np.abs(m)) + np.max(np.abs(q)))
     return HermitianOperator(
         grid=grid,
         apply_values=apply_values,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,26 @@ from specgap import (
     state,
 )
 from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense
-from specgap.operators import HermitianOperator
+from specgap.operators import (
+    HermitianOperator,
+    principal_frequency_samples,
+    principal_position_samples,
+)
 
 # frozen two-resolution regression value for the quartic-multiplier model
 # operator op(xi^4) + 2 x^2 on [-30, 30] (no analytic spectrum available)
 QUARTIC_MODEL_GROUND = 1.6832198980
+
+
+def counting(op):
+    """``op`` with an apply that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def apply_values(values):
+        calls[0] += 1
+        return op.apply_values(values)
+
+    return dataclasses.replace(op, apply_values=apply_values), calls
 
 
 def random_mult_pot_operator(grid, rng):
@@ -100,10 +117,53 @@ class TestLanczosTop:
         with pytest.raises(ValueError, match="quarter"):
             largest_eigenpairs(op, SolveSettings(k=16, tol=1e-8))
 
+    def test_cycles_stop_at_convergence(self, gaussian_pair, grid_512):
+        # A fixed-length first cycle took 89 applies here.
+        op, calls = counting(build_scaled_operator(gaussian_pair, 0.1, grid_512))
+        pairs = largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9))
+        assert calls[0] < 60
+        dense = largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, mode=Mode.DENSE_FULL))
+        np.testing.assert_allclose(
+            [p.value for p in pairs], [p.value for p in dense], rtol=0, atol=1e-10
+        )
+        assert certify(op, pairs, 1e-9).passed
+
     def test_shift_invert_mode_rejected_for_top(self, gaussian_pair, grid_256):
         op = build_scaled_operator(gaussian_pair, 0.1, grid_256)
         with pytest.raises(ValueError):
             largest_eigenpairs(op, SolveSettings(k=1, mode=Mode.SHIFT_INVERT_BOTTOM))
+
+
+class TestCompleteness:
+    """The negated d=2 harmonic model operator -(op(|xi|^2) + 2|x|^2): its
+    top is -(2, 4, 4, ...) * sqrt(2) with a double second level, and 0, the
+    value deflation would put on the locked span, lies above the whole
+    spectrum."""
+
+    @pytest.mark.parametrize("n,half_length", [(16, 6.0), (32, 7.0)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_negated_2d_model_keeps_both_copies(self, n, half_length, seed):
+        a = make_catalog_profile("gaussian_power", [2], 2)
+        v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
+        pair = make_pair(a, v)
+        grid = build_grid(2, n, half_length)
+        op = build_multiplier_plus_potential(
+            grid,
+            -principal_frequency_samples(pair, grid),
+            -2.0 * principal_position_samples(pair, grid),
+        )
+        tol = 1e-9
+        pairs = largest_eigenpairs(op, SolveSettings(k=3, tol=tol, rng_seed=seed))
+        values = [p.value for p in pairs]
+        dense = smallest_eigenpairs(
+            build_model_operator(pair, grid), SolveSettings(k=3, tol=tol, mode=Mode.DENSE_FULL)
+        )
+        scale = op.upper_bound
+        np.testing.assert_allclose(
+            values, [-p.value for p in dense], rtol=0, atol=10 * tol * scale
+        )
+        assert [len(c) for c in cluster_eigenvalues(values, tol * scale)] == [1, 2]
+        assert certify(op, pairs, tol).passed
 
 
 class TestBottomSolves:
@@ -171,6 +231,20 @@ class TestBottomSolves:
         )
         for d_pair, s_pair in zip(dense, si):
             assert abs(d_pair.value - s_pair.value) <= 10 * tol * max(1.0, d_pair.value)
+
+    def test_dense_matrix_is_fortran_ordered_and_hermitian(self):
+        grid = build_grid(2, 20, 5.0)
+        rng = np.random.default_rng(5)
+        op = random_mult_pot_operator(grid, rng)  # not even: complex path
+        mat = materialize_dense(op)
+        assert not op.real and mat.flags.f_contiguous
+        np.testing.assert_array_equal(mat, mat.conj().T)
+        basis = np.zeros(grid.size)
+        for j in (0, 77, grid.size - 1):
+            basis[j] = 1.0
+            column = op.apply_values(basis.reshape(grid.shape)).ravel()
+            basis[j] = 0.0
+            np.testing.assert_allclose(mat[:, j], column, rtol=0, atol=1e-12)
 
     def test_lanczos_top_mode_rejected_for_bottom(self, gaussian_pair, grid_256):
         op = build_model_operator(gaussian_pair, grid_256)

@@ -27,6 +27,7 @@ from specgap import (
     validate_profile,
     weight_flatness_form,
 )
+from specgap.eigensolve import materialize_dense
 from specgap.grid import to_frequency_values, to_position_values
 from specgap.operators import normalized_pair
 from specgap.profiles import expression_profile
@@ -116,6 +117,18 @@ class TestSandwichOperators:
     def test_upper_bound_uses_sampled_maxima(self, gaussian_pair, grid_256):
         op = build_scaled_operator(gaussian_pair, 0.2, grid_256)
         assert op.upper_bound == pytest.approx(1.0, rel=1e-12)
+
+    def test_upper_bound_bounds_the_norm_for_negative_samples(self):
+        grid = build_grid(2, 12, 4.0)
+        rng = np.random.default_rng(8)
+        m = rng.random(grid.shape) * 3.0
+        q = rng.random(grid.shape) * 2.0
+        positive = build_multiplier_plus_potential(grid, m, q)
+        negative = build_multiplier_plus_potential(grid, -m, -q)
+        assert positive.upper_bound == float(np.max(m) + np.max(q))
+        assert negative.upper_bound == positive.upper_bound
+        norm_a = np.max(np.abs(np.linalg.eigvalsh(materialize_dense(negative))))
+        assert norm_a <= negative.upper_bound
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_symbol_sample_rejected(self, grid_256):
