@@ -7,7 +7,8 @@ The central quantity is the scaled spectral gap
 whose limit as alpha -> 0 is the n-th ascending eigenvalue mu_n of the
 model operator.  A limit is not machine-checkable, so the law is
 restated as a three-part finite-alpha criterion: the final ladder point
-must sit within ``rel_final`` of mu_n, the fitted extrapolation limit
+must sit within ``rel_final`` of mu_n, the alpha -> 0 limit of the
+series limit + c1*alpha^sigma + c2*alpha^(2*sigma) fitted to the ladder
 within ``rel_extrap``, and |gap_n - mu_n| must be nonincreasing along
 the ladder (the last check is advisory and downgrades to "inconclusive"
 rather than failing, since the approach direction at finite alpha is
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import __version__ as _pkg_version
 from .eigensolve import (
@@ -31,6 +31,7 @@ from .eigensolve import (
     Mode,
     NoConvergenceError,
     SolveSettings,
+    bottom_mode,
     largest_eigenpairs,
     smallest_eigenpairs,
 )
@@ -138,6 +139,17 @@ class StudyReport:
     provenance: dict
 
     def to_dict(self) -> dict:
+        """The ``specgap.report.v1`` payload; keys follow the field order."""
+
+        def record(r: SweepRecord) -> dict:
+            # Field by field: asdict would deep-copy the eigenvector, which
+            # the report leaves out.
+            row = {("lambda" if f.name == "lam" else f.name): getattr(r, f.name)
+                   for f in fields(r) if f.name != "vector"}
+            if r.localization is not None:
+                row["localization"] = asdict(r.localization)
+            return row
+
         return {
             "schema": "specgap.report.v1",
             "config": self.config,
@@ -145,67 +157,23 @@ class StudyReport:
                 {"n": i + 1, "mu": mu, "residual": res}
                 for i, (mu, res) in enumerate(self.model_eigenvalues)
             ],
-            "records": [
-                {
-                    "alpha": r.alpha,
-                    "n": r.n,
-                    "lambda": r.lam,
-                    "scaled_gap": r.scaled_gap,
-                    "residual": r.residual,
-                    "grid_id": r.grid_id,
-                    "converged": r.converged,
-                    "note": r.note,
-                    "localization": None
-                    if r.localization is None
-                    else {
-                        "radii": list(r.localization.radii),
-                        "position_mass_outside": list(r.localization.position_mass_outside),
-                        "frequency_mass_outside": list(r.localization.frequency_mass_outside),
-                        "k_form": r.localization.k_form,
-                        "s_form": r.localization.s_form,
-                        "identity_target": r.localization.identity_target,
-                        "identity_rel_gap": r.localization.identity_rel_gap,
-                        "c_hat_pos": list(r.localization.c_hat_pos),
-                        "c_hat_freq": list(r.localization.c_hat_freq),
-                    },
-                }
-                for r in self.records
-            ],
-            "extrapolations": {
-                str(n): {
-                    "limit": e.limit,
-                    "rate": e.rate,
-                    "fit_residual": e.fit_residual,
-                    "degenerate": e.degenerate,
-                    "note": e.note,
-                }
-                for n, e in self.extrapolations.items()
-            },
-            "verdicts": [
-                {
-                    "n": v.n,
-                    "status": v.status.value,
-                    "mu": v.mu,
-                    "final_rel_err": v.final_rel_err,
-                    "extrap_rel_err": v.extrap_rel_err,
-                    "monotone_ok": v.monotone_ok,
-                    "one_sided_ok": v.one_sided_ok,
-                    "rel_final": v.rel_final,
-                    "rel_extrap": v.rel_extrap,
-                    "reasons": list(v.reasons),
-                }
-                for v in self.verdicts
-            ],
+            "records": [record(r) for r in self.records],
+            "extrapolations": {str(n): asdict(e) for n, e in self.extrapolations.items()},
+            "verdicts": [{**asdict(v), "status": v.status.value} for v in self.verdicts],
             "provenance": self.provenance,
         }
 
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Everything a sweep needs besides the pair, the ladder and k."""
+    """Everything a sweep needs besides the pair, the ladder and k.
+
+    ``solver.mode`` picks the model solve (``None`` lets
+    :func:`bottom_mode` choose by grid size); the top solves always run
+    ``LANCZOS_TOP``.
+    """
 
     solver: SolveSettings = field(default_factory=SolveSettings)
-    model_mode: Mode | None = None
     grid: Grid | None = None
     radii: tuple[float, ...] = (2.0, 4.0, 8.0)
     rel_final: float = 0.05
@@ -225,43 +193,25 @@ def scaled_gap(lam: float, alpha: float, pair: ProfilePair) -> float:
 # Extrapolation
 # ---------------------------------------------------------------------------
 
-_RATE_BRACKET = (1e-3, 32.0)
-
-
-def _power_fit(alphas: np.ndarray, gaps: np.ndarray, rate: float, terms: int = 1):
-    """Least squares for gaps = limit + sum_{m=1..terms} c_m * alphas^(m*rate)."""
-    powers = [alphas ** (m * rate) for m in range(1, terms + 1)]
-    design = np.column_stack([np.ones_like(alphas), *powers])
-    coef, *_ = np.linalg.lstsq(design, gaps, rcond=None)
-    rms = float(np.sqrt(np.mean((design @ coef - gaps) ** 2)))
-    return coef, rms
-
-
 def extrapolate_limit(
-    alphas: Sequence[float], gaps: Sequence[float], sigma: float | None = None
+    alphas: Sequence[float], gaps: Sequence[float], sigma: float
 ) -> ExtrapolationResult:
     """Fit the gap ladder and return its alpha -> 0 limit.
 
-    Without ``sigma`` the model is gap(alpha) = limit + c * alpha^rate
-    with a free rate.  The rate comes from an exact three-point solve
-    (first, middle and last ladder points) refined by a least-squares
-    search over the full ladder, so synthetic data of exactly this form
-    reproduces the limit to floating-point accuracy.
+    The model is the series gap(alpha) = limit + c1 * alpha^sigma +
+    c2 * alpha^(2*sigma), fitted by least squares (an exact interpolation
+    on three points); ``rate`` reports sigma.  This assumes the
+    corrections to the scaled-gap law come in integer powers of
+    alpha^sigma.  The paper gives no rate for its o(alpha^sigma)
+    remainder; the assumption holds for the catalog profiles, whose
+    expansions go in powers of |xi|^gamma and |x|^beta, so that after
+    scaling the corrections come in powers of alpha^sigma.  Where the
+    alpha^(2*sigma) term is large, a free rate drifts away from sigma and
+    biases the limit.
 
-    With ``sigma`` the rate is fixed and the model is the series
-    gap(alpha) = limit + c1 * alpha^sigma + c2 * alpha^(2*sigma), fitted
-    by least squares (an exact interpolation on three points); ``rate``
-    reports sigma.  This assumes the corrections to the scaled-gap law
-    come in integer powers of alpha^sigma.  The paper gives no rate for
-    its o(alpha^sigma) remainder; the assumption holds for the catalog
-    profiles, whose expansions go in powers of |xi|^gamma and |x|^beta,
-    so that after scaling the corrections come in powers of alpha^sigma.
-    Where the alpha^(2*sigma) term is large, a free rate drifts away from
-    sigma and biases the limit.
-
-    Either way, non-monotone ladders cannot carry the model; they are
-    flagged degenerate and the last gap is returned as the limit
-    estimate.  A constant ladder returns its value.
+    Non-monotone ladders cannot carry the model; they are flagged
+    degenerate and the last gap is returned as the limit estimate.  A
+    constant ladder returns its value.
     """
     a = np.asarray(list(alphas), dtype=float)
     g = np.asarray(list(gaps), dtype=float)
@@ -271,7 +221,7 @@ def extrapolate_limit(
         raise ValueError("ladder contains non-finite entries")
     if not np.all(np.diff(a) < 0):
         raise ValueError("alphas must be strictly decreasing")
-    if sigma is not None and not (np.isfinite(sigma) and sigma > 0):
+    if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
 
     scale = float(np.max(np.abs(g))) or 1.0
@@ -289,48 +239,14 @@ def extrapolate_limit(
             note="non-monotone ladder; falling back to the last point",
         )
 
-    if sigma is not None:
-        coef, rms = _power_fit(a, g, sigma, terms=2)
-        return ExtrapolationResult(
-            limit=float(coef[0]),
-            rate=float(sigma),
-            fit_residual=rms,
-            note="fixed-rate fit limit + c1*alpha^sigma + c2*alpha^(2*sigma)",
-        )
-
-    i, j, l = 0, a.size // 2, a.size - 1
-    rate0 = None
-    denom = g[j] - g[l]
-    if abs(denom) > 1e-14 * scale:
-        ratio = (g[i] - g[j]) / denom
-
-        def three_point_gap(r: float) -> float:
-            return (a[i] ** r - a[j] ** r) / (a[j] ** r - a[l] ** r) - ratio
-
-        lo, hi = _RATE_BRACKET
-        try:
-            if three_point_gap(lo) * three_point_gap(hi) < 0:
-                rate0 = float(brentq(three_point_gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
-        except ValueError:
-            rate0 = None
-
-    candidates = []
-    if rate0 is not None:
-        candidates.append(rate0)
-    # Coarse scan + bounded refinement over the full ladder.
-    scan = np.geomspace(*_RATE_BRACKET, 200)
-    best_scan = min(scan, key=lambda r: _power_fit(a, g, r)[1])
-    refined = minimize_scalar(
-        lambda r: _power_fit(a, g, r)[1],
-        bounds=(best_scan / 2, best_scan * 2),
-        method="bounded",
-        options={"xatol": 1e-13},
+    design = np.column_stack([np.ones_like(a), a**sigma, a ** (2 * sigma)])
+    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
+    return ExtrapolationResult(
+        limit=float(coef[0]),
+        rate=float(sigma),
+        fit_residual=float(np.sqrt(np.mean((design @ coef - g) ** 2))),
+        note="fixed-rate fit limit + c1*alpha^sigma + c2*alpha^(2*sigma)",
     )
-    candidates.append(float(refined.x))
-
-    best_rate = min(candidates, key=lambda r: _power_fit(a, g, r)[1])
-    coef, rms = _power_fit(a, g, best_rate)
-    return ExtrapolationResult(limit=float(coef[0]), rate=best_rate, fit_residual=rms)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +459,7 @@ def run_sweep(
     flagged record and an inconclusive verdict for the affected index,
     not a crash.  Maxima are normalized to 1 internally (the sandwich
     scales linearly, so eigenvalues rescale exactly); the report records
-    the rescaling.
+    the rescaling and the model-solve mode that ran.
     """
     settings = settings or SweepSettings()
     alphas = [float(x) for x in alphas]
@@ -560,7 +476,8 @@ def run_sweep(
     grid, grid_reasoning = choose_grid(norm_pair, k, alphas, settings.grid)
     grid_id = grid.describe()
 
-    model_settings = replace(settings.solver, k=k, mode=settings.model_mode)
+    model_mode = bottom_mode(grid.size, settings.solver.mode)
+    model_settings = replace(settings.solver, k=k, mode=model_mode)
     model_pairs = smallest_eigenpairs(build_model_operator(norm_pair, grid), model_settings)
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]
     mus = [mu for mu, _ in model_eigenvalues]
@@ -649,6 +566,7 @@ def run_sweep(
             "grid_reasoning": list(grid_reasoning),
             "max_rescaling": scale,
             "threads": settings.threads,
+            "model_mode": model_mode.value,
         },
     )
     report.verdicts = verify_limit_law(

@@ -26,6 +26,7 @@ from .config import (
     grid_of,
     model_mode_of,
     parse_config,
+    validate_config,
 )
 from .eigensolve import (
     InnerSolveStallError,
@@ -99,11 +100,13 @@ def _configured_run(args) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     cfg = parse_config(text)
-    return replace(
+    cfg = replace(
         cfg,
         seed=cfg.seed if args.seed is None else args.seed,
         threads=_resolve_threads(args, cfg),
     )
+    validate_config(cfg)
+    return cfg
 
 
 def _solve_settings(cfg: RunConfig) -> SolveSettings:
@@ -112,6 +115,7 @@ def _solve_settings(cfg: RunConfig) -> SolveSettings:
         tol=cfg.tol,
         max_iterations=cfg.max_iterations,
         rng_seed=cfg.seed,
+        mode=model_mode_of(cfg),
     )
 
 
@@ -137,10 +141,9 @@ def cmd_model_spectrum(args) -> int:
     cfg = _configured_run(args)
     norm_pair, scale = normalized_pair(build_profiles(cfg))
     grid, _ = choose_grid(norm_pair, cfg.eigen_count, cfg.alphas, grid_of(cfg))
-    mode = bottom_mode(grid.size, model_mode_of(cfg))
-    pairs = smallest_eigenpairs(
-        build_model_operator(norm_pair, grid), replace(_solve_settings(cfg), mode=mode)
-    )
+    settings = _solve_settings(cfg)
+    mode = bottom_mode(grid.size, settings.mode)
+    pairs = smallest_eigenpairs(build_model_operator(norm_pair, grid), settings)
     rows = [
         {
             "n": i + 1,
@@ -167,7 +170,6 @@ def _run_configured_sweep(args):
     pair = build_profiles(cfg)
     settings = SweepSettings(
         solver=_solve_settings(cfg),
-        model_mode=model_mode_of(cfg),
         grid=grid_of(cfg),
         radii=cfg.radii,
         rel_final=cfg.rel_final,

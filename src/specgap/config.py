@@ -5,13 +5,15 @@ sections, parsed with :mod:`configparser`).  ``parse_config`` and
 ``emit_config`` round-trip: emitting a parsed document yields the
 normalized form of the input.  The ``[symbol]``/``[weight]`` profile
 sections are read by ``_profile_from_section``; every other key is a row
-of ``_SCHEMA``, and ``_validate`` documents the range of every field.
+of ``_SCHEMA``, and ``validate_config`` documents the range of every
+field.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .asymptotics import SweepSettings
@@ -29,7 +31,7 @@ from .profiles import (
 from .expr import ExpressionError
 
 __all__ = ["ConfigError", "ProfileConfig", "RunConfig", "parse_config", "emit_config",
-           "build_profiles"]
+           "validate_config", "build_profiles"]
 
 
 class ConfigError(ValueError):
@@ -173,19 +175,20 @@ def parse_config(text: str) -> RunConfig:
         if parser.has_option(section, key):
             values[name] = _parsed(section, key, parser.get(section, key), parse)
     cfg = RunConfig(**values)
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig) -> None:
+    """Raise :class:`ConfigError` on an out-of-range field; NaN fails every check."""
     if not 1 <= cfg.dimension <= 3:
         raise ConfigError(f"dimension must be 1..3, got {cfg.dimension}")
     if cfg.eigen_count < 1:
         raise ConfigError(f"eigen_count must be >= 1, got {cfg.eigen_count}")
     if not cfg.alphas:
         raise ConfigError("alphas must be nonempty")
-    if any(a <= 0 for a in cfg.alphas):
-        raise ConfigError("alphas must be positive")
+    if not all(0 < a < math.inf for a in cfg.alphas):
+        raise ConfigError("alphas must be positive and finite")
     if not all(b < a for a, b in zip(cfg.alphas, cfg.alphas[1:])):
         raise ConfigError("alphas must be strictly decreasing")
     if cfg.grid_mode not in ("auto", "manual"):
@@ -193,18 +196,20 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.grid_mode == "manual":
         if cfg.grid_n < 8 or cfg.grid_n % 2:
             raise ConfigError(f"grid n must be even and >= 8, got {cfg.grid_n}")
-        if cfg.grid_half_length <= 0:
-            raise ConfigError("grid half_length must be positive")
-    if cfg.tol <= 0 or cfg.tol > 1e-2:
+        if not 0 < cfg.grid_half_length < math.inf:
+            raise ConfigError("grid half_length must be positive and finite")
+    if not 0 < cfg.tol <= 1e-2:
         raise ConfigError(f"solver tol must lie in (0, 1e-2], got {cfg.tol}")
     if cfg.max_iterations < 1:
         raise ConfigError("max_iterations must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"[solver] seed must be >= 0, got {cfg.seed}")
     if cfg.model_mode not in _MODEL_MODES:
         raise ConfigError(f"model_mode must be one of {sorted(_MODEL_MODES)}")
     if not (0 < cfg.rel_final <= 1 and 0 < cfg.rel_extrap <= 1):
         raise ConfigError("rel_final and rel_extrap must lie in (0, 1]")
-    if not cfg.radii or any(r <= 0 for r in cfg.radii):
-        raise ConfigError("localization radii must be positive")
+    if not cfg.radii or not all(0 < r < math.inf for r in cfg.radii):
+        raise ConfigError("localization radii must be positive and finite")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
 

@@ -67,6 +67,8 @@ DENSE_SIZE_LIMIT = 4096
 _SHIFT = 1.0
 # Lanczos may not ask for more than this fraction of the grid dimension.
 MAX_SUBSPACE_FRACTION = 0.25
+# CG iteration cap of one shift-invert inner solve.
+INNER_MAX_ITERATIONS = 50000
 
 
 class Mode(enum.Enum):
@@ -91,13 +93,12 @@ class SolveSettings:
     max_iterations: int = 6000
     rng_seed: int = 74082
     mode: Mode | None = None
-    inner_max_iterations: int = 50000
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass
@@ -453,10 +454,10 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
     def inverse_apply(values: np.ndarray) -> np.ndarray:
         rhs = values.ravel()
         x, info = cg(a_op, rhs, M=m_op, rtol=inner_tol, atol=0.0,
-                     maxiter=settings.inner_max_iterations)
+                     maxiter=INNER_MAX_ITERATIONS)
         if info != 0:
             achieved = _norm2(shifted_matvec(x) - rhs) / max(_norm2(rhs), 1e-300)
-            raise InnerSolveStallError(achieved, settings.inner_max_iterations)
+            raise InnerSolveStallError(achieved, INNER_MAX_ITERATIONS)
         return x.reshape(shape)
 
     return inverse_apply

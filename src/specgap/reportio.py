@@ -158,7 +158,7 @@ def render_report(report_dict: dict) -> str:
         f"symbol: {profiles.get('symbol', '?')}   weight: {profiles.get('weight', '?')}   "
         f"d={profiles.get('dimension', '?')}  sigma={profiles.get('sigma', '?')}"
     )
-    lines.append(f"grid: {prov.get('grid', '?')}")
+    lines.append(f"grid: {prov.get('grid', '?')}   model solve: {prov.get('model_mode', '?')}")
     lines.append(f"alphas: {cfg.get('alphas')}")
     lines.append("")
     lines.append("model eigenvalues:")

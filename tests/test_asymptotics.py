@@ -1,4 +1,5 @@
-import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from specgap import (
     build_grid,
     build_multiplier_operator,
     build_scaled_operator,
+    cluster_eigenvalues,
     extrapolate_limit,
     largest_eigenpairs,
     localization_metrics,
@@ -24,8 +26,10 @@ from specgap import (
     verify_limit_law,
 )
 from specgap.asymptotics import ExtrapolationResult
+from specgap.reportio import render_report
 
 from conftest import constant_profile
+from test_acceptance import LADDER
 
 
 class TestScaledGap:
@@ -48,46 +52,33 @@ class TestScaledGap:
 
 
 class TestExtrapolation:
-    def test_recovers_linear_model_exactly(self):
-        alphas = [0.2, 0.1, 0.05]
-        result = extrapolate_limit(alphas, [2 + 3 * a for a in alphas])
-        assert abs(result.limit - 2.0) <= 1e-10
-        assert result.rate == pytest.approx(1.0, abs=1e-6)
-        assert not result.degenerate
-
-    def test_recovers_sqrt_model_exactly(self):
-        alphas = [0.2, 0.1, 0.05]
-        result = extrapolate_limit(alphas, [5 + a**0.5 for a in alphas])
-        assert abs(result.limit - 5.0) <= 1e-10
-        assert result.rate == pytest.approx(0.5, abs=1e-6)
-
-    def test_recovers_from_below_with_four_points(self):
-        alphas = [0.2, 0.1, 0.05, 0.025]
-        result = extrapolate_limit(alphas, [7 - 2 * a**1.5 for a in alphas])
-        assert abs(result.limit - 7.0) <= 1e-10
-        assert result.rate == pytest.approx(1.5, abs=1e-5)
-
     def test_non_monotone_flagged_degenerate(self):
-        result = extrapolate_limit([0.2, 0.1, 0.05, 0.025], [1.0, 3.0, 2.0, 2.5])
+        result = extrapolate_limit([0.2, 0.1, 0.05, 0.025], [1.0, 3.0, 2.0, 2.5], sigma=1.0)
         assert result.degenerate
         assert result.limit == 2.5  # last point
+        assert np.isnan(result.rate) and np.isnan(result.fit_residual)
 
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
-            extrapolate_limit([0.2, 0.1], [1.0, 2.0])
+            extrapolate_limit([0.2, 0.1], [1.0, 2.0], sigma=1.0)
 
     def test_requires_decreasing_alphas(self):
         with pytest.raises(ValueError):
-            extrapolate_limit([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+            extrapolate_limit([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], sigma=1.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            extrapolate_limit([0.2, 0.1, 0.05], [1.0, np.nan, 2.0])
+            extrapolate_limit([0.2, 0.1, 0.05], [1.0, np.nan, 2.0], sigma=1.0)
 
     def test_constant_ladder(self):
-        result = extrapolate_limit([0.2, 0.1, 0.05], [4.0, 4.0, 4.0])
+        result = extrapolate_limit([0.2, 0.1, 0.05], [4.0, 4.0, 4.0], sigma=1.0)
         assert result.limit == 4.0
         assert not result.degenerate
+        assert np.isnan(result.rate) and result.fit_residual == 0.0
+
+    def test_sigma_is_required(self):
+        with pytest.raises(TypeError):
+            extrapolate_limit([0.2, 0.1, 0.05], [1.0, 1.5, 1.7])
 
     @pytest.mark.parametrize("sigma", [1.0, 4.0 / 3.0])
     def test_sigma_series_recovers_limit_on_four_points(self, sigma):
@@ -107,18 +98,6 @@ class TestExtrapolation:
         vandermonde = np.column_stack([np.ones(3), alphas, alphas**2])
         assert result.limit == pytest.approx(np.linalg.solve(vandermonde, gaps)[0], rel=1e-12)
         assert result.fit_residual <= 1e-14
-
-    @pytest.mark.parametrize(
-        "alphas, gaps",
-        [
-            ([0.2, 0.1, 0.05, 0.025], [1.0, 3.0, 2.0, 2.5]),  # non-monotone
-            ([0.2, 0.1, 0.05], [4.0, 4.0, 4.0]),  # constant
-        ],
-    )
-    def test_sigma_series_keeps_the_fallbacks(self, alphas, gaps):
-        free = extrapolate_limit(alphas, gaps)
-        fixed = extrapolate_limit(alphas, gaps, sigma=1.0)
-        np.testing.assert_equal(dataclasses.astuple(fixed), dataclasses.astuple(free))
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_sigma_must_be_positive_and_finite(self, sigma):
@@ -164,6 +143,22 @@ class TestLocalization:
         assert all(c >= 0 for c in m.c_hat_freq)
 
 
+def mehler_eigenvalues(alpha, count):
+    """The ``count`` largest eigenvalues of the 1-D Gaussian pair's sandwich.
+
+    With W = exp(-alpha x^2) and b = exp(-alpha xi^2) the sandwich is a
+    Gaussian integral operator; Mehler's formula gives its spectrum
+    lambda_n = sqrt(pi/(p+s))/(2 alpha sqrt(pi)) * (q/(p+s))^(n-1).
+    """
+    q = 1.0 / (4.0 * alpha**2)
+    p = 1.0 + q
+    s = np.sqrt(p**2 - q**2)
+    return [
+        np.sqrt(np.pi / (p + s)) / (2 * alpha * np.sqrt(np.pi)) * (q / (p + s)) ** (n - 1)
+        for n in range(1, count + 1)
+    ]
+
+
 def synthetic_report(gaps_by_n, mus, alphas, residual=1e-12, sigma=1.0,
                      converged=True, with_extrapolation=True):
     records = []
@@ -183,7 +178,7 @@ def synthetic_report(gaps_by_n, mus, alphas, residual=1e-12, sigma=1.0,
     extrapolations = {}
     if with_extrapolation and len(alphas) >= 3:
         for n, gaps in gaps_by_n.items():
-            extrapolations[n] = extrapolate_limit(alphas, gaps)
+            extrapolations[n] = extrapolate_limit(alphas, gaps, sigma=sigma)
     return StudyReport(
         config={"alphas": list(alphas), "k": len(gaps_by_n),
                 "profiles": {"sigma": sigma}},
@@ -285,13 +280,58 @@ class TestRunSweep:
     def test_first_index_passes(self, mini_report):
         assert mini_report.verdicts[0].status is VerdictStatus.PASS
 
-    def test_report_carries_provenance_and_config(self, mini_report):
+    def test_report_carries_provenance_and_config(self, mini_report, gaussian_pair):
         assert mini_report.provenance["rng_seed"] == 74082
         assert "grid" in mini_report.provenance
         assert mini_report.config["alphas"] == [0.2, 0.1, 0.05]
         payload = mini_report.to_dict()
         assert payload["schema"] == "specgap.report.v1"
         assert len(payload["records"]) == 6
+        # the specgap.report.v1 layout, key order included
+        assert list(payload) == [
+            "schema", "config", "model_eigenvalues", "records", "extrapolations",
+            "verdicts", "provenance",
+        ]
+        assert list(payload["model_eigenvalues"][0]) == ["n", "mu", "residual"]
+        record = payload["records"][0]
+        assert list(record) == [
+            "alpha", "n", "lambda", "scaled_gap", "residual", "grid_id", "converged",
+            "note", "localization",
+        ]
+        assert list(record["localization"]) == [
+            "radii", "position_mass_outside", "frequency_mass_outside", "k_form",
+            "s_form", "identity_target", "identity_rel_gap", "c_hat_pos", "c_hat_freq",
+        ]
+        assert list(payload["extrapolations"]) == ["1", "2"]
+        assert list(payload["extrapolations"]["1"]) == [
+            "limit", "rate", "fit_residual", "degenerate", "note",
+        ]
+        verdict = payload["verdicts"][0]
+        assert list(verdict) == [
+            "n", "status", "mu", "final_rel_err", "extrap_rel_err", "monotone_ok",
+            "one_sided_ok", "rel_final", "rel_extrap", "reasons",
+        ]
+        assert verdict["status"] == "PASS"
+
+        kept = run_sweep(
+            gaussian_pair, [0.2, 0.1, 0.05], 1,
+            SweepSettings(grid=build_grid(1, 256, 12.0), keep_vectors=True),
+        )
+        assert all(r.vector is not None for r in kept.records)
+        kept_payload = json.loads(json.dumps(kept.to_dict()))
+        assert all("vector" not in row for row in kept_payload["records"])
+
+    @pytest.mark.parametrize(
+        "mode, recorded",
+        [(Mode.SHIFT_INVERT_BOTTOM, "shift_invert_bottom"), (None, "dense_full")],
+    )
+    def test_report_records_the_model_solve_mode(self, gaussian_pair, mode, recorded):
+        report = run_sweep(
+            gaussian_pair, [0.2, 0.1, 0.05], 1,
+            SweepSettings(solver=SolveSettings(mode=mode), grid=build_grid(1, 256, 12.0)),
+        )
+        assert report.provenance["model_mode"] == recorded
+        assert f"model solve: {recorded}" in render_report(report.to_dict())
 
     def test_solver_failure_flagged_not_raised(self, gaussian_pair):
         grid = build_grid(1, 256, 12.0)
@@ -300,8 +340,7 @@ class TestRunSweep:
             [0.2, 0.1, 0.05],
             1,
             SweepSettings(
-                solver=SolveSettings(tol=1e-13, max_iterations=3),
-                model_mode=Mode.DENSE_FULL,
+                solver=SolveSettings(tol=1e-13, max_iterations=3, mode=Mode.DENSE_FULL),
                 grid=grid,
             ),
         )
@@ -348,20 +387,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("alpha", [0.025, 0.00625])
     def test_gaussian_pair_matches_mehler_closed_form(self, gaussian_pair, grid_1024, alpha):
-        # With W = exp(-alpha x^2) and b = exp(-alpha xi^2) the sandwich is
-        # a Gaussian integral operator; Mehler's formula gives its spectrum
-        # lambda_n = sqrt(pi/(p+s))/(2 alpha sqrt(pi)) * (q/(p+s))^(n-1).
-        q = 1.0 / (4.0 * alpha**2)
-        p = 1.0 + q
-        s = np.sqrt(p**2 - q**2)
-        exact = [
-            scaled_gap(
-                np.sqrt(np.pi / (p + s)) / (2 * alpha * np.sqrt(np.pi)) * (q / (p + s)) ** (n - 1),
-                alpha,
-                gaussian_pair,
-            )
-            for n in (1, 2, 3)
-        ]
+        exact = [scaled_gap(lam, alpha, gaussian_pair) for lam in mehler_eigenvalues(alpha, 3)]
         op = build_scaled_operator(gaussian_pair, alpha, grid_1024)
         top = largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9))
         computed = [scaled_gap(pair.value, alpha, gaussian_pair) for pair in top]
@@ -378,3 +404,45 @@ class TestRunSweep:
         base = gaps[(1024, 20.0)]
         for value in gaps.values():
             assert abs(value - base) <= 1e-6 * base
+
+
+class TestTensorProductOracle:
+    """The Gaussian pair is separable, and so are the lattice and the DFT,
+    so in d dimensions the sandwich is the tensor product of the 1-D
+    ones: its eigenvalues are the products of d Mehler eigenvalues, and
+    each level's multiplicity is its number of index tuples."""
+
+    @pytest.mark.parametrize(
+        "d, n, half_length, k, alphas, sizes",
+        [
+            (2, 48, 7.0, 6, LADDER, [1, 2, 3]),  # ends at a cluster boundary
+            (2, 48, 7.0, 5, LADDER, [1, 2, 2]),  # ends inside the triple level
+            (3, 32, 7.0, 4, (0.1, 0.00625), [1, 3]),
+            (3, 32, 7.0, 3, (0.1, 0.00625), [1, 2]),
+        ],
+        ids=["d2-boundary", "d2-inside", "d3-boundary", "d3-inside"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_top_solve_matches_products_of_1d_levels(
+        self, d, n, half_length, k, alphas, sizes, seed
+    ):
+        pair = make_pair(
+            make_catalog_profile("gaussian_power", [2], d),
+            make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V),
+        )
+        grid = build_grid(d, n, half_length)
+        tol = 1e-11
+        for alpha in alphas:
+            levels = mehler_eigenvalues(alpha, k)
+            exact = sorted(
+                (np.prod(lams) for lams in itertools.product(levels, repeat=d)), reverse=True
+            )[:k]
+            top = largest_eigenpairs(
+                build_scaled_operator(pair, alpha, grid),
+                SolveSettings(k=k, tol=tol, rng_seed=seed),
+            )
+            values = [p.value for p in top]
+            np.testing.assert_allclose(
+                1.0 - np.array(values), 1.0 - np.array(exact), rtol=1e-9, atol=0.0
+            )
+            assert [len(c) for c in cluster_eigenvalues(values, tol)] == sizes

@@ -86,10 +86,13 @@ class TestConfigRoundTrip:
             "[problem]\neigen_count = 0\n",
             "[grid]\nmode = manual\nn = 31\n",
             "[solver]\ntol = -1\n",
+            "[solver]\ntol = nan\n",
+            "[solver]\nseed = -1\n",
             "[symbol]\nkind = expression\nexpr = x1\n",  # missing principal/degree
             "[symbol]\nkind = nonsense\n",
             "[tolerances]\nrel_final = 2\n",
             "[localization]\nradii = 0\n",
+            "[localization]\nradii = nan\n",
             "[run]\nthreads = 0\n",
             "[output]\nemit_eigenfunctions = ture\n",
         ],
@@ -130,6 +133,11 @@ class TestValidateCommand:
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])
         assert rc == 2
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        rc = main(["validate", "--config", write(tmp_path, GAUSSIAN_MINI), "--seed", "-1"])
+        assert rc == 2
+        assert "[solver] seed" in capsys.readouterr().err
 
     def test_runs_as_a_module(self, tmp_path):
         proc = subprocess.run(

@@ -24,6 +24,7 @@ from specgap import (
     smallest_eigenpairs,
     state,
 )
+from specgap import eigensolve
 from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense
 from specgap.operators import (
     HermitianOperator,
@@ -132,6 +133,11 @@ class TestLanczosTop:
         op = build_scaled_operator(gaussian_pair, 0.1, grid_256)
         with pytest.raises(ValueError):
             largest_eigenpairs(op, SolveSettings(k=1, mode=Mode.SHIFT_INVERT_BOTTOM))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+    def test_settings_reject_a_tol_outside_the_positive_reals(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SolveSettings(tol=tol)
 
 
 class TestCompleteness:
@@ -264,15 +270,11 @@ class TestBottomSolves:
         assert bottom_mode(8, Mode.SHIFT_INVERT_BOTTOM) is Mode.SHIFT_INVERT_BOTTOM
         assert bottom_mode(DENSE_SIZE_LIMIT + 1, Mode.DENSE_FULL) is Mode.DENSE_FULL
 
-    def test_inner_solve_stall_reported(self, gaussian_pair, grid_512):
+    def test_inner_solve_stall_reported(self, gaussian_pair, grid_512, monkeypatch):
+        monkeypatch.setattr(eigensolve, "INNER_MAX_ITERATIONS", 2)
         op = build_model_operator(gaussian_pair, grid_512)
         with pytest.raises(InnerSolveStallError) as exc_info:
-            smallest_eigenpairs(
-                op,
-                SolveSettings(
-                    k=1, tol=1e-9, mode=Mode.SHIFT_INVERT_BOTTOM, inner_max_iterations=2
-                ),
-            )
+            smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-9, mode=Mode.SHIFT_INVERT_BOTTOM))
         assert exc_info.value.achieved_residual > 0
 
 
