@@ -19,7 +19,6 @@ alongside, matching the limsup inequality the gap satisfies.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
@@ -178,7 +177,6 @@ class SweepSettings:
     radii: tuple[float, ...] = (2.0, 4.0, 8.0)
     rel_final: float = 0.05
     rel_extrap: float = 0.02
-    threads: int = 1
     keep_vectors: bool = False
 
 
@@ -524,14 +522,7 @@ def run_sweep(
             )
         return records
 
-    if settings.threads > 1:
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            chunks = list(pool.map(solve_one, alphas))
-    else:
-        chunks = [solve_one(alpha) for alpha in alphas]
-
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (-r.alpha, r.n))
+    records = [rec for alpha in alphas for rec in solve_one(alpha)]
 
     extrapolations: dict[int, ExtrapolationResult] = {}
     for n in range(1, k + 1):
@@ -565,7 +556,6 @@ def run_sweep(
             "grid": grid_id,
             "grid_reasoning": list(grid_reasoning),
             "max_rescaling": scale,
-            "threads": settings.threads,
             "model_mode": model_mode.value,
         },
     )

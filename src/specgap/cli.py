@@ -3,16 +3,13 @@
 Subcommands: validate | model-spectrum | sweep | verify | report.
 Exit codes: 0 success, 1 verification/validation failure,
 2 configuration error, 3 numerical failure.  All randomness flows from
-the single config seed (overridable with --seed); the thread count
-comes from --threads, else the SPECGAP_THREADS environment variable,
-else the config.
+the single config seed (overridable with --seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,8 +48,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-THREADS_ENV = "SPECGAP_THREADS"
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,25 +66,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the INI run configuration")
         p.add_argument("--out", default="specgap-out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="override the thread count")
     return parser
-
-
-def _resolve_threads(args, cfg: RunConfig) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1")
-        return value
-    return cfg.threads
 
 
 def _configured_run(args) -> RunConfig:
@@ -100,11 +77,8 @@ def _configured_run(args) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     cfg = parse_config(text)
-    cfg = replace(
-        cfg,
-        seed=cfg.seed if args.seed is None else args.seed,
-        threads=_resolve_threads(args, cfg),
-    )
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     validate_config(cfg)
     return cfg
 
@@ -174,7 +148,6 @@ def _run_configured_sweep(args):
         radii=cfg.radii,
         rel_final=cfg.rel_final,
         rel_extrap=cfg.rel_extrap,
-        threads=cfg.threads,
         keep_vectors=cfg.emit_eigenfunctions,
     )
     report = run_sweep(pair, cfg.alphas, cfg.eigen_count, settings)

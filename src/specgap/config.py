@@ -67,7 +67,6 @@ class RunConfig:
     rel_extrap: float = SweepSettings.rel_extrap
     radii: tuple[float, ...] = SweepSettings.radii
     emit_eigenfunctions: bool = SweepSettings.keep_vectors
-    threads: int = SweepSettings.threads
 
 
 _MODEL_MODES = {"auto": None, "dense": Mode.DENSE_FULL, "shift_invert": Mode.SHIFT_INVERT_BOTTOM}
@@ -113,7 +112,6 @@ _SCHEMA = (
     ("localization", "radii", "radii", _floats, _g_list),
     ("output", "emit_eigenfunctions", "emit_eigenfunctions", _boolean,
      lambda b: "true" if b else "false"),
-    ("run", "threads", "threads", int, str),
 )
 # Only a manual grid is described by these fields.
 _MANUAL_GRID_FIELDS = ("grid_n", "grid_half_length")
@@ -210,8 +208,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("rel_final and rel_extrap must lie in (0, 1]")
     if not cfg.radii or not all(0 < r < math.inf for r in cfg.radii):
         raise ConfigError("localization radii must be positive and finite")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
 
 
 def emit_config(cfg: RunConfig) -> str:

@@ -21,8 +21,13 @@ Three modes:
   Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
   to ``DENSE_SIZE_LIMIT`` unknowns.
 * ``SHIFT_INVERT_BOTTOM`` -- the same Lanczos core on (A + c I)^-1 with
-  inner conjugate-gradient solves, matrix-free; residuals are certified
-  against the original operator.
+  inner conjugate-gradient solves, matrix-free.
+
+Every mode ends in the same Rayleigh-Ritz step against the operator
+itself: the locked Lanczos rows (of A or of the inverse) or eigh's
+vectors span the wanted pairs, and the values, vectors and residuals of
+the k extreme Ritz pairs of A over that span are what the solve returns
+and certifies.
 
 A ``real`` operator (even multiplier samples) runs in real arithmetic
 throughout: float64 start vectors, Krylov bases, dense matrices and CG
@@ -273,9 +278,9 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
 
 def _lanczos_largest(apply_values, shape, size, k, settings: SolveSettings,
                      lock_tol: float, real: bool):
-    """Return (values, vectors, residuals) of the k largest eigenpairs of a
-    Hermitian operator given by ``apply_values`` on arrays of the given
-    shape.
+    """Return the locked rows, at least k of them, that span the k largest
+    eigenvectors of a Hermitian operator given by ``apply_values`` on
+    arrays of the given shape.
 
     ``lock_tol`` is the absolute residual threshold for locking a pair;
     ``real`` draws real start vectors, which keeps the whole iteration
@@ -339,18 +344,28 @@ def _lanczos_largest(apply_values, shape, size, k, settings: SolveSettings,
         if not probe and len(locked_vals) < k:
             cycle_dim = min(size, int(np.ceil(cycle_dim * 1.5)))
 
-    # Rayleigh-Ritz polish over the locked span: orthonormal basis, small
-    # projected matrix, rotate.  Fixes ordering and orthogonality at once,
-    # and keeps the k largest when probes locked more.
-    v_mat, _ = np.linalg.qr(rows.array[: rows.locked].T)
+    return rows.array[: rows.locked]
+
+
+def _rayleigh_ritz(op: HermitianOperator, basis: np.ndarray, k: int, which: str):
+    """Return (values, vectors, residuals) of the k ``which`` ("largest" or
+    "smallest") Ritz pairs of ``op`` over the span of the flat ``basis``
+    rows, ordered from the extreme inward.
+
+    Orthonormal basis, small projected matrix, rotate: this fixes ordering
+    and orthogonality at once, and keeps only k when the basis has more.
+    """
+    shape = op.grid.shape
+    v_mat, _ = np.linalg.qr(basis.T)
     a_cols = np.stack(
-        [apply_values(v_mat[:, j].reshape(shape)).ravel() for j in range(v_mat.shape[1])],
+        [op.apply_values(v_mat[:, j].reshape(shape)).ravel() for j in range(v_mat.shape[1])],
         axis=1,
     )
     small = v_mat.conj().T @ a_cols
     small = 0.5 * (small + small.conj().T)
     vals, rot = np.linalg.eigh(small)
-    sel = np.argsort(vals)[::-1][:k]
+    order = np.argsort(vals)
+    sel = (order[::-1] if which == "largest" else order)[:k]
     values = vals[sel]
     vectors = v_mat @ rot[:, sel]
     # The residuals come from the applies above: A (V R) = (A V) R.
@@ -393,7 +408,8 @@ def materialize_dense(op: HermitianOperator) -> np.ndarray:
     return mat
 
 
-def _dense_extreme(op: HermitianOperator, k: int, which: str):
+def _dense_basis(op: HermitianOperator, k: int, which: str) -> np.ndarray:
+    """eigh's k ``which`` eigenvectors of the materialized operator, as rows."""
     mat = materialize_dense(op)
     n = mat.shape[0]
     if k > n:
@@ -404,20 +420,10 @@ def _dense_extreme(op: HermitianOperator, k: int, which: str):
         lo, hi = 0, k - 1
     _, vecs = sla.eigh(mat, subset_by_index=[lo, hi], overwrite_a=True)
     # eigh's values are accurate only to ~eps*|A| (1e-9 for a quartic
-    # symbol at N=1024) and move with the BLAS path.  The Rayleigh quotient
-    # <Av, v> of each vector, from the apply the residual needs anyway, is
-    # off by ~residual^2/gap plus the apply's rounding on a smooth vector.
-    shape = op.grid.shape
-    vectors = [vecs[:, j].reshape(shape) for j in range(k)]
-    vals, residuals = [], []
-    for v in vectors:
-        av = op.apply_values(v)
-        theta = float(np.real(_vdot(v, av)))
-        vals.append(theta)
-        residuals.append(_norm2(av - theta * v))
-    order = np.argsort(vals)[::-1] if which == "largest" else np.argsort(vals)
-    return ([vals[i] for i in order], [vectors[i] for i in order],
-            [residuals[i] for i in order])
+    # symbol at N=1024) and move with the BLAS path.  The Ritz values over
+    # its vectors, from the applies the residuals need anyway, are off by
+    # ~residual^2/gap plus the apply's rounding on a smooth vector.
+    return vecs.T
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +476,11 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
 def _certified_pairs(op: HermitianOperator, values, vectors, residuals,
                      threshold: float) -> list[EigenPair]:
     """Package a solve's output; every residual must be within ``threshold``."""
-    if any(r > threshold for r in residuals):
+    worst = max(residuals)
+    if worst > threshold:
         raise NoConvergenceError(
-            "certified residuals exceed the requested tolerance",
+            f"{op.label}: worst residual {worst:.3e} exceeds the certification "
+            f"threshold {threshold:.3e}",
             best_residuals=residuals,
         )
     weight = np.sqrt(op.grid.cell_volume)
@@ -501,7 +509,8 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
     """The k largest eigenpairs, descending, pairwise orthogonal.
 
     Default mode is restarted Lanczos with full reorthogonalization;
-    ``DENSE_FULL`` is available as an oracle on small grids.  Raises
+    ``DENSE_FULL`` is available as an oracle on small grids.  Either
+    mode ends in the Rayleigh-Ritz step against ``op`` itself.  Raises
     :class:`NoConvergenceError` when the iteration budget runs out.
     """
     mode = settings.mode or Mode.LANCZOS_TOP
@@ -509,17 +518,18 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
         raise ValueError("shift-invert targets the smallest pairs; use smallest_eigenpairs")
     threshold = settings.tol * _operator_scale(op)
     if mode is Mode.DENSE_FULL:
-        values, vectors, residuals = _dense_extreme(op, settings.k, "largest")
+        basis = _dense_basis(op, settings.k, "largest")
     else:
         limit = max(1, int(MAX_SUBSPACE_FRACTION * op.grid.size))
         if settings.k > limit:
             raise ValueError(
                 f"k={settings.k} exceeds {limit} (quarter of the grid dimension)"
             )
-        values, vectors, residuals = _lanczos_largest(
+        basis = _lanczos_largest(
             op.apply_values, op.grid.shape, op.grid.size, settings.k, settings,
             lock_tol=threshold, real=op.real,
         )
+    values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "largest")
     return _certified_pairs(op, values, vectors, residuals, threshold)
 
 
@@ -537,20 +547,20 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
     operators.
 
     ``DENSE_FULL`` materializes the operator; ``SHIFT_INVERT_BOTTOM``
-    runs Lanczos on (A + shift)^-1 with inner CG solves and certifies
-    residuals against the original operator.  Without an explicit mode,
-    :func:`bottom_mode` picks one from the grid size.
+    runs Lanczos on (A + shift)^-1 with inner CG solves.  Either mode
+    ends in the Rayleigh-Ritz step against ``op`` itself, which gives the
+    values and the residuals that are certified.  Without an explicit
+    mode, :func:`bottom_mode` picks one from the grid size.
     """
     mode = bottom_mode(op.grid.size, settings.mode)
     if mode is Mode.LANCZOS_TOP:
         raise ValueError("plain Lanczos targets the largest pairs; use largest_eigenpairs")
 
     if mode is Mode.DENSE_FULL:
-        values, vectors, residuals = _dense_extreme(op, settings.k, "smallest")
+        basis = _dense_basis(op, settings.k, "smallest")
     else:
-        inverse_apply = _make_inverse_apply(op, settings)
-        inv_values, vectors, _ = _lanczos_largest(
-            inverse_apply,
+        basis = _lanczos_largest(
+            _make_inverse_apply(op, settings),
             op.grid.shape,
             op.grid.size,
             settings.k,
@@ -558,18 +568,7 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
             lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
             real=op.real,
         )
-        # Map back and certify against the original operator.
-        values = []
-        residuals = []
-        for theta, vec in zip(inv_values, vectors):
-            mu = 1.0 / theta - _SHIFT
-            r = _norm2(op.apply_values(vec) - mu * vec)
-            values.append(mu)
-            residuals.append(r)
-        order = np.argsort(values)
-        values = [values[i] for i in order]
-        vectors = [vectors[i] for i in order]
-        residuals = [residuals[i] for i in order]
+    values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "smallest")
     threshold = settings.tol * _operator_scale(op, values)
     return _certified_pairs(op, values, vectors, residuals, threshold)
 

@@ -141,8 +141,8 @@ def build_grid(
         raise GridError(f"n_per_axis must be even, got {N}")
     if N < 8:
         raise GridError(f"n_per_axis must be at least 8, got {N}")
-    if L <= 0:
-        raise GridError("half_length must be positive")
+    if not 0 < L < np.inf:
+        raise GridError(f"half_length must be positive and finite, got {L}")
     if N**d > max_nodes:
         raise GridError(
             f"grid with {N}^{d} nodes exceeds the node budget {max_nodes}"
@@ -245,7 +245,10 @@ def load_state(path) -> StateVector:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise GridError(f"not a state dump (bad magic {magic!r})")
-        d, n, L = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise GridError("state dump header is truncated")
+        d, n, L = _HEADER.unpack(header)
         grid = build_grid(d, n, L, max_nodes=n**d)
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != 2 * grid.size:

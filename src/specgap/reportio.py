@@ -141,7 +141,7 @@ def write_report_files(report: StudyReport, out_dir) -> dict[str, Path]:
     write_text_atomic(paths["plot"], plot_script_text(report))
     for rec in report.records:
         if rec.vector is not None:
-            dump = out / f"eigenfunction_a{rec.alpha:g}_n{rec.n}.sgv"
+            dump = out / f"eigenfunction_a{rec.alpha!r}_n{rec.n}.sgv"
             save_state(rec.vector, dump)
             paths[dump.name] = dump
     return paths

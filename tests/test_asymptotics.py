@@ -18,6 +18,7 @@ from specgap import (
     cluster_eigenvalues,
     extrapolate_limit,
     largest_eigenpairs,
+    load_state,
     localization_metrics,
     make_catalog_profile,
     make_pair,
@@ -26,7 +27,7 @@ from specgap import (
     verify_limit_law,
 )
 from specgap.asymptotics import ExtrapolationResult
-from specgap.reportio import render_report
+from specgap.reportio import render_report, write_report_files
 
 from conftest import constant_profile
 from test_acceptance import LADDER
@@ -347,17 +348,18 @@ class TestRunSweep:
         assert any(not r.converged for r in report.records)
         assert report.verdicts[0].status is VerdictStatus.INCONCLUSIVE
 
-    def test_threaded_sweep_matches_serial(self, gaussian_pair):
-        grid = build_grid(1, 256, 12.0)
-        serial = run_sweep(
-            gaussian_pair, [0.2, 0.1, 0.05], 1,
-            SweepSettings(solver=SolveSettings(tol=1e-9), grid=grid, threads=1),
+    def test_dumps_of_alphas_that_print_alike_stay_apart(self, gaussian_pair, tmp_path):
+        # 0.1000001 and 0.1 agree to the 6 digits that {:g} prints.
+        report = run_sweep(
+            gaussian_pair, [0.2, 0.1000001, 0.1], 1,
+            SweepSettings(grid=build_grid(1, 256, 12.0), keep_vectors=True),
         )
-        threaded = run_sweep(
-            gaussian_pair, [0.2, 0.1, 0.05], 1,
-            SweepSettings(solver=SolveSettings(tol=1e-9), grid=grid, threads=3),
-        )
-        assert [r.lam for r in serial.records] == [r.lam for r in threaded.records]
+        paths = write_report_files(report, tmp_path)
+        dumps = sorted(tmp_path.glob("eigenfunction_*.sgv"))
+        assert len(dumps) == 3
+        for record in report.records:
+            dump = paths[f"eigenfunction_a{record.alpha!r}_n{record.n}.sgv"]
+            np.testing.assert_array_equal(load_state(dump).values, record.vector.values)
 
     def test_input_validation(self, gaussian_pair):
         with pytest.raises(ValueError):

@@ -72,9 +72,13 @@ class TestConfigRoundTrip:
         assert (run.tol, run.seed, run.max_iterations) == (
             solve.tol, solve.rng_seed, solve.max_iterations
         )
-        assert (run.rel_final, run.rel_extrap, run.radii, run.threads) == (
-            sweep.rel_final, sweep.rel_extrap, sweep.radii, sweep.threads
+        assert (run.rel_final, run.rel_extrap, run.radii) == (
+            sweep.rel_final, sweep.rel_extrap, sweep.radii
         )
+
+    def test_a_run_threads_key_is_ignored(self):
+        # perfbench/workloads.py still writes this key into its INIs.
+        assert parse_config("[run]\nthreads = 1\n") == RunConfig()
 
     @pytest.mark.parametrize(
         "text",
@@ -93,7 +97,6 @@ class TestConfigRoundTrip:
             "[tolerances]\nrel_final = 2\n",
             "[localization]\nradii = 0\n",
             "[localization]\nradii = nan\n",
-            "[run]\nthreads = 0\n",
             "[output]\nemit_eigenfunctions = ture\n",
         ],
     )
@@ -254,23 +257,6 @@ class TestSweepAndVerify:
         payload = json.loads((out / "report.json").read_text())
         assert payload["provenance"]["rng_seed"] == 123
         assert "seed = 123" in payload["config"]["source"]
-
-    def test_threads_env_honored_when_flag_absent(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        monkeypatch.setenv("SPECGAP_THREADS", "2")
-        rc = main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI), "--out", str(out)])
-        assert rc == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["provenance"]["threads"] == 2
-
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        monkeypatch.setenv("SPECGAP_THREADS", "4")
-        rc = main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI),
-                   "--out", str(out), "--threads", "1"])
-        assert rc == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["provenance"]["threads"] == 1
 
     def test_reports_reproduce_from_their_own_echo(self, tmp_path):
         # a report embeds the normalized config; re-running it reproduces

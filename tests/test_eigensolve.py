@@ -270,6 +270,31 @@ class TestBottomSolves:
         assert bottom_mode(8, Mode.SHIFT_INVERT_BOTTOM) is Mode.SHIFT_INVERT_BOTTOM
         assert bottom_mode(DENSE_SIZE_LIMIT + 1, Mode.DENSE_FULL) is Mode.DENSE_FULL
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 4])  # inside the double and the triple level
+    def test_shift_invert_keeps_the_k_smallest_inside_a_level(self, k, seed):
+        a = make_catalog_profile("gaussian_power", [2], 2)
+        v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
+        op = build_model_operator(make_pair(a, v), build_grid(2, 32, 7.0))
+        dense, si = (
+            smallest_eigenpairs(op, SolveSettings(k=k, tol=1e-9, rng_seed=seed, mode=mode))
+            for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM)
+        )
+        assert len(si) == k
+        np.testing.assert_allclose(
+            [p.value for p in si], [p.value for p in dense], rtol=1e-11, atol=0
+        )
+        assert certify(op, si, 1e-9).passed
+
+    def test_certification_failure_names_its_numbers(self, gaussian_pair):
+        op = build_model_operator(gaussian_pair, build_grid(1, 256, 12.0))
+        with pytest.raises(NoConvergenceError) as exc_info:
+            smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-20, mode=Mode.DENSE_FULL))
+        assert exc_info.match(
+            r"model-operator: worst residual .* exceeds the certification threshold"
+        )
+        assert exc_info.value.best_residuals
+
     def test_inner_solve_stall_reported(self, gaussian_pair, grid_512, monkeypatch):
         monkeypatch.setattr(eigensolve, "INNER_MAX_ITERATIONS", 2)
         op = build_model_operator(gaussian_pair, grid_512)

@@ -43,7 +43,8 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize(
         "d,n,length",
-        [(1, 7, 4.0), (1, 6, 4.0), (1, 8, 0.0), (1, 8, -2.0), (0, 8, 4.0)],
+        [(1, 7, 4.0), (1, 6, 4.0), (1, 8, 0.0), (1, 8, -2.0), (0, 8, 4.0),
+         (1, 8, float("nan")), (1, 8, float("inf"))],
     )
     def test_rejects_bad_parameters(self, d, n, length):
         with pytest.raises(GridError):
@@ -184,6 +185,12 @@ class TestSerialization:
         path = tmp_path / "junk.sgv"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(GridError):
+            load_state(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.sgv"
+        path.write_bytes(b"SGV1" + b"\x00" * 10)
+        with pytest.raises(GridError, match="truncated"):
             load_state(path)
 
 
