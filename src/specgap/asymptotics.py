@@ -34,12 +34,14 @@ from .eigensolve import (
     largest_eigenpairs,
     smallest_eigenpairs,
 )
-from .grid import DEFAULT_NODE_BUDGET, Grid, build_grid, norm, to_frequency_values
+from .grid import DEFAULT_NODE_BUDGET, Grid, StateVector, build_grid, norm, to_frequency_values
 from .operators import (
     build_model_operator,
     build_scaled_operator,
     make_scaled_symbols,
     normalized_pair,
+    symbol_flatness_form,
+    weight_flatness_form,
 )
 from .profiles import ProfilePair, _sphere_directions
 
@@ -51,7 +53,6 @@ __all__ = [
     "VerdictStatus",
     "StudyReport",
     "SweepSettings",
-    "GridSuggestion",
     "suggest_grid",
     "choose_grid",
     "scaled_gap",
@@ -260,11 +261,12 @@ def localization_metrics(
 ) -> LocalizationMetrics:
     """Outside-masses, flatness forms and the exact gap identity.
 
-    ``eigpair`` must come from the scaled-operator solve at the same
-    alpha.  The identity k_form + s_form = alpha^-sigma * (1 - lambda)
-    (with unit-normalized maxima) is recomputed and its relative gap
-    reported.  Radii may arrive in any order; the output is sorted
-    ascending.
+    ``eigpair`` must come from the scaled-operator solve of ``pair`` at
+    the same alpha.  Per unit squared norm of psi, ``k_form`` is
+    :func:`symbol_flatness_form` of W_alpha*psi and ``s_form`` is
+    :func:`weight_flatness_form` of psi (unit-normalized maxima); their
+    sum is checked against alpha^-sigma * (1 - lambda/(A0*V0^2)).  Radii
+    may arrive in any order; the output is sorted ascending.
     """
     norm_pair, scale = normalized_pair(pair)
     grid = eigpair.vector.grid
@@ -273,29 +275,16 @@ def localization_metrics(
     total = norm(psi) ** 2
     sym = make_scaled_symbols(norm_pair, alpha, grid)
 
-    pos_r = grid.position_radii
-    frq_r = grid.frequency_radii
-    abs_sq = np.abs(psi.values) ** 2
-    hat_sq = np.abs(to_frequency_values(grid, psi.values)) ** 2
-    pos_out = tuple(
-        float(grid.cell_volume * np.sum(abs_sq[pos_r > r]) / total) for r in radii_sorted
-    )
-    frq_out = tuple(
-        float(grid.freq_cell_volume * np.sum(hat_sq[frq_r > r]) / total) for r in radii_sorted
-    )
+    pos_out = _mass_outside(np.abs(psi.values) ** 2, grid.position_radii,
+                            grid.cell_volume, radii_sorted, total)
+    frq_out = _mass_outside(np.abs(to_frequency_values(grid, psi.values)) ** 2,
+                            grid.frequency_radii, grid.freq_cell_volume, radii_sorted, total)
 
-    theta = sym.weight_values * psi.values
-    theta_hat_sq = np.abs(to_frequency_values(grid, theta)) ** 2
-    pref = alpha ** (-norm_pair.sigma)
-    k_form = float(
-        pref * grid.freq_cell_volume * np.sum((1.0 - sym.multiplier_values) * theta_hat_sq) / total
-    )
-    s_form = float(
-        pref * grid.cell_volume * np.sum((1.0 - sym.weight_values**2) * abs_sq) / total
-    )
+    theta = StateVector(grid, sym.weight_values * psi.values)
+    k_form = symbol_flatness_form(norm_pair, alpha, theta, symbols=sym).real / total
+    s_form = weight_flatness_form(norm_pair, alpha, psi, symbols=sym).real / total
 
-    lam_normalized = eigpair.value / scale
-    target = float(pref * (1.0 - lam_normalized))
+    target = float(alpha ** (-norm_pair.sigma) * (1.0 - eigpair.value / scale))
     identity_rel = abs(k_form + s_form - target) / max(abs(target), 1e-300)
 
     gamma = pair.a_profile.degree
@@ -317,6 +306,12 @@ def localization_metrics(
     )
 
 
+def _mass_outside(values: np.ndarray, radius_field: np.ndarray, cell_volume: float,
+                  radii: Sequence[float], total: float) -> tuple[float, ...]:
+    """Share of ``total`` that the density ``values`` puts outside each radius."""
+    return tuple(float(cell_volume * np.sum(values[radius_field > r]) / total) for r in radii)
+
+
 # ---------------------------------------------------------------------------
 # Grid choice
 # ---------------------------------------------------------------------------
@@ -326,32 +321,19 @@ def localization_metrics(
 _WALL_MARGIN = 50.0
 
 
-@dataclass(frozen=True)
-class GridSuggestion:
-    dimension: int
-    n_per_axis: int
-    half_length: float
-    reasoning: tuple[str, ...]
-
-    def build(self) -> Grid:
-        return build_grid(self.dimension, self.n_per_axis, self.half_length)
-
-
-def suggest_grid(
-    pair: ProfilePair,
-    k: int = 1,
-    alphas: Sequence[float] | None = None,
-) -> GridSuggestion:
-    """Pick a box size and resolution for the scaled-operator family.
+def suggest_grid(pair: ProfilePair, k: int, alphas: Sequence[float]) -> tuple[Grid, tuple[str, ...]]:
+    """Pick a box size and resolution for the scaled-operator family;
+    returns the grid and the reasoning behind it.
 
     After the scaling reduction the eigenfunctions of interest live on
     O(1) scales, so one grid serves a whole alpha ladder.  The box is
     sized so the principal potential wall 2*A0*V0*Phi reaches
     ``_WALL_MARGIN`` times a coarse estimate of the k-th model
     eigenvalue, and the resolution so the principal multiplier
-    V0^2*Psi does the same at the top lattice frequency; when an alpha
-    ladder is supplied the symbol itself must also have decayed below
-    1e-8 of its peak at the top frequency for the smallest alpha.
+    V0^2*Psi does the same at the top lattice frequency.  The symbol
+    itself must also have decayed below 1e-8 of its peak at the top
+    frequency for the smallest alpha, in every sampled direction (an
+    anisotropic symbol decays slowest along its flattest axis).
     """
     d = pair.dimension
     reasoning: list[str] = []
@@ -369,8 +351,9 @@ def suggest_grid(
     )
     target = _WALL_MARGIN * mu_scale
 
-    dirs_min_phi = _min_on_sphere(pair.v_profile)
-    dirs_min_psi = _min_on_sphere(pair.a_profile)
+    dirs = _sphere_directions(d, 64, seed=3)
+    dirs_min_phi = _min_on_sphere(pair.v_profile, dirs)
+    dirs_min_psi = _min_on_sphere(pair.a_profile, dirs)
     a0 = pair.a_profile.max_value
     v0 = pair.v_profile.max_value
 
@@ -384,24 +367,21 @@ def suggest_grid(
     # Multiplier wall V0^2*Psi(xi_max) >= target.
     xi_max = (target / (v0**2 * dirs_min_psi)) ** (1.0 / pair.a_profile.degree)
 
-    if alphas:
-        # Scaled symbol must be decayed at the top frequency for the
-        # smallest alpha: a(alpha^(beta/(beta+gamma)) * xi_max) <= 1e-8 * A0.
-        gamma = pair.a_profile.degree
-        beta = pair.v_profile.degree
-        s = min(alphas) ** (beta / (beta + gamma))
-        xi = xi_max
-        probe_dirs = np.eye(d)[:1]
-        for _ in range(200):
-            val = float(np.max(pair.a_profile.evaluate(s * xi * probe_dirs)))
-            if val <= 1e-8 * a0:
-                break
-            xi *= 1.25
-        if xi > xi_max:
-            reasoning.append(
-                f"raised the frequency cutoff to {xi:.3g} so the scaled symbol decays below 1e-8"
-            )
-        xi_max = xi
+    # Scaled symbol must be decayed at the top frequency for the smallest
+    # alpha: a(alpha^(beta/(beta+gamma)) * xi_max * e) <= 1e-8 * A0 for
+    # every sampled direction e.
+    beta, gamma = pair.v_profile.degree, pair.a_profile.degree
+    s = min(alphas) ** (beta / (beta + gamma))
+    xi = xi_max
+    for _ in range(200):
+        if np.max(pair.a_profile.evaluate(s * xi * dirs)) <= 1e-8 * a0:
+            break
+        xi *= 1.25
+    if xi > xi_max:
+        reasoning.append(
+            f"raised the frequency cutoff to {xi:.3g} so the scaled symbol decays below 1e-8"
+        )
+    xi_max = xi
 
     n = 2 ** int(np.ceil(np.log2(max(16.0, 2.0 * L * xi_max / np.pi))))
     while n**d > DEFAULT_NODE_BUDGET and n > 16:
@@ -410,11 +390,10 @@ def suggest_grid(
     reasoning.append(
         f"{n} nodes per axis put the top lattice frequency at {np.pi * n / (2 * L):.3g}"
     )
-    return GridSuggestion(dimension=d, n_per_axis=n, half_length=L, reasoning=tuple(reasoning))
+    return build_grid(d, n, L), tuple(reasoning)
 
 
-def _min_on_sphere(profile) -> float:
-    dirs = _sphere_directions(profile.dimension, 64, seed=3)
+def _min_on_sphere(profile, dirs: np.ndarray) -> float:
     vals = np.asarray(profile.principal(dirs), dtype=float)
     vals = vals[np.isfinite(vals) & (vals > 0)]
     return float(vals.min()) if vals.size else 1.0
@@ -431,8 +410,7 @@ def choose_grid(
     ``pair`` (normalized to unit maxima)."""
     if grid is not None:
         return grid, ("grid supplied explicitly",)
-    suggestion = suggest_grid(pair, k=k, alphas=alphas)
-    return suggestion.build(), suggestion.reasoning
+    return suggest_grid(pair, k, alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +445,6 @@ def run_sweep(
         raise ValueError("alphas must be strictly decreasing")
     if any(x <= 0 for x in alphas):
         raise ValueError("alphas must be positive")
-    if k < 1:
-        raise ValueError("k must be at least 1")
 
     norm_pair, scale = normalized_pair(pair)
     grid, grid_reasoning = choose_grid(norm_pair, k, alphas, settings.grid)
@@ -478,7 +454,6 @@ def run_sweep(
     model_settings = replace(settings.solver, k=k, mode=model_mode)
     model_pairs = smallest_eigenpairs(build_model_operator(norm_pair, grid), model_settings)
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]
-    mus = [mu for mu, _ in model_eigenvalues]
 
     solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS_TOP)
 
@@ -504,8 +479,7 @@ def run_sweep(
         for n, eig in enumerate(pairs, start=1):
             lam = scale * eig.value
             loc = localization_metrics(
-                pair, alpha, EigenPair(lam, eig.vector, eig.residual), settings.radii,
-                mu=mus[n - 1],
+                norm_pair, alpha, eig, settings.radii, mu=model_pairs[n - 1].value
             )
             records.append(
                 SweepRecord(

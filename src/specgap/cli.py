@@ -63,7 +63,8 @@ def _parser() -> argparse.ArgumentParser:
         ("report", "re-render a previously written report.json"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the INI run configuration")
+        p.add_argument("--config", required=name != "report",
+                       help="path to the INI run configuration")
         p.add_argument("--out", default="specgap-out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser

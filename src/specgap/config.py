@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .asymptotics import SweepSettings
 from .eigensolve import Mode, SolveSettings
@@ -113,6 +113,9 @@ _SCHEMA = (
     ("output", "emit_eigenfunctions", "emit_eigenfunctions", _boolean,
      lambda b: "true" if b else "false"),
 )
+# The keys of each known section; other sections are ignored.
+_SECTION_KEYS = {sec: {key for s, key, *_ in _SCHEMA if s == sec} for sec, *_ in _SCHEMA}
+_SECTION_KEYS.update(dict.fromkeys(("symbol", "weight"), {f.name for f in fields(ProfileConfig)}))
 # Only a manual grid is described by these fields.
 _MANUAL_GRID_FIELDS = ("grid_n", "grid_half_length")
 
@@ -156,13 +159,18 @@ def _profile_from_section(sec: configparser.SectionProxy, name: str) -> ProfileC
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI run description; raises :class:`ConfigError` with a
-    diagnostic on malformed input or out-of-range values.  Missing
-    sections and keys take :class:`RunConfig`'s defaults."""
+    diagnostic on malformed input, out-of-range values or an unknown key
+    in a known section.  Missing sections and keys take
+    :class:`RunConfig`'s defaults; unknown sections are ignored."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc
+    for section, keys in _SECTION_KEYS.items():
+        unknown = sorted(set(parser[section]) - keys) if parser.has_section(section) else []
+        if unknown:
+            raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
     values = {
         name: _profile_from_section(parser[name], name)

@@ -313,7 +313,8 @@ def symbol_flatness_form(
         raise OperatorError("grids do not match")
     u_hat = to_frequency_values(u.grid, u.values)
     v_hat = u_hat if v is u else to_frequency_values(v.grid, v.values)
-    acc = np.sum((1.0 - sym.multiplier_values) * u_hat * np.conj(v_hat))
+    prod = np.abs(u_hat) ** 2 if v is u else u_hat * np.conj(v_hat)
+    acc = np.sum((1.0 - sym.multiplier_values) * prod)
     return complex(sym.alpha ** (-sym.sigma) * u.grid.freq_cell_volume * acc)
 
 
@@ -330,7 +331,8 @@ def weight_flatness_form(
     sym = symbols or make_scaled_symbols(pair, alpha, u.grid)
     if sym.grid != u.grid or u.grid != v.grid:
         raise OperatorError("grids do not match")
-    acc = np.sum((1.0 - sym.weight_values**2) * u.values * np.conj(v.values))
+    prod = np.abs(u.values) ** 2 if v is u else u.values * np.conj(v.values)
+    acc = np.sum((1.0 - sym.weight_values**2) * prod)
     return complex(sym.alpha ** (-sym.sigma) * u.grid.cell_volume * acc)
 
 
@@ -383,9 +385,5 @@ def normalized_pair(pair: ProfilePair) -> tuple[ProfilePair, float]:
             label=f"{p.label}/max",
         )
 
-    norm_pair = ProfilePair(
-        a_profile=scaled_profile(pair.a_profile),
-        v_profile=scaled_profile(pair.v_profile),
-        sigma=pair.sigma,
-    )
+    norm_pair = ProfilePair(scaled_profile(pair.a_profile), scaled_profile(pair.v_profile))
     return norm_pair, scale

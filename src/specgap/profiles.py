@@ -80,22 +80,22 @@ class ProfileSpec:
 
 @dataclass(frozen=True)
 class ProfilePair:
-    """Symbol profile + weight profile + their coupling exponent."""
+    """Symbol profile + weight profile; ``sigma`` follows from their degrees."""
 
     a_profile: ProfileSpec
     v_profile: ProfileSpec
-    sigma: float
 
     def __post_init__(self):
         if self.a_profile.dimension != self.v_profile.dimension:
             raise ProfileError("profiles must share the same dimension")
-        expected = sigma_exponent(self.v_profile.degree, self.a_profile.degree)
-        if self.sigma != expected:
-            raise ProfileError(f"sigma must equal {expected!r} for these degrees")
 
     @property
     def dimension(self) -> int:
         return self.a_profile.dimension
+
+    @property
+    def sigma(self) -> float:
+        return sigma_exponent(self.v_profile.degree, self.a_profile.degree)
 
     @property
     def peak_product(self) -> float:
@@ -111,13 +111,12 @@ def sigma_exponent(beta: float, gamma: float) -> float:
 
 
 def make_pair(a_profile: ProfileSpec, v_profile: ProfileSpec) -> ProfilePair:
-    """Bundle a symbol and a weight profile, computing sigma."""
+    """Bundle a symbol and a weight profile, checking their roles."""
     if a_profile.role is not ProfileRole.SYMBOL_A:
         raise ProfileError("a_profile must have role SYMBOL_A")
     if v_profile.role is not ProfileRole.WEIGHT_V:
         raise ProfileError("v_profile must have role WEIGHT_V")
-    sigma = sigma_exponent(v_profile.degree, a_profile.degree)
-    return ProfilePair(a_profile=a_profile, v_profile=v_profile, sigma=sigma)
+    return ProfilePair(a_profile=a_profile, v_profile=v_profile)
 
 
 def _radius(points: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -360,6 +361,36 @@ class TestRunSweep:
         for record in report.records:
             dump = paths[f"eigenfunction_a{record.alpha!r}_n{record.n}.sgv"]
             np.testing.assert_array_equal(load_state(dump).values, record.vector.values)
+
+    def test_pair_with_non_unit_maxima_rescales_exactly(self, gaussian_pair, grid_256):
+        # 3 * Gaussian symbol and 2 * Gaussian weight: A0 * V0^2 = 12
+        a, v = gaussian_pair.a_profile, gaussian_pair.v_profile
+        big = make_pair(
+            dataclasses.replace(a, evaluate=lambda p: 3.0 * a.evaluate(p),
+                                principal=lambda p: 3.0 * a.principal(p), max_value=3.0),
+            dataclasses.replace(v, evaluate=lambda p: 2.0 * v.evaluate(p),
+                                principal=lambda p: 2.0 * v.principal(p), max_value=2.0,
+                                lower_bound_margin=2.0),
+        )
+        settings = SweepSettings(solver=SolveSettings(tol=1e-9), grid=grid_256)
+        unit = run_sweep(gaussian_pair, [0.2, 0.1, 0.05], 2, settings)
+        scaled = run_sweep(big, [0.2, 0.1, 0.05], 2, settings)
+        assert scaled.provenance["max_rescaling"] == 12
+        mus = [mu for mu, _ in scaled.model_eigenvalues]
+        unit_mus = [mu for mu, _ in unit.model_eigenvalues]
+        np.testing.assert_allclose(mus, 12.0 * np.array(unit_mus), rtol=1e-12, atol=0.0)
+        for r, u in zip(scaled.records, unit.records):
+            assert (r.alpha, r.n) == (u.alpha, u.n)
+            np.testing.assert_allclose([r.lam, r.scaled_gap], [12.0 * u.lam, 12.0 * u.scaled_gap],
+                                       rtol=1e-12, atol=0.0)
+            loc, unit_loc = r.localization, u.localization
+            for name in ("k_form", "s_form", "identity_target"):
+                assert getattr(loc, name) == pytest.approx(getattr(unit_loc, name), rel=1e-12)
+            for name in ("position_mass_outside", "frequency_mass_outside",
+                         "c_hat_pos", "c_hat_freq"):
+                np.testing.assert_allclose(getattr(loc, name), getattr(unit_loc, name),
+                                           rtol=0.0, atol=1e-12)
+            assert loc.identity_rel_gap <= 1e-10
 
     def test_input_validation(self, gaussian_pair):
         with pytest.raises(ValueError):

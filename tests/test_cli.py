@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -79,6 +80,17 @@ class TestConfigRoundTrip:
     def test_a_run_threads_key_is_ignored(self):
         # perfbench/workloads.py still writes this key into its INIs.
         assert parse_config("[run]\nthreads = 1\n") == RunConfig()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[solver]\ntols = 1e-3\n", "[solver] tols"),
+            ("[symbol]\nkind = catalog\nnmae = rational_power\n", "[symbol] nmae"),
+        ],
+    )
+    def test_unknown_key_in_a_known_section_rejected(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -236,7 +248,7 @@ class TestSweepAndVerify:
         payload = json.loads((out / "report.json").read_text())
         cfg = parse_config(text)
         norm_pair, _ = normalized_pair(build_profiles(cfg))
-        expected = suggest_grid(norm_pair, k=cfg.eigen_count, alphas=cfg.alphas).reasoning
+        _, expected = suggest_grid(norm_pair, k=cfg.eigen_count, alphas=cfg.alphas)
         assert payload["provenance"]["grid_reasoning"] == list(expected)
 
     def test_eigenfunction_dumps_loadable(self, tmp_path):
@@ -285,6 +297,13 @@ class TestReportCommand:
         assert rc == 0
         assert "model eigenvalues" in printed
         assert "verdicts" in printed
+
+    def test_needs_no_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert "== scaled spectral gap study ==" in capsys.readouterr().out
 
     def test_missing_report_exits_2(self, tmp_path):
         rc = main(["report", "--config", write(tmp_path, GAUSSIAN_MINI),

@@ -3,11 +3,14 @@ import pytest
 
 from specgap import (
     GridError,
+    ProfileRole,
     StateVector,
     build_grid,
     inner,
     inner_freq,
     load_state,
+    make_catalog_profile,
+    make_pair,
     norm,
     norm_freq,
     random_state,
@@ -197,11 +200,25 @@ class TestSerialization:
 class TestSuggestGrid:
     def test_reasonable_and_deterministic(self, gaussian_pair):
         norm_pair, _ = normalized_pair(gaussian_pair)
-        s1 = suggest_grid(norm_pair, k=3, alphas=[0.2, 0.1, 0.05, 0.025])
-        s2 = suggest_grid(norm_pair, k=3, alphas=[0.2, 0.1, 0.05, 0.025])
-        assert s1 == s2
-        assert s1.half_length >= 8.0
-        assert s1.n_per_axis >= 64 and (s1.n_per_axis & (s1.n_per_axis - 1)) == 0
-        assert s1.reasoning
-        grid = s1.build()
+        grid, reasoning = suggest_grid(norm_pair, k=3, alphas=[0.2, 0.1, 0.05, 0.025])
+        assert (grid, reasoning) == suggest_grid(norm_pair, k=3, alphas=[0.2, 0.1, 0.05, 0.025])
+        assert grid.half_length >= 8.0
+        assert grid.n_per_axis >= 64 and (grid.n_per_axis & (grid.n_per_axis - 1)) == 0
+        assert reasoning
         assert grid.dimension == 1
+
+    def test_anisotropic_symbol_decays_on_every_axis(self):
+        # exp(-<xi, Q xi>) with one slow axis; which axis is slow must not
+        # change the grid, and the scaled symbol must have decayed at the
+        # top lattice frequency along both axes.
+        weight = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
+        ladder = [0.2, 0.1, 0.05, 0.025]
+        grids = []
+        for q in ([1.0, 0.0, 0.0, 0.01], [0.01, 0.0, 0.0, 1.0]):
+            symbol = make_catalog_profile("aniso_gaussian", q, 2)
+            grid, _ = suggest_grid(make_pair(symbol, weight), k=3, alphas=ladder)
+            s = min(ladder) ** (2.0 / (2.0 + 2.0))
+            on_axes = symbol.evaluate(s * grid.max_frequency * np.eye(2))
+            assert np.all(on_axes <= 1e-8)
+            grids.append(grid)
+        assert grids[0] == grids[1]
