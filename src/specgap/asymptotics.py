@@ -169,8 +169,8 @@ class SweepSettings:
     """Everything a sweep needs besides the pair, the ladder and k.
 
     ``solver.mode`` picks the model solve (``None`` lets
-    :func:`bottom_mode` choose by grid size); the top solves always run
-    ``LANCZOS_TOP``.
+    :func:`bottom_mode` choose from the grid size and the stiffness of
+    the model operator); the top solves always run ``LANCZOS``.
     """
 
     solver: SolveSettings = field(default_factory=SolveSettings)
@@ -435,7 +435,8 @@ def run_sweep(
     flagged record and an inconclusive verdict for the affected index,
     not a crash.  Maxima are normalized to 1 internally (the sandwich
     scales linearly, so eigenvalues rescale exactly); the report records
-    the rescaling and the model-solve mode that ran.
+    the rescaling, the model-solve mode that ran and why
+    :func:`bottom_mode` picked it.
     """
     settings = settings or SweepSettings()
     alphas = [float(x) for x in alphas]
@@ -450,12 +451,13 @@ def run_sweep(
     grid, grid_reasoning = choose_grid(norm_pair, k, alphas, settings.grid)
     grid_id = grid.describe()
 
-    model_mode = bottom_mode(grid.size, settings.solver.mode)
+    model_op = build_model_operator(norm_pair, grid)
+    model_mode, model_mode_reason = bottom_mode(model_op, k, settings.solver.mode)
     model_settings = replace(settings.solver, k=k, mode=model_mode)
-    model_pairs = smallest_eigenpairs(build_model_operator(norm_pair, grid), model_settings)
+    model_pairs = smallest_eigenpairs(model_op, model_settings)
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]
 
-    solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS_TOP)
+    solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS)
 
     def solve_one(alpha: float) -> list[SweepRecord]:
         op = build_scaled_operator(norm_pair, alpha, grid)
@@ -531,6 +533,7 @@ def run_sweep(
             "grid_reasoning": list(grid_reasoning),
             "max_rescaling": scale,
             "model_mode": model_mode.value,
+            "model_mode_reason": model_mode_reason,
         },
     )
     report.verdicts = verify_limit_law(

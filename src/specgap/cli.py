@@ -63,10 +63,12 @@ def _parser() -> argparse.ArgumentParser:
         ("report", "re-render a previously written report.json"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=name != "report",
-                       help="path to the INI run configuration")
+        if name != "report":  # a report is rendered from its own file alone
+            p.add_argument("--config", required=True,
+                           help="path to the INI run configuration")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out", default="specgap-out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -117,8 +119,9 @@ def cmd_model_spectrum(args) -> int:
     norm_pair, scale = normalized_pair(build_profiles(cfg))
     grid, _ = choose_grid(norm_pair, cfg.eigen_count, cfg.alphas, grid_of(cfg))
     settings = _solve_settings(cfg)
-    mode = bottom_mode(grid.size, settings.mode)
-    pairs = smallest_eigenpairs(build_model_operator(norm_pair, grid), settings)
+    op = build_model_operator(norm_pair, grid)
+    mode, reason = bottom_mode(op, settings.k, settings.mode)
+    pairs = smallest_eigenpairs(op, replace(settings, mode=mode))
     rows = [
         {
             "n": i + 1,
@@ -130,6 +133,7 @@ def cmd_model_spectrum(args) -> int:
         }
         for i, p in enumerate(pairs)
     ]
+    print(f"model solve: {mode.value} ({reason})")
     print(f"model spectrum on {grid.describe()}:")
     for row in rows:
         print(f"  n={row['n']}: mu={row['mu']:.12g}  residual={row['residual']:.2e}")

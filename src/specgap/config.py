@@ -62,14 +62,21 @@ class RunConfig:
     tol: float = SolveSettings.tol
     max_iterations: int = SolveSettings.max_iterations
     seed: int = SolveSettings.rng_seed
-    model_mode: str = "auto"  # auto | dense | shift_invert
+    # auto (eigensolve.bottom_mode picks by size and stiffness) | dense |
+    # shift_invert | lanczos
+    model_mode: str = "auto"
     rel_final: float = SweepSettings.rel_final
     rel_extrap: float = SweepSettings.rel_extrap
     radii: tuple[float, ...] = SweepSettings.radii
     emit_eigenfunctions: bool = SweepSettings.keep_vectors
 
 
-_MODEL_MODES = {"auto": None, "dense": Mode.DENSE_FULL, "shift_invert": Mode.SHIFT_INVERT_BOTTOM}
+_MODEL_MODES = {
+    "auto": None,
+    "dense": Mode.DENSE_FULL,
+    "shift_invert": Mode.SHIFT_INVERT_BOTTOM,
+    "lanczos": Mode.LANCZOS,
+}
 
 
 def _floats(text: str) -> tuple[float, ...]:

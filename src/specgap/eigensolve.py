@@ -2,21 +2,22 @@
 
 Three modes:
 
-* ``LANCZOS_TOP`` -- Lanczos with full reorthogonalization, restarted
+* ``LANCZOS`` -- Lanczos with full reorthogonalization, restarted
   with deflation of converged pairs until the requested extreme
-  eigenpairs are certified.  Grid sizes here are modest, so full (not
-  selective) reorthogonalization is used throughout; ghost eigenvalues
-  would poison an asymptotic sweep.  Each new Krylov vector is
-  orthogonalized against the locked vectors and the cycle basis at once
-  (classical Gram-Schmidt run twice over one 2-D array).  A cycle ends
-  as soon as the Ritz residual estimates beta_m*|s_m,i| of the wanted
-  pairs are below a tenth of the lock tolerance; each candidate is then
-  locked only after an explicit residual check.  Once k pairs are
-  locked, a completeness probe runs one more cycle from a random start
-  outside the locked span, until its leading Ritz pair converges or it
-  spans the whole complement.  A value beyond the k-th locked one (a
-  degenerate copy the earlier cycles could not see) is locked and the
-  probe repeats; otherwise the solve is done.
+  eigenpairs are certified.  It serves both ends of the spectrum: the
+  largest pairs of A, and the smallest as the largest of -A.  Grid
+  sizes here are modest, so full (not selective) reorthogonalization is
+  used throughout; ghost eigenvalues would poison an asymptotic sweep.
+  Each new Krylov vector is orthogonalized against the locked vectors
+  and the cycle basis at once (classical Gram-Schmidt run twice over one
+  2-D array).  A cycle ends as soon as the Ritz residual estimates
+  beta_m*|s_m,i| of the wanted pairs are below a tenth of the lock
+  tolerance; each candidate is then locked only after an explicit
+  residual check.  Once k pairs are locked, a completeness probe runs
+  one more cycle from a random start outside the locked span, until its
+  leading Ritz pair converges or it spans the whole complement.  A value
+  beyond the k-th locked one (a degenerate copy the earlier cycles could
+  not see) is locked and the probe repeats; otherwise the solve is done.
 * ``DENSE_FULL`` -- materialize the operator column by column into one
   Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
   to ``DENSE_SIZE_LIMIT`` unknowns.
@@ -24,19 +25,35 @@ Three modes:
   inner conjugate-gradient solves, matrix-free.
 
 Every mode ends in the same Rayleigh-Ritz step against the operator
-itself: the locked Lanczos rows (of A or of the inverse) or eigh's
-vectors span the wanted pairs, and the values, vectors and residuals of
-the k extreme Ritz pairs of A over that span are what the solve returns
-and certifies.
+itself: the locked Lanczos rows (of A, of -A or of the inverse) or
+eigh's vectors span the wanted pairs, and the values, vectors and
+residuals of the k extreme Ritz pairs of A over that span are what the
+solve returns and certifies.
 
 A ``real`` operator (even multiplier samples) runs in real arithmetic
 throughout: float64 start vectors, Krylov bases, dense matrices and CG
 solves, and float64 eigenvectors.  Other operators run in complex128.
 
-:func:`bottom_mode` is the one place that picks between the last two
-for a model-operator solve.  All randomness flows from the seed in
-:class:`SolveSettings`; identical settings produce bit-identical results
-within one build.
+:func:`bottom_mode` is the one place that picks the mode of a
+model-operator solve.  Up to ``DENSE_CHOICE_LIMIT`` (1024) unknowns it
+materializes (eigh costs at most 0.17 s there).  Above that, plain
+Lanczos on -A converges at a rate set by the wanted gap against the
+spread of the spectrum (Parlett, *The Symmetric Eigenvalue Problem*,
+SIAM 1998), so the choice rests on the stiffness ||A|| / mu_k, with
+mu_k estimated by Weyl's law from the multiplier and potential samples
+(:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500),
+shift-invert from there on.  Measured on a 2-core box (k=3, tol 1e-9,
+Gaussian pairs unless noted), Lanczos beat shift-invert at ratios 63
+(d=2, 48^2: 0.06 vs 0.58 s), 103 (80^2: 0.29 vs 1.16 s), 164 (128^2:
+0.76 vs 3.06 s) and 219 (128^2, L=8: 0.95 vs 2.21 s), and lost 1.5-2.1x
+at 1283-1804 (1-D, N=1280 and 1536) and 5.4x at 5417 (d=2 quartic
+symbol, 56^2).  Above 1024 unknowns shift-invert also beats dense on
+stiff operators (56^2 quartic: 0.67 vs 1.74 s; 1-D N=4096: 1.14 vs
+4.28 s), except in 1-D up to about 2048 unknowns (N=1536: 0.28 vs
+0.55 s).
+
+All randomness flows from the seed in :class:`SolveSettings`; identical
+settings produce bit-identical results within one build.
 """
 
 from __future__ import annotations
@@ -63,10 +80,16 @@ __all__ = [
     "bottom_mode",
     "certify",
     "cluster_eigenvalues",
+    "weyl_estimate",
     "DENSE_SIZE_LIMIT",
 ]
 
+# Materialization cap of the dense path.
 DENSE_SIZE_LIMIT = 4096
+# bottom_mode materializes up to this many unknowns ...
+DENSE_CHOICE_LIMIT = 1024
+# ... and above it runs plain Lanczos on -A while ||A|| < STIFFNESS_LIMIT * mu_k.
+STIFFNESS_LIMIT = 500.0
 # Shift-invert runs Lanczos on (A + _SHIFT I)^-1; model operators are
 # positive, so the inverse has norm <= 1/_SHIFT.
 _SHIFT = 1.0
@@ -77,7 +100,7 @@ INNER_MAX_ITERATIONS = 50000
 
 
 class Mode(enum.Enum):
-    LANCZOS_TOP = "lanczos_top"
+    LANCZOS = "lanczos"
     DENSE_FULL = "dense_full"
     SHIFT_INVERT_BOTTOM = "shift_invert_bottom"
 
@@ -276,20 +299,22 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
     return theta, s_mat, m, converged
 
 
-def _lanczos_largest(apply_values, shape, size, k, settings: SolveSettings,
-                     lock_tol: float, real: bool):
-    """Return the locked rows, at least k of them, that span the k largest
-    eigenvectors of a Hermitian operator given by ``apply_values`` on
-    arrays of the given shape.
+def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSettings,
+                     lock_tol: float):
+    """Return the locked rows, at least ``settings.k`` of them, that span
+    the k largest eigenvectors of the Hermitian operator ``apply_values``
+    on the grid of ``op`` (``op`` itself, -``op`` or an inverse of it).
 
     ``lock_tol`` is the absolute residual threshold for locking a pair;
-    ``real`` draws real start vectors, which keeps the whole iteration
-    real.  Cycles run until the wanted pairs converge, with deflation of
-    the locked pairs.  Once k pairs are locked, a probe cycle from a fresh
-    start outside the locked span must find nothing beyond the k-th
-    value; what it does find beyond is locked and probed past in turn, so
-    a degenerate copy that the earlier cycles could not see is not lost.
+    a ``real`` operator gets real start vectors, which keeps the whole
+    iteration real.  Cycles run until the wanted pairs converge, with
+    deflation of the locked pairs.  Once k pairs are locked, a probe
+    cycle from a fresh start outside the locked span must find nothing
+    beyond the k-th value; what it does find beyond is locked and probed
+    past in turn, so a degenerate copy that the earlier cycles could not
+    see is not lost.
     """
+    shape, size, k, real = op.grid.shape, op.grid.size, settings.k, op.real
     rng = np.random.default_rng(settings.rng_seed)
     cycle_dim = min(size, max(4 * k + 40, 80))
     rows = _Rows(k + cycle_dim + 1, size, np.float64 if real else np.complex128)
@@ -505,6 +530,14 @@ def _operator_scale(op: HermitianOperator, values=()) -> float:
     return scale
 
 
+def _plain_lanczos_basis(apply_values, op: HermitianOperator, settings: SolveSettings,
+                         lock_tol: float) -> np.ndarray:
+    limit = max(1, int(MAX_SUBSPACE_FRACTION * op.grid.size))
+    if settings.k > limit:
+        raise ValueError(f"k={settings.k} exceeds {limit} (quarter of the grid dimension)")
+    return _lanczos_largest(apply_values, op, settings, lock_tol)
+
+
 def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[EigenPair]:
     """The k largest eigenpairs, descending, pairwise orthogonal.
 
@@ -513,60 +546,101 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
     mode ends in the Rayleigh-Ritz step against ``op`` itself.  Raises
     :class:`NoConvergenceError` when the iteration budget runs out.
     """
-    mode = settings.mode or Mode.LANCZOS_TOP
+    mode = settings.mode or Mode.LANCZOS
     if mode is Mode.SHIFT_INVERT_BOTTOM:
         raise ValueError("shift-invert targets the smallest pairs; use smallest_eigenpairs")
     threshold = settings.tol * _operator_scale(op)
     if mode is Mode.DENSE_FULL:
         basis = _dense_basis(op, settings.k, "largest")
     else:
-        limit = max(1, int(MAX_SUBSPACE_FRACTION * op.grid.size))
-        if settings.k > limit:
-            raise ValueError(
-                f"k={settings.k} exceeds {limit} (quarter of the grid dimension)"
-            )
-        basis = _lanczos_largest(
-            op.apply_values, op.grid.shape, op.grid.size, settings.k, settings,
-            lock_tol=threshold, real=op.real,
-        )
+        basis = _plain_lanczos_basis(op.apply_values, op, settings, threshold)
     values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "largest")
     return _certified_pairs(op, values, vectors, residuals, threshold)
 
 
-def bottom_mode(size: int, mode: Mode | None = None) -> Mode:
-    """The model-solve mode for ``size`` unknowns: ``mode`` when given,
-    else ``DENSE_FULL`` up to ``DENSE_SIZE_LIMIT`` and
-    ``SHIFT_INVERT_BOTTOM`` above it."""
+def weyl_estimate(multiplier: np.ndarray, potential: np.ndarray, k: int) -> float:
+    """Weyl's estimate of the k-th smallest eigenvalue of op(m) + q from
+    its samples m (frequency lattice) and q (nodes).
+
+    A node and a lattice frequency together cover the phase-space volume
+    (2 pi)^d / size, so the eigenvalue count below E is about the number
+    of sample pairs with m_i + q_j < E over the grid size.  Returns the
+    smallest E > 0, to 1 %, with sum_j #{i : m_i < E - q_j} >= k * size,
+    by bisection on log E; 0.0 when m + q has no positive sample sum.
+    """
+    m = np.sort(np.ravel(multiplier))
+    # Symmetric potentials repeat their samples; count each value once.
+    q, copies = np.unique(np.ravel(potential), return_counts=True)
+    target = k * m.size
+
+    def enough(e: float) -> bool:
+        return int(np.searchsorted(m, e - q) @ copies) >= target
+
+    top = float(m[-1] + q[-1])
+    if top <= 0:
+        return 0.0
+    # Above m_max + q_max every pair counts, and k <= size.
+    lo, hi = 2.0 ** -60 * top, 2.0 * top
+    while hi > 1.01 * lo:
+        mid = np.sqrt(lo * hi)
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return float(hi)
+
+
+def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tuple[Mode, str]:
+    """The model-solve mode for the k smallest pairs of ``op``, and a
+    one-line reason.
+
+    ``mode`` passes through when given.  Otherwise ``DENSE_FULL`` up to
+    ``DENSE_CHOICE_LIMIT`` unknowns; above it ``LANCZOS`` (on -A) when
+    ||A|| < ``STIFFNESS_LIMIT`` times the Weyl estimate of mu_k, else
+    ``SHIFT_INVERT_BOTTOM``.  An operator without both a multiplier and a
+    potential part has no estimate and runs shift-invert above the limit.
+    """
     if mode is not None:
-        return mode
-    return Mode.DENSE_FULL if size <= DENSE_SIZE_LIMIT else Mode.SHIFT_INVERT_BOTTOM
+        return mode, "set in the config"
+    size = op.grid.size
+    if size <= DENSE_CHOICE_LIMIT:
+        return Mode.DENSE_FULL, f"{size} unknowns <= {DENSE_CHOICE_LIMIT}"
+    if op.multiplier_part is None or op.potential_part is None:
+        return Mode.SHIFT_INVERT_BOTTOM, (
+            f"{size} unknowns > {DENSE_CHOICE_LIMIT}, no parts for a stiffness estimate"
+        )
+    scale = _operator_scale(op)
+    mu = weyl_estimate(op.multiplier_part, op.potential_part, k)
+    ratio = scale / mu if mu > 0 else np.inf
+    stiff = ratio >= STIFFNESS_LIMIT
+    reason = (
+        f"|A| <= {scale:.4g}, Weyl mu_{k} ~ {mu:.4g}: ratio {ratio:.4g} "
+        f"{'>=' if stiff else '<'} {STIFFNESS_LIMIT:g}"
+    )
+    return (Mode.SHIFT_INVERT_BOTTOM if stiff else Mode.LANCZOS), reason
 
 
 def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[EigenPair]:
     """The k smallest eigenpairs, ascending, for positive model-type
     operators.
 
-    ``DENSE_FULL`` materializes the operator; ``SHIFT_INVERT_BOTTOM``
-    runs Lanczos on (A + shift)^-1 with inner CG solves.  Either mode
-    ends in the Rayleigh-Ritz step against ``op`` itself, which gives the
-    values and the residuals that are certified.  Without an explicit
-    mode, :func:`bottom_mode` picks one from the grid size.
+    ``LANCZOS`` runs the top solve's Lanczos on -A, locking at the
+    certification threshold; ``DENSE_FULL`` materializes the operator;
+    ``SHIFT_INVERT_BOTTOM`` runs Lanczos on (A + shift)^-1 with inner CG
+    solves.  Every mode ends in the Rayleigh-Ritz step against ``op``
+    itself, which gives the values and the residuals that are certified.
+    Without an explicit mode, :func:`bottom_mode` picks one from the grid
+    size and the stiffness of ``op``.
     """
-    mode = bottom_mode(op.grid.size, settings.mode)
-    if mode is Mode.LANCZOS_TOP:
-        raise ValueError("plain Lanczos targets the largest pairs; use largest_eigenpairs")
-
+    mode, _ = bottom_mode(op, settings.k, settings.mode)
     if mode is Mode.DENSE_FULL:
         basis = _dense_basis(op, settings.k, "smallest")
+    elif mode is Mode.LANCZOS:
+        basis = _plain_lanczos_basis(
+            lambda values: -op.apply_values(values), op, settings,
+            lock_tol=settings.tol * _operator_scale(op),
+        )
     else:
         basis = _lanczos_largest(
-            _make_inverse_apply(op, settings),
-            op.grid.shape,
-            op.grid.size,
-            settings.k,
-            settings,
+            _make_inverse_apply(op, settings), op, settings,
             lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
-            real=op.real,
         )
     values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "smallest")
     threshold = settings.tol * _operator_scale(op, values)

@@ -158,7 +158,10 @@ def render_report(report_dict: dict) -> str:
         f"symbol: {profiles.get('symbol', '?')}   weight: {profiles.get('weight', '?')}   "
         f"d={profiles.get('dimension', '?')}  sigma={profiles.get('sigma', '?')}"
     )
-    lines.append(f"grid: {prov.get('grid', '?')}   model solve: {prov.get('model_mode', '?')}")
+    reason = f" ({prov['model_mode_reason']})" if "model_mode_reason" in prov else ""
+    lines.append(
+        f"grid: {prov.get('grid', '?')}   model solve: {prov.get('model_mode', '?')}{reason}"
+    )
     lines.append(f"alphas: {cfg.get('alphas')}")
     lines.append("")
     lines.append("model eigenvalues:")

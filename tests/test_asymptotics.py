@@ -325,7 +325,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize(
         "mode, recorded",
-        [(Mode.SHIFT_INVERT_BOTTOM, "shift_invert_bottom"), (None, "dense_full")],
+        [
+            (Mode.SHIFT_INVERT_BOTTOM, "shift_invert_bottom"),
+            (None, "dense_full"),
+            (Mode.LANCZOS, "lanczos"),
+        ],
     )
     def test_report_records_the_model_solve_mode(self, gaussian_pair, mode, recorded):
         report = run_sweep(
@@ -333,7 +337,9 @@ class TestRunSweep:
             SweepSettings(solver=SolveSettings(mode=mode), grid=build_grid(1, 256, 12.0)),
         )
         assert report.provenance["model_mode"] == recorded
-        assert f"model solve: {recorded}" in render_report(report.to_dict())
+        reason = report.provenance["model_mode_reason"]
+        assert reason == ("256 unknowns <= 1024" if mode is None else "set in the config")
+        assert f"model solve: {recorded} ({reason})" in render_report(report.to_dict())
 
     def test_solver_failure_flagged_not_raised(self, gaussian_pair):
         grid = build_grid(1, 256, 12.0)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import specgap
-from specgap import SolveSettings, SweepSettings, load_state, suggest_grid
+from specgap import Mode, SolveSettings, SweepSettings, load_state, suggest_grid
 from specgap.cli import main
 from specgap.config import (
     ConfigError,
     RunConfig,
     build_profiles,
     emit_config,
+    model_mode_of,
     parse_config,
 )
 from specgap.operators import normalized_pair
@@ -76,6 +77,11 @@ class TestConfigRoundTrip:
         assert (run.rel_final, run.rel_extrap, run.radii) == (
             sweep.rel_final, sweep.rel_extrap, sweep.radii
         )
+
+    def test_model_mode_accepts_lanczos(self):
+        cfg = parse_config("[solver]\nmodel_mode = lanczos\n")
+        assert model_mode_of(cfg) is Mode.LANCZOS
+        assert parse_config(emit_config(cfg)) == cfg
 
     def test_a_run_threads_key_is_ignored(self):
         # perfbench/workloads.py still writes this key into its INIs.
@@ -174,6 +180,8 @@ class TestModelSpectrumCommand:
             ["model-spectrum", "--config", write(tmp_path, text), "--out", str(tmp_path)]
         )
         assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "model solve: dense_full (512 unknowns <= 1024)"
         lines = (tmp_path / "model_spectrum.csv").read_text().splitlines()
         assert lines[0] == "# schema: specgap.model.v1"
         assert lines[1] == "n,mu,residual,N,L,mode"
@@ -292,7 +300,7 @@ class TestReportCommand:
         out = tmp_path / "out"
         main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI), "--out", str(out)])
         capsys.readouterr()
-        rc = main(["report", "--config", write(tmp_path, GAUSSIAN_MINI), "--out", str(out)])
+        rc = main(["report", "--out", str(out)])
         printed = capsys.readouterr().out
         assert rc == 0
         assert "model eigenvalues" in printed
@@ -306,6 +314,15 @@ class TestReportCommand:
         assert "== scaled spectral gap study ==" in capsys.readouterr().out
 
     def test_missing_report_exits_2(self, tmp_path):
-        rc = main(["report", "--config", write(tmp_path, GAUSSIAN_MINI),
-                   "--out", str(tmp_path / "void")])
+        rc = main(["report", "--out", str(tmp_path / "void")])
         assert rc == 2
+
+    def test_config_and_seed_are_not_report_options(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["report", "--out", str(out), "--config", str(tmp_path / "no.ini"),
+                  "--seed", "3"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err

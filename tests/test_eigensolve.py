@@ -25,7 +25,7 @@ from specgap import (
     state,
 )
 from specgap import eigensolve
-from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense
+from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense, weyl_estimate
 from specgap.operators import (
     HermitianOperator,
     principal_frequency_samples,
@@ -176,7 +176,7 @@ class TestBottomSolves:
     def test_harmonic_dense_and_shift_invert_agree_with_analytic(self, gaussian_pair, grid_512):
         op = build_model_operator(gaussian_pair, grid_512)
         exact = np.sqrt(2.0) * (2 * np.arange(1, 5) - 1)
-        for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM):
+        for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM, Mode.LANCZOS):
             pairs = smallest_eigenpairs(op, SolveSettings(k=4, tol=1e-9, mode=mode))
             got = [p.value for p in pairs]
             np.testing.assert_allclose(got, exact, rtol=1e-8)
@@ -252,10 +252,11 @@ class TestBottomSolves:
             basis[j] = 0.0
             np.testing.assert_allclose(mat[:, j], column, rtol=0, atol=1e-12)
 
-    def test_lanczos_top_mode_rejected_for_bottom(self, gaussian_pair, grid_256):
-        op = build_model_operator(gaussian_pair, grid_256)
-        with pytest.raises(ValueError):
-            smallest_eigenpairs(op, SolveSettings(k=1, mode=Mode.LANCZOS_TOP))
+    def test_lanczos_bottom_keeps_the_quarter_grid_limit(self, gaussian_pair):
+        op = build_model_operator(gaussian_pair, build_grid(1, 32, 6.0))
+        with pytest.raises(ValueError, match="quarter of the grid"):
+            smallest_eigenpairs(op, SolveSettings(k=9, mode=Mode.LANCZOS))
+        assert len(smallest_eigenpairs(op, SolveSettings(k=8, mode=Mode.LANCZOS))) == 8
 
     def test_dense_size_cap_enforced(self, gaussian_pair):
         big = build_grid(1, 8192, 20.0)
@@ -265,26 +266,64 @@ class TestBottomSolves:
             smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-8, mode=Mode.DENSE_FULL))
 
     def test_bottom_mode_switches_above_dense_limit(self):
-        assert bottom_mode(DENSE_SIZE_LIMIT) is Mode.DENSE_FULL
-        assert bottom_mode(DENSE_SIZE_LIMIT + 1) is Mode.SHIFT_INVERT_BOTTOM
-        assert bottom_mode(8, Mode.SHIFT_INVERT_BOTTOM) is Mode.SHIFT_INVERT_BOTTOM
-        assert bottom_mode(DENSE_SIZE_LIMIT + 1, Mode.DENSE_FULL) is Mode.DENSE_FULL
+        def model(symbol_power, d, n, half_length):
+            a = make_catalog_profile("gaussian_power", [symbol_power], d)
+            v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
+            return build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
+
+        # (symbol power, d, N, L, explicit mode) -> choice, words of the reason
+        table = [
+            ((2, 1, 1024, 20.0, None), Mode.DENSE_FULL, "1024 unknowns <= 1024"),
+            ((2, 2, 80, 10.0, None), Mode.LANCZOS, "< 500"),
+            ((4, 2, 56, 8.0, None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
+            ((2, 1, 8192, 20.0, None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
+            ((2, 2, 80, 10.0, Mode.DENSE_FULL), Mode.DENSE_FULL, "set in the config"),
+            ((2, 1, 1024, 20.0, Mode.LANCZOS), Mode.LANCZOS, "set in the config"),
+        ]
+        for (power, d, n, half_length, given), chosen, words in table:
+            mode, reason = bottom_mode(model(power, d, n, half_length), 3, given)
+            assert mode is chosen, (power, d, n, half_length, given, reason)
+            assert words in reason
+
+    def test_weyl_estimate_counts_phase_space(self):
+        # op(xi^2) + x^2 in 1-D: the count below E is about the area
+        # pi*E of {xi^2 + x^2 < E} over 2 pi, so mu_k ~ 2k (exact: 2k - 1).
+        grid = build_grid(1, 512, 20.0)
+        x = grid.position_points[..., 0]
+        xi = grid.frequency_points[..., 0]
+        for k in (1, 5, 20):
+            assert weyl_estimate(xi**2, x**2, k) == pytest.approx(2 * k, rel=0.01)
+        assert weyl_estimate(-(xi**2), -(x**2), 1) == 0.0
+
+    def test_auto_mode_solves_a_mild_2d_model_in_few_applies(self):
+        # Plain Lanczos on -A takes ~400 applies here; shift-invert ~4500
+        # plus as many preconditioner FFTs.  A wrong mode choice fails.
+        a = make_catalog_profile("gaussian_power", [2], 2)
+        v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
+        op, calls = counting(build_model_operator(make_pair(a, v), build_grid(2, 80, 10.0)))
+        pairs = smallest_eigenpairs(op, SolveSettings(k=3, tol=1e-9))
+        assert calls[0] <= 1000
+        np.testing.assert_allclose(
+            [p.value for p in pairs], np.sqrt(2.0) * np.array([2, 4, 4]), rtol=1e-9
+        )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("k", [2, 4])  # inside the double and the triple level
     def test_shift_invert_keeps_the_k_smallest_inside_a_level(self, k, seed):
+        # Plain Lanczos on -A must keep them too.
         a = make_catalog_profile("gaussian_power", [2], 2)
         v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
         op = build_model_operator(make_pair(a, v), build_grid(2, 32, 7.0))
-        dense, si = (
+        dense, si, plain = (
             smallest_eigenpairs(op, SolveSettings(k=k, tol=1e-9, rng_seed=seed, mode=mode))
-            for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM)
+            for mode in (Mode.DENSE_FULL, Mode.SHIFT_INVERT_BOTTOM, Mode.LANCZOS)
         )
-        assert len(si) == k
-        np.testing.assert_allclose(
-            [p.value for p in si], [p.value for p in dense], rtol=1e-11, atol=0
-        )
-        assert certify(op, si, 1e-9).passed
+        for pairs in (si, plain):
+            assert len(pairs) == k
+            np.testing.assert_allclose(
+                [p.value for p in pairs], [p.value for p in dense], rtol=1e-11, atol=0
+            )
+            assert certify(op, pairs, 1e-9).passed
 
     def test_certification_failure_names_its_numbers(self, gaussian_pair):
         op = build_model_operator(gaussian_pair, build_grid(1, 256, 12.0))
@@ -309,7 +348,8 @@ class TestRealArithmetic:
         model = build_model_operator(gaussian_pair, grid_256)
         assert scaled.real and model.real
         solves = [
-            largest_eigenpairs(scaled, SolveSettings(k=2, tol=1e-9, mode=Mode.LANCZOS_TOP)),
+            largest_eigenpairs(scaled, SolveSettings(k=2, tol=1e-9, mode=Mode.LANCZOS)),
+            smallest_eigenpairs(model, SolveSettings(k=2, tol=1e-9, mode=Mode.LANCZOS)),
             smallest_eigenpairs(model, SolveSettings(k=2, tol=1e-9, mode=Mode.DENSE_FULL)),
             smallest_eigenpairs(
                 model, SolveSettings(k=2, tol=1e-9, mode=Mode.SHIFT_INVERT_BOTTOM)
