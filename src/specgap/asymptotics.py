@@ -333,21 +333,22 @@ def suggest_grid(pair: ProfilePair, k: int, alphas: Sequence[float]) -> tuple[Gr
     V0^2*Psi does the same at the top lattice frequency.  The symbol
     itself must also have decayed below 1e-8 of its peak at the top
     frequency for the smallest alpha, in every sampled direction (an
-    anisotropic symbol decays slowest along its flattest axis).
+    anisotropic symbol decays slowest along its flattest axis).  The
+    coarse estimate runs in the mode :func:`bottom_mode` picks: dense on
+    the 128 and 32^2 probes of d = 1, 2, by stiffness on the 16^3 of d = 3.
     """
     d = pair.dimension
     reasoning: list[str] = []
 
-    # Coarse model-eigenvalue scale from a small dense solve.
     n_coarse = {1: 128, 2: 32}.get(d, 16)
     coarse = build_grid(d, n_coarse, 10.0)
     pairs = smallest_eigenpairs(
         build_model_operator(pair, coarse),
-        SolveSettings(k=k, tol=1e-6, mode=Mode.DENSE_FULL, rng_seed=0),
+        SolveSettings(k=k, tol=1e-6, rng_seed=0),
     )
     mu_scale = max(pairs[-1].value, 1e-6)
     reasoning.append(
-        f"coarse dense solve on {coarse.describe()} puts the target eigenvalue scale at {mu_scale:.3g}"
+        f"coarse solve on {coarse.describe()} puts the target eigenvalue scale at {mu_scale:.3g}"
     )
     target = _WALL_MARGIN * mu_scale
 

@@ -94,11 +94,13 @@ def _boolean(text: str) -> bool:
     return states[_word(text)]
 
 
-_g = "{:g}".format
+def _g(x: float) -> str:
+    text = repr(float(x))  # shortest text that parses back to the same float
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _g_list(xs: tuple[float, ...]) -> str:
-    return ", ".join(f"{x:g}" for x in xs)
+    return ", ".join(map(_g, xs))
 
 
 # The INI schema outside the profile sections, in emitted order:

@@ -10,10 +10,11 @@ Three modes:
   used throughout; ghost eigenvalues would poison an asymptotic sweep.
   Each new Krylov vector is orthogonalized against the locked vectors
   and the cycle basis at once (classical Gram-Schmidt run twice over one
-  2-D array).  A cycle ends as soon as the Ritz residual estimates
-  beta_m*|s_m,i| of the wanted pairs are below a tenth of the lock
-  tolerance; each candidate is then locked only after an explicit
-  residual check.  Once k pairs are locked, a completeness probe runs
+  2-D array).  No cycle has a length cap (a restart from one Ritz vector
+  would throw the rest of its Krylov space away): it ends once the Ritz
+  residual estimates beta_m*|s_m,i| of the wanted pairs are below a
+  tenth of the lock tolerance, on breakdown, or on the step budget; each
+  candidate is then locked only after an explicit residual check.  Once k pairs are locked, a completeness probe runs
   one more cycle from a random start outside the locked span, until its
   leading Ritz pair converges or it spans the whole complement.  A value
   beyond the k-th locked one (a degenerate copy the earlier cycles could
@@ -111,9 +112,8 @@ class SolveSettings:
 
     ``tol`` is the residual tolerance relative to the operator's
     spectral scale: a pair certifies when ||A v - value*v|| does not
-    exceed tol * max(1, |A|), with |A| taken from the operator's known
-    upper bound or the largest computed eigenvalue.  For the sandwiched
-    operators (norm <= 1) this coincides with an absolute tolerance.
+    exceed tol * max(1, |upper_bound|).  For the sandwiched operators
+    (norm <= 1) this coincides with an absolute tolerance.
     """
 
     k: int = 1
@@ -307,17 +307,17 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
 
     ``lock_tol`` is the absolute residual threshold for locking a pair;
     a ``real`` operator gets real start vectors, which keeps the whole
-    iteration real.  Cycles run until the wanted pairs converge, with
-    deflation of the locked pairs.  Once k pairs are locked, a probe
-    cycle from a fresh start outside the locked span must find nothing
-    beyond the k-th value; what it does find beyond is locked and probed
-    past in turn, so a degenerate copy that the earlier cycles could not
-    see is not lost.
+    iteration real.  Every cycle, main or probe, runs for up to
+    min(size - locked, max_iterations - steps) steps and ends early once
+    its wanted Ritz estimates converge; locked pairs are deflated.  Once
+    k pairs are locked, a probe cycle from a fresh start outside the
+    locked span must find nothing beyond the k-th value; what it does
+    find beyond is locked and probed past in turn, so a degenerate copy
+    that the earlier cycles could not see is not lost.
     """
     shape, size, k, real = op.grid.shape, op.grid.size, settings.k, op.real
     rng = np.random.default_rng(settings.rng_seed)
-    cycle_dim = min(size, max(4 * k + 40, 80))
-    rows = _Rows(k + cycle_dim + 1, size, np.float64 if real else np.complex128)
+    rows = _Rows(k + 81, size, np.float64 if real else np.complex128)  # grows on demand
     locked_vals: list[float] = []
     steps = 0
     best_residuals: list[float] = []
@@ -330,7 +330,7 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
         if steps >= settings.max_iterations:
             note = "; completeness probe unfinished" if probe else ""
             raise NoConvergenceError(
-                f"no convergence after {steps} Lanczos steps "
+                f"{op.label}: no convergence after {steps} Lanczos steps "
                 f"({min(len(locked_vals), k)}/{k} pairs certified{note})",
                 best_residuals=best_residuals,
             )
@@ -338,14 +338,13 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
             _random_start(rows, shape, rng, real)
         pending_start = None
         want = 1 if probe else k - len(locked_vals)
-        # A probe may end only on convergence or once it spans the complement.
-        length = size - rows.locked if probe else min(cycle_dim, size - rows.locked)
-        length = min(length, settings.max_iterations - steps)
+        length = min(size - rows.locked, settings.max_iterations - steps)
         theta, s_mat, m, converged = _lanczos_cycle(
             apply_values, shape, rows, length, want, _CONVERGED * lock_tol
         )
         steps += m
         if probe:
+            # A probe may end the solve only on convergence or over the complement.
             if not (converged or m == size - rows.locked):
                 continue  # cut by the step budget
             kth = sorted(locked_vals, reverse=True)[k - 1]
@@ -366,8 +365,6 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
                 break
             rows.lock(y)
             locked_vals.append(float(value))
-        if not probe and len(locked_vals) < k:
-            cycle_dim = min(size, int(np.ceil(cycle_dim * 1.5)))
 
     return rows.array[: rows.locked]
 
@@ -521,13 +518,9 @@ def _certified_pairs(op: HermitianOperator, values, vectors, residuals,
     return pairs
 
 
-def _operator_scale(op: HermitianOperator, values=()) -> float:
-    scale = 1.0
-    if op.upper_bound is not None:
-        scale = max(scale, abs(op.upper_bound))
-    for v in values:
-        scale = max(scale, abs(float(v)))
-    return scale
+def _operator_scale(op: HermitianOperator) -> float:
+    # Every Ritz value lies in [-||A||, ||A||], inside +-upper_bound.
+    return max(1.0, abs(op.upper_bound))
 
 
 def _plain_lanczos_basis(apply_values, op: HermitianOperator, settings: SolveSettings,
@@ -630,12 +623,12 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
     size and the stiffness of ``op``.
     """
     mode, _ = bottom_mode(op, settings.k, settings.mode)
+    threshold = settings.tol * _operator_scale(op)
     if mode is Mode.DENSE_FULL:
         basis = _dense_basis(op, settings.k, "smallest")
     elif mode is Mode.LANCZOS:
         basis = _plain_lanczos_basis(
-            lambda values: -op.apply_values(values), op, settings,
-            lock_tol=settings.tol * _operator_scale(op),
+            lambda values: -op.apply_values(values), op, settings, threshold
         )
     else:
         basis = _lanczos_largest(
@@ -643,7 +636,6 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
             lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
         )
     values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "smallest")
-    threshold = settings.tol * _operator_scale(op, values)
     return _certified_pairs(op, values, vectors, residuals, threshold)
 
 
@@ -667,7 +659,7 @@ def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertRe
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             gram_off = max(gram_off, abs(inner(pairs[i].vector, pairs[j].vector)))
-    threshold = tol * _operator_scale(op, [p.value for p in pairs])
+    threshold = tol * _operator_scale(op)
     return CertReport(
         norms_ok=norm_dev <= 1e-10,
         residuals_ok=max_res <= threshold,

@@ -159,9 +159,6 @@ class StateVector:
     grid: Grid
     values: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.grid, self.values.copy())
-
 
 def state(grid: Grid, values: np.ndarray) -> StateVector:
     arr = np.asarray(values, dtype=np.complex128)

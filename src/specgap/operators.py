@@ -63,8 +63,8 @@ class OperatorError(ValueError):
 class HermitianOperator:
     """Matrix-free Hermitian apply contract on a fixed grid.
 
-    ``upper_bound``, when given, bounds the operator norm ||A|| (not just
-    the top of the spectrum); certification scales its tolerance by it.
+    ``upper_bound`` bounds the operator norm ||A|| (not just the top of
+    the spectrum); certification scales its tolerance by it.
     ``multiplier_part``/``potential_part`` are optional structural hints
     (real samples on the frequency lattice / nodes) that solvers may use
     for preconditioning; they never change what ``apply_values`` does.
@@ -75,7 +75,7 @@ class HermitianOperator:
 
     grid: Grid
     apply_values: Callable[[np.ndarray], np.ndarray]
-    upper_bound: float | None = None
+    upper_bound: float
     label: str = ""
     multiplier_part: np.ndarray | None = None
     potential_part: np.ndarray | None = None

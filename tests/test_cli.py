@@ -78,6 +78,25 @@ class TestConfigRoundTrip:
             sweep.rel_final, sweep.rel_extrap, sweep.radii
         )
 
+    def test_emitted_values_round_trip_exactly(self):
+        catalog = GAUSSIAN_MINI.replace("0.2, 0.1, 0.05", "0.2, 0.0333333333, 0.01").replace(
+            "half_length = 14", "half_length = 12.3456789"
+        ) + "\n[solver]\ntol = 1.23456789e-9\n"
+        expression = (CONFIGS / "custom_expression.ini").read_text(encoding="utf-8").replace(
+            "degree = 2\n\n[weight]", "degree = 2\nmargin = 0.125\n\n[weight]"
+        )
+        shown = {
+            catalog: ("0.0333333333", "half_length = 12.3456789", "tol = 1.23456789e-09"),
+            expression: ("principal = norm(x)^2\ndegree = 2\nmargin = 0.125\n",),
+        }
+        for text, lines in shown.items():
+            cfg = parse_config(text)
+            normalized = emit_config(cfg)
+            for line in lines:
+                assert line in normalized
+            assert parse_config(normalized) == cfg
+            assert emit_config(parse_config(normalized)) == normalized
+
     def test_model_mode_accepts_lanczos(self):
         cfg = parse_config("[solver]\nmodel_mode = lanczos\n")
         assert model_mode_of(cfg) is Mode.LANCZOS
@@ -243,11 +262,19 @@ class TestSweepAndVerify:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
-    def test_sweep_solver_failure_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_sweep_solver_failure_exits_3(self, tmp_path, command):
         text = GAUSSIAN_MINI + "\n[solver]\ntol = 1e-13\nmax_iterations = 3\nmodel_mode = dense\n"
+        rc = main([command, "--config", write(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+
+    def test_model_solve_failure_exits_3_and_names_the_operator(self, tmp_path, capsys):
+        text = GAUSSIAN_MINI + "\n[solver]\nmax_iterations = 3\nmodel_mode = lanczos\n"
         rc = main(["sweep", "--config", write(tmp_path, text),
                    "--out", str(tmp_path / "out")])
         assert rc == 3
+        assert "numerical failure: model-operator: no convergence" in capsys.readouterr().err
 
     def test_auto_grid_reasoning_reaches_the_report(self, tmp_path):
         text = GAUSSIAN_MINI.replace("mode = manual\nn = 512\nhalf_length = 14", "mode = auto")

@@ -271,18 +271,20 @@ class TestBottomSolves:
             v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
             return build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
 
-        # (symbol power, d, N, L, explicit mode) -> choice, words of the reason
+        # (operator, explicit mode) -> choice, words of the reason
+        no_potential = build_multiplier_operator(build_grid(1, 2048, 20.0), np.ones(2048))
         table = [
-            ((2, 1, 1024, 20.0, None), Mode.DENSE_FULL, "1024 unknowns <= 1024"),
-            ((2, 2, 80, 10.0, None), Mode.LANCZOS, "< 500"),
-            ((4, 2, 56, 8.0, None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
-            ((2, 1, 8192, 20.0, None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
-            ((2, 2, 80, 10.0, Mode.DENSE_FULL), Mode.DENSE_FULL, "set in the config"),
-            ((2, 1, 1024, 20.0, Mode.LANCZOS), Mode.LANCZOS, "set in the config"),
+            ((model(2, 1, 1024, 20.0), None), Mode.DENSE_FULL, "1024 unknowns <= 1024"),
+            ((model(2, 2, 80, 10.0), None), Mode.LANCZOS, "< 500"),
+            ((model(4, 2, 56, 8.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
+            ((model(2, 1, 8192, 20.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
+            ((no_potential, None), Mode.SHIFT_INVERT_BOTTOM, "no parts"),
+            ((model(2, 2, 80, 10.0), Mode.DENSE_FULL), Mode.DENSE_FULL, "set in the config"),
+            ((model(2, 1, 1024, 20.0), Mode.LANCZOS), Mode.LANCZOS, "set in the config"),
         ]
-        for (power, d, n, half_length, given), chosen, words in table:
-            mode, reason = bottom_mode(model(power, d, n, half_length), 3, given)
-            assert mode is chosen, (power, d, n, half_length, given, reason)
+        for (op, given), chosen, words in table:
+            mode, reason = bottom_mode(op, 3, given)
+            assert mode is chosen, (op.label, op.grid.describe(), given, reason)
             assert words in reason
 
     def test_weyl_estimate_counts_phase_space(self):

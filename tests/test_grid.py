@@ -207,6 +207,15 @@ class TestSuggestGrid:
         assert reasoning
         assert grid.dimension == 1
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_3d_gaussian_pair_probe_gives_the_dense_probe_grid(self, k):
+        # The 16^3 probe is solved by Lanczos on -A; a dense solve of the
+        # same probe gave this grid too.
+        symbol = make_catalog_profile("gaussian_power", [2], 3)
+        weight = make_catalog_profile("gaussian_power", [2], 3, role=ProfileRole.WEIGHT_V)
+        grid, _ = suggest_grid(make_pair(symbol, weight), k=k, alphas=[0.2, 0.1, 0.05, 0.025])
+        assert (grid.dimension, grid.n_per_axis, grid.half_length) == (3, 128, 18.0)
+
     def test_anisotropic_symbol_decays_on_every_axis(self):
         # exp(-<xi, Q xi>) with one slow axis; which axis is slow must not
         # change the grid, and the scaled symbol must have decayed at the
