@@ -139,7 +139,8 @@ class StudyReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        """The ``specgap.report.v1`` payload; keys follow the field order."""
+        """The ``specgap.report.v1`` payload; keys follow the field order,
+        and every non-finite float is None, so the payload is strict JSON."""
 
         def record(r: SweepRecord) -> dict:
             # Field by field: asdict would deep-copy the eigenvector, which
@@ -150,7 +151,18 @@ class StudyReport:
                 row["localization"] = asdict(r.localization)
             return row
 
-        return {
+        def finite(value):
+            # JSON has no NaN or infinity: a failed solve or a degenerate
+            # fit writes null there.
+            if isinstance(value, float):
+                return value if np.isfinite(value) else None
+            if isinstance(value, dict):
+                return {key: finite(item) for key, item in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [finite(item) for item in value]
+            return value
+
+        return finite({
             "schema": "specgap.report.v1",
             "config": self.config,
             "model_eigenvalues": [
@@ -161,7 +173,7 @@ class StudyReport:
             "extrapolations": {str(n): asdict(e) for n, e in self.extrapolations.items()},
             "verdicts": [{**asdict(v), "status": v.status.value} for v in self.verdicts],
             "provenance": self.provenance,
-        }
+        })
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,19 @@ Three modes:
   not see) is locked and the probe repeats; otherwise the solve is done.
 * ``DENSE_FULL`` -- materialize the operator column by column into one
   Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
-  to ``DENSE_SIZE_LIMIT`` unknowns.
+  to ``DENSE_SIZE_LIMIT`` unknowns.  The matrix is not symmetrized:
+  ``eigh`` reads only its lower triangle.
 * ``SHIFT_INVERT_BOTTOM`` -- the same Lanczos core on (A + c I)^-1 with
   inner conjugate-gradient solves, matrix-free.
 
-Every mode ends in the same Rayleigh-Ritz step against the operator
-itself: the locked Lanczos rows (of A, of -A or of the inverse) or
-eigh's vectors span the wanted pairs, and the values, vectors and
-residuals of the k extreme Ritz pairs of A over that span are what the
-solve returns and certifies.
+Both spectrum ends and all three modes go through one routine with one
+k rule: any 1 <= k <= size is valid in every mode (Lanczos run over the
+whole complement of the locked span is exact), and a larger k is a
+``ValueError``.  The locked Lanczos rows (of A, of -A or of the inverse)
+or eigh's vectors span the wanted pairs; one Rayleigh-Ritz step against
+the operator itself gives the values, vectors and residuals of the k
+extreme Ritz pairs over that span, and those are what the solve returns
+and certifies.
 
 A ``real`` operator (even multiplier samples) runs in real arithmetic
 throughout: float64 start vectors, Krylov bases, dense matrices and CG
@@ -94,8 +98,6 @@ STIFFNESS_LIMIT = 500.0
 # Shift-invert runs Lanczos on (A + _SHIFT I)^-1; model operators are
 # positive, so the inverse has norm <= 1/_SHIFT.
 _SHIFT = 1.0
-# Lanczos may not ask for more than this fraction of the grid dimension.
-MAX_SUBSPACE_FRACTION = 0.25
 # CG iteration cap of one shift-invert inner solve.
 INNER_MAX_ITERATIONS = 50000
 
@@ -110,6 +112,8 @@ class Mode(enum.Enum):
 class SolveSettings:
     """Knobs for a single eigensolve.
 
+    ``k`` is the number of pairs; every mode accepts any 1 <= k <= the
+    grid size, and a solve raises ``ValueError`` for a larger k.
     ``tol`` is the residual tolerance relative to the operator's
     spectral scale: a pair certifies when ||A v - value*v|| does not
     exceed tol * max(1, |upper_bound|).  For the sandwiched operators
@@ -402,7 +406,9 @@ def _rayleigh_ritz(op: HermitianOperator, basis: np.ndarray, k: int, which: str)
 def materialize_dense(op: HermitianOperator) -> np.ndarray:
     """Apply the operator to every basis vector; only for small grids.
     The matrix is float64 for a ``real`` operator, else complex128, and
-    Fortran-ordered, so LAPACK can work on it without a copy."""
+    Fortran-ordered, so LAPACK can work on it without a copy.  It is not
+    symmetrized: column j is exactly A e_j, and ``eigh`` reads only the
+    lower triangle."""
     n = op.grid.size
     if n > DENSE_SIZE_LIMIT:
         raise ValueError(
@@ -416,36 +422,7 @@ def materialize_dense(op: HermitianOperator) -> np.ndarray:
         basis[j] = 1.0
         mat[:, j] = op.apply_values(basis.reshape(shape)).ravel()
         basis[j] = 0.0
-    # Average the triangles in place, a block pair at a time.
-    block = 256
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        diag = mat[rows, rows]
-        diag[...] = 0.5 * (diag + diag.conj().T)
-        for hi in range(lo + block, n, block):
-            cols = slice(hi, hi + block)
-            upper = 0.5 * (mat[rows, cols] + mat[cols, rows].conj().T)
-            mat[rows, cols] = upper
-            mat[cols, rows] = upper.conj().T
     return mat
-
-
-def _dense_basis(op: HermitianOperator, k: int, which: str) -> np.ndarray:
-    """eigh's k ``which`` eigenvectors of the materialized operator, as rows."""
-    mat = materialize_dense(op)
-    n = mat.shape[0]
-    if k > n:
-        raise ValueError(f"requested {k} pairs from a {n}-dimensional operator")
-    if which == "largest":
-        lo, hi = n - k, n - 1
-    else:
-        lo, hi = 0, k - 1
-    _, vecs = sla.eigh(mat, subset_by_index=[lo, hi], overwrite_a=True)
-    # eigh's values are accurate only to ~eps*|A| (1e-9 for a quartic
-    # symbol at N=1024) and move with the BLAS path.  The Ritz values over
-    # its vectors, from the applies the residuals need anyway, are off by
-    # ~residual^2/gap plus the apply's rounding on a smooth vector.
-    return vecs.T
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +472,45 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
 # Public solves
 # ---------------------------------------------------------------------------
 
-def _certified_pairs(op: HermitianOperator, values, vectors, residuals,
-                     threshold: float) -> list[EigenPair]:
-    """Package a solve's output; every residual must be within ``threshold``."""
+def _operator_scale(op: HermitianOperator) -> float:
+    # Every Ritz value lies in [-||A||, ||A||], inside +-upper_bound.
+    return max(1.0, abs(op.upper_bound))
+
+
+def _extreme_pairs(op: HermitianOperator, settings: SolveSettings, mode: Mode,
+                   which: str) -> list[EigenPair]:
+    """The k ``which`` ("largest" or "smallest") eigenpairs of ``op`` in
+    ``mode``, ordered from the extreme inward and certified.
+
+    Any 1 <= k <= size is valid in every mode.  The mode builds a basis
+    that spans the wanted pairs (eigh's vectors, the locked Lanczos rows
+    of A or -A, or those of the shift-invert inverse); the Rayleigh-Ritz
+    step against ``op`` itself then gives the values, vectors and
+    residuals, and every residual must be within tol * max(1, |upper_bound|).
+    """
+    k, size = settings.k, op.grid.size
+    if k > size:  # SolveSettings holds k >= 1
+        raise ValueError(f"{op.label}: requested {k} pairs from a {size}-dimensional operator")
+    threshold = settings.tol * _operator_scale(op)
+    if mode is Mode.DENSE_FULL:
+        lo = size - k if which == "largest" else 0
+        # eigh's values are accurate only to ~eps*|A| (1e-9 for a quartic
+        # symbol at N=1024) and move with the BLAS path.  The Ritz values over
+        # its vectors, from the applies the residuals need anyway, are off by
+        # ~residual^2/gap plus the apply's rounding on a smooth vector.
+        _, vecs = sla.eigh(materialize_dense(op), subset_by_index=[lo, lo + k - 1],
+                           overwrite_a=True)
+        basis = vecs.T
+    elif mode is Mode.LANCZOS:
+        apply_values = (op.apply_values if which == "largest"
+                        else lambda values: -op.apply_values(values))
+        basis = _lanczos_largest(apply_values, op, settings, threshold)
+    else:
+        basis = _lanczos_largest(
+            _make_inverse_apply(op, settings), op, settings,
+            lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
+        )
+    values, vectors, residuals = _rayleigh_ritz(op, basis, k, which)
     worst = max(residuals)
     if worst > threshold:
         raise NoConvergenceError(
@@ -506,49 +519,24 @@ def _certified_pairs(op: HermitianOperator, values, vectors, residuals,
             best_residuals=residuals,
         )
     weight = np.sqrt(op.grid.cell_volume)
-    pairs = []
-    for val, vec, res in zip(values, vectors, residuals):
-        pairs.append(
-            EigenPair(
-                value=float(val),
-                vector=StateVector(op.grid, vec / weight),
-                residual=float(res),
-            )
-        )
-    return pairs
-
-
-def _operator_scale(op: HermitianOperator) -> float:
-    # Every Ritz value lies in [-||A||, ||A||], inside +-upper_bound.
-    return max(1.0, abs(op.upper_bound))
-
-
-def _plain_lanczos_basis(apply_values, op: HermitianOperator, settings: SolveSettings,
-                         lock_tol: float) -> np.ndarray:
-    limit = max(1, int(MAX_SUBSPACE_FRACTION * op.grid.size))
-    if settings.k > limit:
-        raise ValueError(f"k={settings.k} exceeds {limit} (quarter of the grid dimension)")
-    return _lanczos_largest(apply_values, op, settings, lock_tol)
+    return [
+        EigenPair(value=float(val), vector=StateVector(op.grid, vec / weight), residual=res)
+        for val, vec, res in zip(values, vectors, residuals)
+    ]
 
 
 def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[EigenPair]:
     """The k largest eigenpairs, descending, pairwise orthogonal.
 
     Default mode is restarted Lanczos with full reorthogonalization;
-    ``DENSE_FULL`` is available as an oracle on small grids.  Either
-    mode ends in the Rayleigh-Ritz step against ``op`` itself.  Raises
+    ``DENSE_FULL`` is available as an oracle on small grids.  Raises
+    ``ValueError`` for shift-invert or for k above the grid size, and
     :class:`NoConvergenceError` when the iteration budget runs out.
     """
     mode = settings.mode or Mode.LANCZOS
     if mode is Mode.SHIFT_INVERT_BOTTOM:
         raise ValueError("shift-invert targets the smallest pairs; use smallest_eigenpairs")
-    threshold = settings.tol * _operator_scale(op)
-    if mode is Mode.DENSE_FULL:
-        basis = _dense_basis(op, settings.k, "largest")
-    else:
-        basis = _plain_lanczos_basis(op.apply_values, op, settings, threshold)
-    values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "largest")
-    return _certified_pairs(op, values, vectors, residuals, threshold)
+    return _extreme_pairs(op, settings, mode, "largest")
 
 
 def weyl_estimate(multiplier: np.ndarray, potential: np.ndarray, k: int) -> float:
@@ -617,26 +605,12 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
     ``LANCZOS`` runs the top solve's Lanczos on -A, locking at the
     certification threshold; ``DENSE_FULL`` materializes the operator;
     ``SHIFT_INVERT_BOTTOM`` runs Lanczos on (A + shift)^-1 with inner CG
-    solves.  Every mode ends in the Rayleigh-Ritz step against ``op``
-    itself, which gives the values and the residuals that are certified.
-    Without an explicit mode, :func:`bottom_mode` picks one from the grid
-    size and the stiffness of ``op``.
+    solves.  Without an explicit mode, :func:`bottom_mode` picks one from
+    the grid size and the stiffness of ``op``.  Raises ``ValueError`` for
+    k above the grid size in every mode.
     """
     mode, _ = bottom_mode(op, settings.k, settings.mode)
-    threshold = settings.tol * _operator_scale(op)
-    if mode is Mode.DENSE_FULL:
-        basis = _dense_basis(op, settings.k, "smallest")
-    elif mode is Mode.LANCZOS:
-        basis = _plain_lanczos_basis(
-            lambda values: -op.apply_values(values), op, settings, threshold
-        )
-    else:
-        basis = _lanczos_largest(
-            _make_inverse_apply(op, settings), op, settings,
-            lock_tol=0.1 * settings.tol,  # inverse has norm <= 1/_SHIFT
-        )
-    values, vectors, residuals = _rayleigh_ritz(op, basis, settings.k, "smallest")
-    return _certified_pairs(op, values, vectors, residuals, threshold)
+    return _extreme_pairs(op, settings, mode, "smallest")
 
 
 def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertReport:

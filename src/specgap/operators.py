@@ -112,15 +112,21 @@ class ScaledSymbols:
     multiplier_values: np.ndarray
 
 
-def make_scaled_symbols(pair: ProfilePair, alpha: float, grid: Grid) -> ScaledSymbols:
+def _sandwich_samples(pair: ProfilePair, alpha: float, grid: Grid,
+                      scaled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Finite weight samples V(s x) and multiplier samples a(t xi) on
+    ``grid``: (s, t) = (alpha^(gamma/(gamma+beta)), alpha^(beta/(gamma+beta)))
+    for the scaled sandwich, (1, alpha) for the original one."""
     if alpha <= 0:
         raise OperatorError("alpha must be positive")
     if grid.dimension != pair.dimension:
         raise OperatorError("grid dimension does not match the profile pair")
-    gamma = pair.a_profile.degree
-    beta = pair.v_profile.degree
-    pos_scale = alpha ** (gamma / (gamma + beta))
-    freq_scale = alpha ** (beta / (gamma + beta))
+    pos_scale, freq_scale = 1.0, alpha
+    if scaled:
+        gamma = pair.a_profile.degree
+        beta = pair.v_profile.degree
+        pos_scale = alpha ** (gamma / (gamma + beta))
+        freq_scale = alpha ** (beta / (gamma + beta))
     w = _finite_or_raise(
         np.asarray(pair.v_profile.evaluate(pos_scale * grid.position_points), dtype=float),
         "weight",
@@ -129,6 +135,11 @@ def make_scaled_symbols(pair: ProfilePair, alpha: float, grid: Grid) -> ScaledSy
         np.asarray(pair.a_profile.evaluate(freq_scale * grid.frequency_points), dtype=float),
         "multiplier",
     )
+    return w, b
+
+
+def make_scaled_symbols(pair: ProfilePair, alpha: float, grid: Grid) -> ScaledSymbols:
+    w, b = _sandwich_samples(pair, alpha, grid, scaled=True)
     return ScaledSymbols(
         grid=grid, alpha=float(alpha), sigma=pair.sigma, weight_values=w, multiplier_values=b
     )
@@ -197,17 +208,7 @@ def build_scaled_operator(pair: ProfilePair, alpha: float, grid: Grid) -> Hermit
 
 def build_original_operator(pair: ProfilePair, alpha: float, grid: Grid) -> HermitianOperator:
     """The unscaled sandwich V op(a(alpha .)) V, for cross-checks only."""
-    if alpha <= 0:
-        raise OperatorError("alpha must be positive")
-    if grid.dimension != pair.dimension:
-        raise OperatorError("grid dimension does not match the profile pair")
-    w = _finite_or_raise(
-        np.asarray(pair.v_profile.evaluate(grid.position_points), dtype=float), "weight"
-    )
-    m = _finite_or_raise(
-        np.asarray(pair.a_profile.evaluate(alpha * grid.frequency_points), dtype=float),
-        "multiplier",
-    )
+    w, m = _sandwich_samples(pair, alpha, grid, scaled=False)
     return _sandwich(grid, w, m, f"original-sandwich(alpha={alpha:g})")
 
 

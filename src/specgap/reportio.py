@@ -147,8 +147,14 @@ def write_report_files(report: StudyReport, out_dir) -> dict[str, Path]:
     return paths
 
 
+def _num(value, spec: str) -> str:
+    # report.json writes a non-finite number as null.
+    return "n/a" if value is None else format(value, spec)
+
+
 def render_report(report_dict: dict) -> str:
-    """Human-readable summary of a report.json payload."""
+    """Human-readable summary of a report.json payload; a null number
+    prints as n/a."""
     lines = []
     cfg = report_dict.get("config", {})
     prov = report_dict.get("provenance", {})
@@ -166,13 +172,14 @@ def render_report(report_dict: dict) -> str:
     lines.append("")
     lines.append("model eigenvalues:")
     for row in report_dict.get("model_eigenvalues", []):
-        lines.append(f"  n={row['n']}: mu={row['mu']:.10g}  (residual {row['residual']:.2e})")
+        lines.append(f"  n={row['n']}: mu={_num(row['mu'], '.10g')}  "
+                     f"(residual {_num(row['residual'], '.2e')})")
     lines.append("")
     lines.append(f"{'alpha':>10} {'n':>3} {'lambda':>18} {'scaled_gap':>14} {'residual':>10}")
     for row in report_dict.get("records", []):
         lines.append(
-            f"{row['alpha']:>10.5g} {row['n']:>3} {row['lambda']:>18.12g} "
-            f"{row['scaled_gap']:>14.8g} {row['residual']:>10.2e}"
+            f"{row['alpha']:>10.5g} {row['n']:>3} {_num(row['lambda'], '.12g'):>18} "
+            f"{_num(row['scaled_gap'], '.8g'):>14} {_num(row['residual'], '.2e'):>10}"
             + ("" if row.get("converged", True) else "   [not converged]")
         )
     lines.append("")
@@ -181,8 +188,8 @@ def render_report(report_dict: dict) -> str:
         lines.append("extrapolations:")
         for n, e in sorted(extr.items(), key=lambda kv: int(kv[0])):
             lines.append(
-                f"  n={n}: limit={e['limit']:.8g} rate={e['rate']:.3g} "
-                f"fit_residual={e['fit_residual']:.2e}"
+                f"  n={n}: limit={_num(e['limit'], '.8g')} rate={_num(e['rate'], '.3g')} "
+                f"fit_residual={_num(e['fit_residual'], '.2e')}"
                 + ("  [degenerate]" if e.get("degenerate") else "")
             )
     verdicts = report_dict.get("verdicts", [])
@@ -192,7 +199,7 @@ def render_report(report_dict: dict) -> str:
         for v in verdicts:
             reason = f"  ({'; '.join(v['reasons'])})" if v.get("reasons") else ""
             lines.append(
-                f"  n={v['n']}: {v['status']}  final_err={v['final_rel_err']:.3%} "
-                f"extrap_err={v['extrap_rel_err']:.3%}{reason}"
+                f"  n={v['n']}: {v['status']}  final_err={_num(v['final_rel_err'], '.3%')} "
+                f"extrap_err={_num(v['extrap_rel_err'], '.3%')}{reason}"
             )
     return "\n".join(lines) + "\n"

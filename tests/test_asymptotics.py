@@ -248,6 +248,23 @@ class TestVerdicts:
         assert verdicts[0].status is VerdictStatus.FAIL
         assert not verdicts[0].one_sided_ok
 
+    def test_missing_model_eigenvalue_inconclusive_and_strict_json(self):
+        alphas = [0.2, 0.1, 0.05, 0.025]
+        gaps = {1: [2.0 - 0.5 * a for a in alphas], 2: [5.9, 5.99, 5.95, 5.999]}
+        report = synthetic_report(gaps, [2.0], alphas)  # no mu_2
+        report.verdicts = verify_limit_law(report)
+        assert report.verdicts[0].status is VerdictStatus.PASS
+        assert report.verdicts[1].status is VerdictStatus.INCONCLUSIVE
+        assert report.verdicts[1].reasons == ("model eigenvalue unavailable",)
+        # n = 2's ladder is not monotone, so its fit is degenerate (NaN
+        # rate), and its verdict errors are NaN: all become null.
+        assert report.extrapolations[2].degenerate
+        payload = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert payload["extrapolations"]["2"]["rate"] is None
+        assert payload["verdicts"][1]["final_rel_err"] is None
+        rendered = render_report(payload)
+        assert "rate=n/a" in rendered and "final_err=n/a" in rendered
+
 
 @pytest.fixture(scope="module")
 def mini_report(gaussian_pair):

@@ -21,6 +21,7 @@ from specgap.config import (
     parse_config,
 )
 from specgap.operators import normalized_pair
+from specgap.reportio import write_text_atomic
 
 SRC = Path(specgap.__file__).resolve().parent.parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -135,6 +136,12 @@ class TestConfigRoundTrip:
             "[localization]\nradii = 0\n",
             "[localization]\nradii = nan\n",
             "[output]\nemit_eigenfunctions = ture\n",
+            "[problem]\nalphas =\n",
+            "[grid]\nmode = bogus\n",
+            "[grid]\nmode = manual\nn = 32\nhalf_length = 0\n",
+            "[solver]\nmax_iterations = 0\n",
+            "[solver]\nmodel_mode = bogus\n",
+            "[symbol]\nkind = expression\nexpr = norm(x)^2\nprincipal = norm(x)^2\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -217,6 +224,18 @@ class TestModelSpectrumCommand:
         )
         assert rc == 2
 
+    def test_more_pairs_than_unknowns_exits_2(self, tmp_path, capsys):
+        text = (
+            GAUSSIAN_MINI.replace("eigen_count = 1", "eigen_count = 9")
+            .replace("n = 512\nhalf_length = 14", "n = 8\nhalf_length = 4")
+            + "\n[solver]\nmodel_mode = shift_invert\n"
+        )
+        rc = main(
+            ["model-spectrum", "--config", write(tmp_path, text), "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "requested 9 pairs from a 8-dimensional operator" in capsys.readouterr().err
+
 
 class TestSweepAndVerify:
     def test_sweep_writes_all_outputs(self, tmp_path, capsys):
@@ -263,11 +282,22 @@ class TestSweepAndVerify:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
-    def test_sweep_solver_failure_exits_3(self, tmp_path, command):
+    def test_sweep_solver_failure_exits_3(self, tmp_path, command, capsys):
         text = GAUSSIAN_MINI + "\n[solver]\ntol = 1e-13\nmax_iterations = 3\nmodel_mode = dense\n"
-        rc = main([command, "--config", write(tmp_path, text),
-                   "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = main([command, "--config", write(tmp_path, text), "--out", str(out)])
         assert rc == 3
+
+        def reject(token):
+            raise ValueError(f"report.json holds {token}")
+
+        # The failed solve's NaN numbers are written as null, so the file is strict JSON.
+        payload = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert payload["records"][0]["lambda"] is None
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        rendered = capsys.readouterr().out
+        assert "final_err=n/a" in rendered and "nan" not in rendered
 
     def test_model_solve_failure_exits_3_and_names_the_operator(self, tmp_path, capsys):
         text = GAUSSIAN_MINI + "\n[solver]\nmax_iterations = 3\nmodel_mode = lanczos\n"
@@ -339,6 +369,15 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
         assert "== scaled spectral gap study ==" in capsys.readouterr().out
+
+    def test_atomic_write_removes_its_temp_file_on_failure(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace refused"):
+            write_text_atomic(tmp_path / "report.json", "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_report_exits_2(self, tmp_path):
         rc = main(["report", "--out", str(tmp_path / "void")])

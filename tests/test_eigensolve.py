@@ -112,11 +112,26 @@ class TestLanczosTop:
             largest_eigenpairs(op, SolveSettings(k=3, tol=1e-12, max_iterations=4))
         assert exc_info.value.best_residuals
 
-    def test_k_capped_at_quarter_dimension(self):
+    def test_budget_cut_inside_the_completeness_probe(self, gaussian_pair, grid_512):
+        # The main cycle takes 16 steps here and the probe 13, so 17 steps
+        # certify all three pairs and stop inside the probe.
+        op = build_scaled_operator(gaussian_pair, 0.1, grid_512)
+        with pytest.raises(NoConvergenceError) as exc_info:
+            largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, max_iterations=17))
+        assert str(exc_info.value) == (
+            "scaled-sandwich(alpha=0.1): no convergence after 17 Lanczos steps "
+            "(3/3 pairs certified; completeness probe unfinished)"
+        )
+        assert exc_info.value.best_residuals
+
+    def test_k_capped_at_the_grid_dimension(self):
         grid = build_grid(1, 32, 4.0)
         op = build_multiplier_operator(grid, np.ones(grid.shape))
-        with pytest.raises(ValueError, match="quarter"):
-            largest_eigenpairs(op, SolveSettings(k=16, tol=1e-8))
+        pairs = largest_eigenpairs(op, SolveSettings(k=16, tol=1e-8))
+        assert [p.value for p in pairs] == pytest.approx([1.0] * 16, abs=1e-8)
+        for mode in (Mode.LANCZOS, Mode.DENSE_FULL):
+            with pytest.raises(ValueError, match="requested 33 pairs from a 32-dimensional"):
+                largest_eigenpairs(op, SolveSettings(k=33, tol=1e-8, mode=mode))
 
     def test_cycles_stop_at_convergence(self, gaussian_pair, grid_512):
         # A fixed-length first cycle took 89 applies here.
@@ -238,13 +253,14 @@ class TestBottomSolves:
         for d_pair, s_pair in zip(dense, si):
             assert abs(d_pair.value - s_pair.value) <= 10 * tol * max(1.0, d_pair.value)
 
-    def test_dense_matrix_is_fortran_ordered_and_hermitian(self):
+    def test_dense_matrix_is_fortran_ordered_and_holds_the_columns(self):
+        # Not symmetrized: eigh reads only the lower triangle, and
+        # test_hermitian_to_machine_precision checks the operator itself.
         grid = build_grid(2, 20, 5.0)
         rng = np.random.default_rng(5)
         op = random_mult_pot_operator(grid, rng)  # not even: complex path
         mat = materialize_dense(op)
         assert not op.real and mat.flags.f_contiguous
-        np.testing.assert_array_equal(mat, mat.conj().T)
         basis = np.zeros(grid.size)
         for j in (0, 77, grid.size - 1):
             basis[j] = 1.0
@@ -252,11 +268,19 @@ class TestBottomSolves:
             basis[j] = 0.0
             np.testing.assert_allclose(mat[:, j], column, rtol=0, atol=1e-12)
 
-    def test_lanczos_bottom_keeps_the_quarter_grid_limit(self, gaussian_pair):
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_every_bottom_mode_solves_up_to_the_grid_dimension(self, gaussian_pair, mode):
         op = build_model_operator(gaussian_pair, build_grid(1, 32, 6.0))
-        with pytest.raises(ValueError, match="quarter of the grid"):
-            smallest_eigenpairs(op, SolveSettings(k=9, mode=Mode.LANCZOS))
-        assert len(smallest_eigenpairs(op, SolveSettings(k=8, mode=Mode.LANCZOS))) == 8
+        tol = 1e-9
+        pairs = smallest_eigenpairs(op, SolveSettings(k=32, tol=tol, mode=mode))
+        dense = smallest_eigenpairs(op, SolveSettings(k=32, tol=tol, mode=Mode.DENSE_FULL))
+        np.testing.assert_allclose(
+            [p.value for p in pairs], [p.value for p in dense],
+            rtol=0, atol=tol * max(1.0, op.upper_bound),
+        )
+        assert certify(op, pairs, tol).passed
+        with pytest.raises(ValueError, match="model-operator: requested 33 pairs from a 32-"):
+            smallest_eigenpairs(op, SolveSettings(k=33, tol=tol, mode=mode))
 
     def test_dense_size_cap_enforced(self, gaussian_pair):
         big = build_grid(1, 8192, 20.0)
