@@ -60,7 +60,10 @@ __all__ = [
     "localization_metrics",
     "run_sweep",
     "verify_limit_law",
+    "REPORT_SCHEMA",
 ]
+
+REPORT_SCHEMA = "specgap.report.v1"
 
 
 class VerdictStatus(enum.Enum):
@@ -163,7 +166,7 @@ class StudyReport:
             return value
 
         return finite({
-            "schema": "specgap.report.v1",
+            "schema": REPORT_SCHEMA,
             "config": self.config,
             "model_eigenvalues": [
                 {"n": i + 1, "mu": mu, "residual": res}

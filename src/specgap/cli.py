@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .asymptotics import SweepSettings, VerdictStatus, choose_grid, run_sweep
+from .asymptotics import REPORT_SCHEMA, SweepSettings, VerdictStatus, choose_grid, run_sweep
 from .config import (
     ConfigError,
     RunConfig,
@@ -185,7 +185,13 @@ def cmd_report(args) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot render {path}: {exc}") from exc
-    print(render_report(payload))
+    if not isinstance(payload, dict) or payload.get("schema") != REPORT_SCHEMA:
+        raise ConfigError(f"cannot render {path}: not a {REPORT_SCHEMA} report")
+    try:
+        text = render_report(payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot render {path}: malformed report ({exc!r})") from exc
+    print(text)
     return EXIT_OK
 
 

@@ -171,7 +171,7 @@ def parse_config(text: str) -> RunConfig:
     diagnostic on malformed input, out-of-range values or an unknown key
     in a known section.  Missing sections and keys take
     :class:`RunConfig`'s defaults; unknown sections are ignored."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -229,7 +229,7 @@ def validate_config(cfg: RunConfig) -> None:
 
 def emit_config(cfg: RunConfig) -> str:
     """Serialize a config in normalized form (the round-trip fixpoint)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
 
     def profile_section(name: str, p: ProfileConfig) -> None:
         parser.add_section(name)
@@ -273,10 +273,7 @@ def build_profiles(cfg: RunConfig) -> ProfilePair:
     """Instantiate the configured symbol/weight pair."""
     a = _build_profile(cfg.symbol, cfg.dimension, ProfileRole.SYMBOL_A)
     v = _build_profile(cfg.weight, cfg.dimension, ProfileRole.WEIGHT_V)
-    try:
-        return make_pair(a, v)
-    except ProfileError as exc:
-        raise ConfigError(str(exc)) from exc
+    return make_pair(a, v)
 
 
 def model_mode_of(cfg: RunConfig) -> Mode | None:

@@ -10,15 +10,17 @@ Three modes:
   used throughout; ghost eigenvalues would poison an asymptotic sweep.
   Each new Krylov vector is orthogonalized against the locked vectors
   and the cycle basis at once (classical Gram-Schmidt run twice over one
-  2-D array).  No cycle has a length cap (a restart from one Ritz vector
-  would throw the rest of its Krylov space away): it ends once the Ritz
-  residual estimates beta_m*|s_m,i| of the wanted pairs are below a
-  tenth of the lock tolerance, on breakdown, or on the step budget; each
-  candidate is then locked only after an explicit residual check.  Once k pairs are locked, a completeness probe runs
-  one more cycle from a random start outside the locked span, until its
-  leading Ritz pair converges or it spans the whole complement.  A value
-  beyond the k-th locked one (a degenerate copy the earlier cycles could
-  not see) is locked and the probe repeats; otherwise the solve is done.
+  2-D array).  Every cycle starts from a random vector outside the
+  locked span and has no length cap.  One test ends it and decides what
+  it locks: once the Ritz residual estimates beta_m*|s_m,i| of the
+  wanted pairs are below a tenth of the lock tolerance (or on breakdown,
+  or over the whole complement) it locks all of them; cut by the step
+  budget, it locks nothing.  With full reorthogonalization the estimates
+  are the residuals up to rounding (Parlett 1998); the certification
+  below is the one explicit residual check.  Once k pairs are locked, a
+  completeness probe runs one more cycle.  A value beyond the k-th
+  locked one (a degenerate copy the earlier cycles could not see) is
+  locked and the probe repeats; otherwise the solve is done.
 * ``DENSE_FULL`` -- materialize the operator column by column into one
   Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
   to ``DENSE_SIZE_LIMIT`` unknowns.  The matrix is not symmetrized:
@@ -155,7 +157,13 @@ class CertReport:
 
 
 class NoConvergenceError(RuntimeError):
-    """Iteration budget exhausted before all requested pairs certified."""
+    """Iteration budget exhausted before all requested pairs certified, or
+    a certified residual above its threshold.
+
+    ``best_residuals`` holds the residual estimates of the last Lanczos
+    cycle when the budget ran out, and the Rayleigh-Ritz residuals when
+    certification failed.
+    """
 
     def __init__(self, message: str, best_residuals=()):
         super().__init__(message)
@@ -178,7 +186,7 @@ class InnerSolveStallError(RuntimeError):
 # Lanczos core (full reorthogonalization, deflated restarts)
 # ---------------------------------------------------------------------------
 
-# A cycle stops once every wanted Ritz pair's residual estimate
+# A cycle stops and locks its wanted Ritz pairs once every residual estimate
 # beta_m * |s_{m,i}| is below this fraction of the lock tolerance.
 _CONVERGED = 0.1
 
@@ -222,28 +230,21 @@ class _Rows:
         self.array[self.locked] = y
         self.locked += 1
 
-    def start(self, v: np.ndarray | None) -> bool:
-        """Make ``v`` minus its locked components the first basis row;
-        False when too little of it is left."""
-        if v is None:
-            return False
+    def start(self, rng: np.random.Generator) -> None:
+        """Make a random vector minus its locked components the first basis
+        row.  Real rows get a real start, which keeps the iteration real."""
         self.reserve(self.locked + 1)
-        w = _project_out(np.array(v, dtype=self.array.dtype).ravel(), self.array[: self.locked])
-        nw = _norm2(w)
-        if nw <= 1e-8:
-            return False
-        self.array[self.locked] = w / nw
-        return True
-
-
-def _random_start(rows: _Rows, shape, rng: np.random.Generator, real: bool) -> None:
-    for _ in range(20):
-        v = rng.standard_normal(shape)
-        if not real:
-            v = v + 1j * rng.standard_normal(shape)
-        if rows.start(v):
-            return
-    raise NoConvergenceError("could not generate a start vector outside the locked span")
+        size = self.array.shape[1]
+        for _ in range(20):
+            v = rng.standard_normal(size)
+            if np.iscomplexobj(self.array):
+                v = v + 1j * rng.standard_normal(size)
+            w = _project_out(v, self.array[: self.locked])
+            nw = _norm2(w)
+            if nw > 1e-8:
+                self.array[self.locked] = w / nw
+                return
+        raise NoConvergenceError("could not generate a start vector outside the locked span")
 
 
 def _leading_ritz(alphas: list[float], betas: list[float], count: int):
@@ -262,9 +263,10 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
     vector against the locked rows and the basis so far.
 
     Stops after ``max_steps`` steps, on breakdown (an invariant subspace),
-    or once the ``want`` leading Ritz pairs have residual estimates below
-    ``stop_tol``.  Returns ``(theta, s_mat, m, converged)``: the leading
-    Ritz values and tridiagonal eigenvectors, the cycle length, and
+    or once the ``want`` leading Ritz pairs have residual estimates
+    beta_m*|s_m,i| below ``stop_tol``.  Returns ``(theta, s_mat, m,
+    estimates, converged)``: the leading Ritz values and tridiagonal
+    eigenvectors, the cycle length, the final residual estimates, and
     whether the leading pairs are final (estimates met or breakdown).
     """
     arr, base = rows.array, rows.locked
@@ -298,9 +300,8 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
         rows.reserve(base + m + 1)
         arr = rows.array
         arr[base + m] = w / beta
-    m = len(alphas)
     theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
-    return theta, s_mat, m, converged
+    return theta, s_mat, m, beta * np.abs(s_mat[-1]), converged
 
 
 def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSettings,
@@ -309,23 +310,21 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
     the k largest eigenvectors of the Hermitian operator ``apply_values``
     on the grid of ``op`` (``op`` itself, -``op`` or an inverse of it).
 
-    ``lock_tol`` is the absolute residual threshold for locking a pair;
-    a ``real`` operator gets real start vectors, which keeps the whole
-    iteration real.  Every cycle, main or probe, runs for up to
-    min(size - locked, max_iterations - steps) steps and ends early once
-    its wanted Ritz estimates converge; locked pairs are deflated.  Once
-    k pairs are locked, a probe cycle from a fresh start outside the
-    locked span must find nothing beyond the k-th value; what it does
+    Every cycle, main or probe, runs for up to min(size - locked,
+    max_iterations - steps) steps.  One that converged (estimates below
+    ``_CONVERGED * lock_tol``, or breakdown) or spans the whole complement
+    locks all of its Ritz pairs; one cut by the step budget locks nothing,
+    and the solve raises.  Once k pairs are locked, a probe cycle must
+    find nothing beyond the k-th value plus ``lock_tol``; what it does
     find beyond is locked and probed past in turn, so a degenerate copy
     that the earlier cycles could not see is not lost.
     """
-    shape, size, k, real = op.grid.shape, op.grid.size, settings.k, op.real
+    shape, size, k = op.grid.shape, op.grid.size, settings.k
     rng = np.random.default_rng(settings.rng_seed)
-    rows = _Rows(k + 81, size, np.float64 if real else np.complex128)  # grows on demand
+    rows = _Rows(k + 81, size, np.float64 if op.real else np.complex128)  # grows on demand
     locked_vals: list[float] = []
     steps = 0
-    best_residuals: list[float] = []
-    pending_start: np.ndarray | None = None
+    estimates = ()
 
     while True:
         probe = len(locked_vals) >= k
@@ -336,38 +335,21 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
             raise NoConvergenceError(
                 f"{op.label}: no convergence after {steps} Lanczos steps "
                 f"({min(len(locked_vals), k)}/{k} pairs certified{note})",
-                best_residuals=best_residuals,
+                best_residuals=estimates,
             )
-        if not rows.start(pending_start):
-            _random_start(rows, shape, rng, real)
-        pending_start = None
+        rows.start(rng)
         want = 1 if probe else k - len(locked_vals)
         length = min(size - rows.locked, settings.max_iterations - steps)
-        theta, s_mat, m, converged = _lanczos_cycle(
+        theta, s_mat, m, estimates, converged = _lanczos_cycle(
             apply_values, shape, rows, length, want, _CONVERGED * lock_tol
         )
         steps += m
-        if probe:
-            # A probe may end the solve only on convergence or over the complement.
-            if not (converged or m == size - rows.locked):
-                continue  # cut by the step budget
-            kth = sorted(locked_vals, reverse=True)[k - 1]
-            if theta[0] <= kth + lock_tol:
-                break
-        ritz = s_mat.T @ rows.array[rows.locked : rows.locked + m]
-
-        # Lock converged Ritz pairs in strict extremal order: stopping at the
-        # first unconverged candidate keeps the locked set a prefix of the
-        # extreme spectrum of the deflated operator.
-        best_residuals = []
-        for value, y in zip(theta, ritz):
-            y = y / _norm2(y)
-            r = _norm2(apply_values(y.reshape(shape)).ravel() - value * y)
-            best_residuals.append(r)
-            if r > lock_tol:
-                pending_start = y
-                break
-            rows.lock(y)
+        if not (converged or m == size - rows.locked):
+            continue  # cut by the step budget
+        if probe and theta[0] <= sorted(locked_vals, reverse=True)[k - 1] + lock_tol:
+            break
+        for y, value in zip(s_mat.T @ rows.array[rows.locked : rows.locked + m], theta):
+            rows.lock(y / _norm2(y))
             locked_vals.append(float(value))
 
     return rows.array[: rows.locked]

@@ -16,6 +16,7 @@ array of points with shape ``(..., d)`` to values of shape ``(...)``.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Callable
 
 import numpy as np
@@ -77,7 +78,8 @@ class _Validator(ast.NodeVisitor):
         name = node.id
         if name == "x":
             _fail("'x' may only appear as norm(x)", self.src, node)
-        if not (name.startswith("x") and name[1:].isdigit()):
+        # ASCII x<i> with no leading zero: the names the evaluator binds.
+        if not re.fullmatch(r"x(0|[1-9][0-9]*)", name):
             _fail(f"unknown identifier {name!r}", self.src, node)
         index = int(name[1:])
         if not 1 <= index <= self.dimension:

@@ -422,6 +422,8 @@ class TestRunSweep:
             run_sweep(gaussian_pair, [0.2, 0.1], 1)
         with pytest.raises(ValueError):
             run_sweep(gaussian_pair, [0.2, 0.1, 0.05], 0)
+        with pytest.raises(ValueError, match="positive"):
+            run_sweep(gaussian_pair, [0.2, 0.1, -0.05], 1)
 
     def test_principal_part_sufficiency_first_index(self, gaussian_pair):
         # same principal parts, different tails: verdicts agree on the

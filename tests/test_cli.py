@@ -142,6 +142,7 @@ class TestConfigRoundTrip:
             "[solver]\nmax_iterations = 0\n",
             "[solver]\nmodel_mode = bogus\n",
             "[symbol]\nkind = expression\nexpr = norm(x)^2\nprincipal = norm(x)^2\n",
+            "[solver]\ntol = 1e-9%\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -176,6 +177,29 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("expr", ["exp(-x01^2)", "x\u0661 + 1"], ids=["leading-zero", "non-ascii"])
+    def test_unbound_coordinate_exits_2(self, tmp_path, capsys, expr):
+        text = GAUSSIAN_MINI.replace(
+            "[symbol]\nkind = catalog\nname = gaussian_power\nparams = 2",
+            f"[symbol]\nkind = expression\nexpr = {expr}\nprincipal = x1^2\ndegree = 2",
+        )
+        rc = main(["validate", "--config", write(tmp_path, text)])
+        assert rc == 2
+        assert "unknown identifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[solver]\ntol = 1e-9%\n", "[solver] tol: invalid value"),
+            ("[symbol]\nkind = expression\nexpr = exp(-x1^2) % 2\nprincipal = x1^2\n"
+             "degree = 2\n", "disallowed operator 'Mod'"),
+        ],
+        ids=["percent-value", "percent-operator"],
+    )
+    def test_percent_sign_is_a_plain_character(self, tmp_path, capsys, text, message):
+        assert main(["validate", "--config", write(tmp_path, text)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])
@@ -382,6 +406,18 @@ class TestReportCommand:
     def test_missing_report_exits_2(self, tmp_path):
         rc = main(["report", "--out", str(tmp_path / "void")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["[]", '{"records": [{"alpha": 0.1}]}', "{}",
+         '{"schema": "specgap.report.v1", "records": [{"alpha": 0.1}]}',
+         '{"schema": "specgap.report.v1", "config": []}'],
+        ids=["list", "no-schema", "empty", "missing-keys", "wrong-type"],
+    )
+    def test_a_payload_that_is_not_a_report_exits_2(self, tmp_path, capsys, payload):
+        (tmp_path / "report.json").write_text(payload, encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert "cannot render" in capsys.readouterr().err
 
     def test_config_and_seed_are_not_report_options(self, tmp_path, capsys):
         out = tmp_path / "out"

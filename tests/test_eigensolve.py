@@ -124,6 +124,26 @@ class TestLanczosTop:
         )
         assert exc_info.value.best_residuals
 
+    def test_pairs_lock_on_the_cycle_estimates(self, gaussian_pair, grid_512):
+        # 16 main and 13 probe Lanczos steps, then 3 Rayleigh-Ritz applies;
+        # no apply re-checks a residual before locking.
+        op, calls = counting(build_scaled_operator(gaussian_pair, 0.1, grid_512))
+        largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9))
+        assert calls[0] == 32
+
+    def test_a_budget_cut_cycle_locks_nothing(self, gaussian_pair, grid_512):
+        # The main cycle needs 16 steps; cut at 15, it reports its estimates.
+        op = build_scaled_operator(gaussian_pair, 0.1, grid_512)
+        with pytest.raises(NoConvergenceError) as exc_info:
+            largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, max_iterations=15))
+        assert str(exc_info.value) == (
+            "scaled-sandwich(alpha=0.1): no convergence after 15 Lanczos steps "
+            "(0/3 pairs certified)"
+        )
+        residuals = exc_info.value.best_residuals
+        assert len(residuals) == 3
+        assert 0.1 * 1e-9 < max(residuals) < 1e-8
+
     def test_k_capped_at_the_grid_dimension(self):
         grid = build_grid(1, 32, 4.0)
         op = build_multiplier_operator(grid, np.ones(grid.shape))

@@ -55,6 +55,11 @@ def test_scalar_broadcast_to_points():
         "'abc'",  # string literal
         "y + 1",  # unknown identifier
         "x",  # bare full point outside norm()
+        "exp(-x01^2)",  # leading zero: not a bound coordinate
+        "x\u0661 + 1",  # non-ASCII digit
+        "x0",  # coordinates start at x1
+        "x1 < 2",  # comparison not in the grammar
+        "~x1",  # bitwise inversion not in the grammar
     ],
 )
 def test_rejects_out_of_grammar(src):
@@ -67,6 +72,15 @@ def test_error_message_carries_diagnostics():
         parse_expression("q * 2", 1)
     with pytest.raises(ExpressionError, match="out of range"):
         parse_expression("x5", 2)
+    with pytest.raises(ExpressionError, match="out of range"):
+        parse_expression("x0", 2)
+    with pytest.raises(ExpressionError, match="unknown identifier 'x01'"):
+        parse_expression("x01", 2)
+
+
+def test_rejects_a_nonpositive_dimension():
+    with pytest.raises(ExpressionError, match="dimension"):
+        parse_expression("1", 0)
 
 
 def test_wrong_point_shape_rejected_at_call():

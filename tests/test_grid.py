@@ -190,6 +190,13 @@ class TestSerialization:
         with pytest.raises(GridError):
             load_state(path)
 
+    def test_payload_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "vec.sgv"
+        save_state(state(build_grid(1, 8, 2.5), np.ones(8)), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(GridError, match="payload"):
+            load_state(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "short.sgv"
         path.write_bytes(b"SGV1" + b"\x00" * 10)

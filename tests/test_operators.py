@@ -8,6 +8,7 @@ from specgap import (
     SolveSettings,
     build_grid,
     build_model_operator,
+    build_multiplier_operator,
     build_multiplier_plus_potential,
     build_original_operator,
     build_scaled_operator,
@@ -152,6 +153,35 @@ class TestSandwichOperators:
         g2 = build_grid(2, 16, 4.0)
         with pytest.raises(OperatorError):
             build_scaled_operator(gaussian_pair, 0.1, g2)
+
+
+class TestInputChecks:
+    """Each builder and form names a grid, shape or alpha mismatch; ``w``
+    lives on another grid than ``u``."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda p, g, u, w: build_scaled_operator(p, 0.1, g).apply(w), "grid does not match"),
+            (lambda p, g, u, w: build_scaled_operator(p, 0.0, g), "alpha must be positive"),
+            (lambda p, g, u, w: build_model_operator(p, build_grid(2, 8, 3.0)),
+             "dimension does not match"),
+            (lambda p, g, u, w: build_multiplier_operator(g, np.ones(8)), "frequency lattice"),
+            (lambda p, g, u, w: build_multiplier_plus_potential(g, np.ones(g.shape), np.ones(8)),
+             "shapes must match"),
+            (lambda p, g, u, w: symbol_flatness_form(p, 0.1, u, w), "grids do not match"),
+            (lambda p, g, u, w: weight_flatness_form(p, 0.1, u, w), "grids do not match"),
+            (lambda p, g, u, w: model_form(p, u, w), "grids do not match"),
+            (lambda p, g, u, w: residual_form(p, -0.1, u), "alpha must be positive"),
+        ],
+        ids=["apply", "sandwich-alpha", "model-dimension", "multiplier-shape",
+             "potential-shape", "symbol-form", "weight-form", "model-form", "residual-alpha"],
+    )
+    def test_rejected(self, gaussian_pair, grid_256, call, match):
+        u = oscillator_ground_state(grid_256)
+        w = state(build_grid(1, 16, 4.0), np.ones(16))
+        with pytest.raises(OperatorError, match=match):
+            call(gaussian_pair, grid_256, u, w)
 
 
 class TestModelOperator:

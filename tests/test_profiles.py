@@ -207,6 +207,31 @@ class TestValidation:
         with pytest.raises(ProfileError):
             SamplePlan(expansion_radii=(0.001, 0.01))
 
+    @pytest.mark.parametrize(
+        "plan, match",
+        [({"radii": ()}, "must contain"), ({"radii": (1.0, -2.0)}, "positive")],
+    )
+    def test_plan_rejects_empty_or_nonpositive_radii(self, plan, match):
+        with pytest.raises(ProfileError, match=match):
+            SamplePlan(**plan)
+
+    def test_wrong_declared_degree_fails_homogeneity(self):
+        spec = expression_profile("exp(-x1^2)", "x1^2", 3.0, 1)
+        report = validate_profile(spec)
+        assert not report.homogeneity_ok
+        assert any("homogeneity residual" in msg for msg in report.failures)
+
+    def test_weight_margin_above_the_dip_fails_lower_bound(self):
+        # dips to about -0.45; a declared margin of 0.9 allows only -0.1
+        spec = expression_profile(
+            "(1 - x1^2) * exp(-x1^2 / 2)", "3 * x1^2 / 2", 2.0, 1,
+            role=ProfileRole.WEIGHT_V, lower_bound_margin=0.9,
+        )
+        assert spec.lower_bound_margin == 0.9
+        report = validate_profile(spec)
+        assert report.lower_bound_ok is False
+        assert any("drops below" in msg for msg in report.failures)
+
 
 class TestPair:
     def test_sigma_relation_exact(self):
@@ -229,6 +254,23 @@ class TestPair:
             make_pair(v, v)
         with pytest.raises(ProfileError):
             make_pair(a, a)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("dimension", 0, "dimension"), ("max_value", 0.0, "max_value"),
+         ("degree", -1.0, "degree")],
+    )
+    def test_spec_rejects_a_nonpositive_field(self, field, value, match):
+        fields = dict(
+            dimension=1,
+            role=ProfileRole.SYMBOL_A,
+            evaluate=lambda p: np.ones(np.asarray(p).shape[:-1]),
+            max_value=1.0,
+            principal=lambda p: np.asarray(p, dtype=float)[..., 0] ** 2,
+            degree=2.0,
+        )
+        with pytest.raises(ProfileError, match=match):
+            ProfileSpec(**{**fields, field: value})
 
     def test_weight_requires_positive_margin(self):
         with pytest.raises(ProfileError):
@@ -258,6 +300,11 @@ class TestExpressionProfiles:
             "1/(1+x1^2)", "x1^2", 2.0, 1, role=ProfileRole.WEIGHT_V
         )
         assert spec.lower_bound_margin == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("expr", ["x1", "-exp(-x1^2)"])
+    def test_nonpositive_origin_value_rejected(self, expr):
+        with pytest.raises(ProfileError, match="at the origin"):
+            expression_profile(expr, "x1^2", 2.0, 1)
 
     def test_flat_profile_rejected_by_positivity_check(self):
         # a constant symbol has no decay and a vanishing principal part
