@@ -28,7 +28,7 @@ from .profiles import (
     make_catalog_profile,
     make_pair,
 )
-from .expr import ExpressionError
+from .expr import ExpressionError, parse_expression
 
 __all__ = ["ConfigError", "ProfileConfig", "RunConfig", "parse_config", "emit_config",
            "validate_config", "build_profiles"]
@@ -168,7 +168,8 @@ def _profile_from_section(sec: configparser.SectionProxy, name: str) -> ProfileC
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI run description; raises :class:`ConfigError` with a
-    diagnostic on malformed input, out-of-range values or an unknown key
+    diagnostic on malformed input, out-of-range values, an expression
+    profile outside the grammar of :mod:`specgap.expr` or an unknown key
     in a known section.  Missing sections and keys take
     :class:`RunConfig`'s defaults; unknown sections are ignored."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -191,6 +192,14 @@ def parse_config(text: str) -> RunConfig:
             values[name] = _parsed(section, key, parser.get(section, key), parse)
     cfg = RunConfig(**values)
     validate_config(cfg)
+    for name in ("symbol", "weight"):
+        profile = getattr(cfg, name)
+        if profile.kind == "expression":
+            for key in ("expr", "principal"):
+                try:
+                    parse_expression(getattr(profile, key), cfg.dimension)
+                except ExpressionError as exc:
+                    raise ConfigError(f"[{name}] {key}: {exc}") from exc
     return cfg
 
 

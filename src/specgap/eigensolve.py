@@ -9,9 +9,11 @@ Three modes:
   sizes here are modest, so full (not selective) reorthogonalization is
   used throughout; ghost eigenvalues would poison an asymptotic sweep.
   Each new Krylov vector is orthogonalized against the locked vectors
-  and the cycle basis at once (classical Gram-Schmidt run twice over one
-  2-D array).  Every cycle starts from a random vector outside the
-  locked span and has no length cap.  One test ends it and decides what
+  and the cycle basis at once (classical Gram-Schmidt over one 2-D
+  array) in one pass, and in a second only when the first cut its norm
+  below 1/sqrt(2) of its norm on entry (the Daniel-Gragg-Kaufman-Stewart
+  test).  Every cycle starts from a random vector outside the locked
+  span and has no length cap.  One test ends it and decides what
   it locks: once the Ritz residual estimates beta_m*|s_m,i| of the
   wanted pairs are below a tenth of the lock tolerance (or on breakdown,
   or over the whole complement) it locks all of them; cut by the step
@@ -50,14 +52,14 @@ SIAM 1998), so the choice rests on the stiffness ||A|| / mu_k, with
 mu_k estimated by Weyl's law from the multiplier and potential samples
 (:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500),
 shift-invert from there on.  Measured on a 2-core box (k=3, tol 1e-9,
-Gaussian pairs unless noted), Lanczos beat shift-invert at ratios 63
-(d=2, 48^2: 0.06 vs 0.58 s), 103 (80^2: 0.29 vs 1.16 s), 164 (128^2:
-0.76 vs 3.06 s) and 219 (128^2, L=8: 0.95 vs 2.21 s), and lost 1.5-2.1x
-at 1283-1804 (1-D, N=1280 and 1536) and 5.4x at 5417 (d=2 quartic
-symbol, 56^2).  Above 1024 unknowns shift-invert also beats dense on
-stiff operators (56^2 quartic: 0.67 vs 1.74 s; 1-D N=4096: 1.14 vs
-4.28 s), except in 1-D up to about 2048 unknowns (N=1536: 0.28 vs
-0.55 s).
+Gaussian pairs unless noted, median of 3 solves), Lanczos beat
+shift-invert at ratios 63 (d=2, 48^2, L=8: 0.10 vs 0.67 s), 103 (80^2,
+L=10: 0.29 vs 1.71 s), 174 (128^2, L=10: 0.80 vs 3.72 s) and 219 (128^2,
+L=8: 0.90 vs 2.33 s), tied at 1283 (1-D, N=1280, L=20: 0.68 vs 0.64 s),
+and lost 1.4x at 1804 (N=1536) and 4.5x at 5417 (d=2 quartic symbol,
+56^2, L=8).  Above 1024 unknowns shift-invert also beats dense on stiff
+operators (56^2 quartic: 0.82 vs 3.22 s; 1-D N=4096: 1.16 vs 7.20 s),
+except in 1-D up to about 2048 unknowns (N=1536: 0.51 vs 0.65 s).
 
 All randomness flows from the seed in :class:`SolveSettings`; identical
 settings produce bit-identical results within one build.
@@ -189,6 +191,12 @@ class InnerSolveStallError(RuntimeError):
 # A cycle stops and locks its wanted Ritz pairs once every residual estimate
 # beta_m * |s_{m,i}| is below this fraction of the lock tolerance.
 _CONVERGED = 0.1
+# The Daniel-Gragg-Kaufman-Stewart test (Math. Comp. 30, 1976; Parlett,
+# *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 6): a classical
+# Gram-Schmidt pass that keeps at least this fraction of the vector's norm
+# leaves it orthogonal to working precision; only one that cancels more of
+# it needs a second pass.
+_DGKS = 1 / np.sqrt(2)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray):
@@ -200,14 +208,22 @@ def _norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.ravel()))
 
 
-def _project_out(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _project_out(w: np.ndarray, rows: np.ndarray) -> float:
     """Remove from the flat vector ``w``, in place, its components along the
-    orthonormal ``rows``: classical Gram-Schmidt run twice, each pass one
-    product with the whole block."""
+    orthonormal ``rows``, and return the norm of what is left.
+
+    One classical Gram-Schmidt pass, one product with the whole block; a
+    second pass runs only when the first cut the norm of ``w`` below
+    ``_DGKS`` times its norm on entry."""
+    nw = _norm2(w)
     if len(rows):
-        for _ in range(2):
+        entry = nw
+        w -= (rows @ w.conj()).conj() @ rows
+        nw = _norm2(w)
+        if nw < _DGKS * entry:
             w -= (rows @ w.conj()).conj() @ rows
-    return w
+            nw = _norm2(w)
+    return nw
 
 
 class _Rows:
@@ -239,10 +255,9 @@ class _Rows:
             v = rng.standard_normal(size)
             if np.iscomplexobj(self.array):
                 v = v + 1j * rng.standard_normal(size)
-            w = _project_out(v, self.array[: self.locked])
-            nw = _norm2(w)
+            nw = _project_out(v, self.array[: self.locked])
             if nw > 1e-8:
-                self.array[self.locked] = w / nw
+                self.array[self.locked] = v / nw
                 return
         raise NoConvergenceError("could not generate a start vector outside the locked span")
 
@@ -282,8 +297,7 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
         w = av - alpha * q
         if j:
             w -= betas[-1] * arr[base + j - 1]
-        _project_out(w, arr[: base + j + 1])
-        beta = _norm2(w)
+        beta = _project_out(w, arr[: base + j + 1])
         scale = max(scale, abs(alpha), beta)
         m = j + 1
         if beta <= 1e-14 * scale:

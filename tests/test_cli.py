@@ -143,6 +143,10 @@ class TestConfigRoundTrip:
             "[solver]\nmodel_mode = bogus\n",
             "[symbol]\nkind = expression\nexpr = norm(x)^2\nprincipal = norm(x)^2\n",
             "[solver]\ntol = 1e-9%\n",
+            # expressions outside the grammar fail here, not in build_profiles
+            "[symbol]\nkind = expression\nexpr = exp(-x1^2) % 2\nprincipal = x1^2\ndegree = 2\n",
+            "[symbol]\nkind = expression\nexpr = sin(x1)\nprincipal = x1^2\ndegree = 2\n",
+            "[weight]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x2^2\ndegree = 2\n",
         ],
     )
     def test_rejects_bad_configs(self, text):

@@ -207,6 +207,58 @@ class TestCompleteness:
         assert certify(op, pairs, tol).passed
 
 
+class TestReorthogonalization:
+    """``_project_out`` runs one classical Gram-Schmidt pass, and a second
+    only when the first cut the vector below 1/sqrt(2) of its norm on entry
+    (the DGKS test)."""
+
+    @staticmethod
+    def orthonormal_rows(rng, count, size, dtype):
+        block = rng.standard_normal((size, count))
+        if dtype == np.complex128:
+            block = block + 1j * rng.standard_normal((size, count))
+        return np.ascontiguousarray(np.linalg.qr(block)[0].T)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_vector_inside_the_span_gets_a_second_pass(self, dtype):
+        # One pass leaves ~2e-5 of it along the rows, two leave ~1e-16.
+        rng = np.random.default_rng(5)
+        rows = self.orthonormal_rows(rng, 41, 2000, dtype)
+        perp = rows[-1]
+        rows = rows[:-1]
+        w = rows.T @ rng.standard_normal(len(rows)) + 1e-10 * perp
+        nw = eigensolve._project_out(w, rows)
+        assert nw == np.linalg.norm(w)
+        assert np.linalg.norm(rows.conj() @ w) / nw <= 1e-14
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_generic_vector_gets_one_pass(self, dtype):
+        rng = np.random.default_rng(6)
+        rows = self.orthonormal_rows(rng, 40, 2000, dtype)
+        w = self.orthonormal_rows(rng, 1, 2000, dtype)[0] * 3.0
+        once = w - (rows @ w.conj()).conj() @ rows
+        nw = eigensolve._project_out(w, rows)
+        np.testing.assert_array_equal(w, once)
+        assert nw == np.linalg.norm(once)
+
+    def test_a_long_cycle_keeps_its_basis_orthonormal(self):
+        # 300 steps of Lanczos on the negated 48^2 Gaussian model operator,
+        # never stopped by its estimates.
+        a = make_catalog_profile("gaussian_power", [2], 2)
+        v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
+        op = build_model_operator(make_pair(a, v), build_grid(2, 48, 8.0))
+        assert op.real
+        rows = eigensolve._Rows(301, op.grid.size, np.float64)
+        rows.start(np.random.default_rng(1))
+        *_, m, _, converged = eigensolve._lanczos_cycle(
+            lambda values: -op.apply_values(values), op.grid.shape, rows, 300, 3, 0.0
+        )
+        assert (m, converged) == (300, False)
+        basis = rows.array[:m]
+        gram = basis @ basis.T
+        assert np.max(np.abs(gram - np.eye(m))) <= 1e-13
+
+
 class TestBottomSolves:
     def test_harmonic_dense_and_shift_invert_agree_with_analytic(self, gaussian_pair, grid_512):
         op = build_model_operator(gaussian_pair, grid_512)
@@ -342,7 +394,7 @@ class TestBottomSolves:
         assert weyl_estimate(-(xi**2), -(x**2), 1) == 0.0
 
     def test_auto_mode_solves_a_mild_2d_model_in_few_applies(self):
-        # Plain Lanczos on -A takes ~400 applies here; shift-invert ~4500
+        # Plain Lanczos on -A takes ~300 applies here; shift-invert ~4500
         # plus as many preconditioner FFTs.  A wrong mode choice fails.
         a = make_catalog_profile("gaussian_power", [2], 2)
         v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
