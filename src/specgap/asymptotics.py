@@ -335,22 +335,27 @@ def _mass_outside(values: np.ndarray, radius_field: np.ndarray, cell_volume: flo
 # multiple of the coarse model-eigenvalue scale.
 _WALL_MARGIN = 50.0
 
+# Neither the box half-length nor the top lattice frequency of a
+# suggested grid falls below this.
+_MIN_REACH = 8.0
 
-def suggest_grid(pair: ProfilePair, k: int, alphas: Sequence[float]) -> tuple[Grid, tuple[str, ...]]:
-    """Pick a box size and resolution for the scaled-operator family;
-    returns the grid and the reasoning behind it.
 
-    After the scaling reduction the eigenfunctions of interest live on
-    O(1) scales, so one grid serves a whole alpha ladder.  The box is
-    sized so the principal potential wall 2*A0*V0*Phi reaches
-    ``_WALL_MARGIN`` times a coarse estimate of the k-th model
-    eigenvalue, and the resolution so the principal multiplier
-    V0^2*Psi does the same at the top lattice frequency.  The symbol
-    itself must also have decayed below 1e-8 of its peak at the top
-    frequency for the smallest alpha, in every sampled direction (an
-    anisotropic symbol decays slowest along its flattest axis).  The
-    coarse estimate runs in the mode :func:`bottom_mode` picks: dense on
-    the 128 and 32^2 probes of d = 1, 2, by stiffness on the 16^3 of d = 3.
+def suggest_grid(pair: ProfilePair, k: int) -> tuple[Grid, tuple[str, ...]]:
+    """Pick a box size and resolution from the model operator of
+    ``pair``; returns the grid and the reasoning behind it.
+
+    After the scaling reduction the top eigenfunctions of every B_alpha
+    live where the model symbol V0^2*Psi(xi) + 2*A0*V0*Phi(x) is a few
+    model eigenvalues, so one grid serves any alpha ladder.  A coarse
+    model solve estimates the k-th model eigenvalue.  The box is sized so
+    the potential wall 2*A0*V0*Phi reaches ``_WALL_MARGIN`` times that
+    estimate in every sampled direction, stretched by 1.25, and the
+    resolution so the multiplier wall V0^2*Psi does the same at the top
+    lattice frequency; both reaches are at least ``_MIN_REACH``.  The
+    node count is a power of two per axis, halved until it fits the node
+    budget.  The coarse estimate runs in the mode :func:`bottom_mode`
+    picks: dense on the 128 and 32^2 probes of d = 1, 2, by stiffness on
+    the 16^3 of d = 3.
     """
     d = pair.dimension
     reasoning: list[str] = []
@@ -375,29 +380,13 @@ def suggest_grid(pair: ProfilePair, k: int, alphas: Sequence[float]) -> tuple[Gr
 
     # Potential wall 2*A0*V0*Phi(L) >= target.
     L = (target / (2.0 * a0 * v0 * dirs_min_phi)) ** (1.0 / pair.v_profile.degree)
-    L = max(8.0, float(np.ceil(1.25 * L)))
+    L = max(_MIN_REACH, float(np.ceil(1.25 * L)))
     reasoning.append(
         f"half_length {L:g} makes the position wall reach {_WALL_MARGIN:g}x the eigenvalue scale"
     )
 
     # Multiplier wall V0^2*Psi(xi_max) >= target.
-    xi_max = (target / (v0**2 * dirs_min_psi)) ** (1.0 / pair.a_profile.degree)
-
-    # Scaled symbol must be decayed at the top frequency for the smallest
-    # alpha: a(alpha^(beta/(beta+gamma)) * xi_max * e) <= 1e-8 * A0 for
-    # every sampled direction e.
-    beta, gamma = pair.v_profile.degree, pair.a_profile.degree
-    s = min(alphas) ** (beta / (beta + gamma))
-    xi = xi_max
-    for _ in range(200):
-        if np.max(pair.a_profile.evaluate(s * xi * dirs)) <= 1e-8 * a0:
-            break
-        xi *= 1.25
-    if xi > xi_max:
-        reasoning.append(
-            f"raised the frequency cutoff to {xi:.3g} so the scaled symbol decays below 1e-8"
-        )
-    xi_max = xi
+    xi_max = max(_MIN_REACH, (target / (v0**2 * dirs_min_psi)) ** (1.0 / pair.a_profile.degree))
 
     n = 2 ** int(np.ceil(np.log2(max(16.0, 2.0 * L * xi_max / np.pi))))
     while n**d > DEFAULT_NODE_BUDGET and n > 16:
@@ -418,15 +407,14 @@ def _min_on_sphere(profile, dirs: np.ndarray) -> float:
 def choose_grid(
     pair: ProfilePair,
     k: int,
-    alphas: Sequence[float],
     grid: Grid | None = None,
 ) -> tuple[Grid, tuple[str, ...]]:
     """The grid a study runs on, with the reasoning the report records:
     ``grid`` itself when supplied, else :func:`suggest_grid`'s choice for
-    ``pair`` (normalized to unit maxima)."""
+    ``pair``."""
     if grid is not None:
         return grid, ("grid supplied explicitly",)
-    return suggest_grid(pair, k, alphas)
+    return suggest_grid(pair, k)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +452,7 @@ def run_sweep(
         raise ValueError("alphas must be positive")
 
     norm_pair, scale = normalized_pair(pair)
-    grid, grid_reasoning = choose_grid(norm_pair, k, alphas, settings.grid)
+    grid, grid_reasoning = choose_grid(norm_pair, k, settings.grid)
     grid_id = grid.describe()
 
     model_op = build_model_operator(norm_pair, grid)

@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
 def cmd_model_spectrum(args) -> int:
     cfg = _configured_run(args)
     norm_pair, scale = normalized_pair(build_profiles(cfg))
-    grid, _ = choose_grid(norm_pair, cfg.eigen_count, cfg.alphas, grid_of(cfg))
+    grid, grid_reasoning = choose_grid(norm_pair, cfg.eigen_count, grid_of(cfg))
     settings = _solve_settings(cfg)
     op = build_model_operator(norm_pair, grid)
     mode, reason = bottom_mode(op, settings.k, settings.mode)
@@ -134,6 +134,9 @@ def cmd_model_spectrum(args) -> int:
         for i, p in enumerate(pairs)
     ]
     print(f"model solve: {mode.value} ({reason})")
+    print("grid reasoning:")
+    for entry in grid_reasoning:
+        print(f"  {entry}")
     print(f"model spectrum on {grid.describe()}:")
     for row in rows:
         print(f"  n={row['n']}: mu={row['mu']:.12g}  residual={row['residual']:.2e}")

@@ -234,6 +234,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("rel_final and rel_extrap must lie in (0, 1]")
     if not cfg.radii or not all(0 < r < math.inf for r in cfg.radii):
         raise ConfigError("localization radii must be positive and finite")
+    if len(set(cfg.radii)) != len(cfg.radii):
+        raise ConfigError(f"localization radii must be distinct, got {list(cfg.radii)}")
 
 
 def emit_config(cfg: RunConfig) -> str:

@@ -55,7 +55,7 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def records_csv_text(report: StudyReport) -> str:
-    radii = tuple(report.config.get("radii", ()))
+    radii = sorted(report.config.get("radii", ()))  # the order localization_metrics uses
     buf = io.StringIO()
     buf.write(f"# schema: {RECORDS_SCHEMA}\n")
     writer = csv.writer(buf)
@@ -168,6 +168,8 @@ def render_report(report_dict: dict) -> str:
     lines.append(
         f"grid: {prov.get('grid', '?')}   model solve: {prov.get('model_mode', '?')}{reason}"
     )
+    lines.append("grid reasoning:")
+    lines += [f"  {entry}" for entry in prov.get("grid_reasoning", [])]
     lines.append(f"alphas: {cfg.get('alphas')}")
     lines.append("")
     lines.append("model eigenvalues:")

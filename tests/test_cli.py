@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -245,6 +246,17 @@ class TestModelSpectrumCommand:
             assert abs(float(fields[1]) - target) <= 1e-8 * target
             assert fields[3] == "512"
 
+    def test_auto_grid_does_not_depend_on_the_ladder(self, tmp_path):
+        auto = GAUSSIAN_MINI.replace("mode = manual\nn = 512\nhalf_length = 14", "mode = auto")
+        written = []
+        for ladder in ("0.2, 0.1, 0.05", "0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625"):
+            out = tmp_path / ladder.replace(", ", "_")
+            text = auto.replace("alphas = 0.2, 0.1, 0.05", f"alphas = {ladder}")
+            assert main(["model-spectrum", "--config", write(tmp_path, text),
+                         "--out", str(out)]) == 0
+            written.append((out / "model_spectrum.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_zero_eigen_count_exits_2(self, tmp_path):
         text = GAUSSIAN_MINI.replace("eigen_count = 1", "eigen_count = 0")
         rc = main(
@@ -341,8 +353,49 @@ class TestSweepAndVerify:
         payload = json.loads((out / "report.json").read_text())
         cfg = parse_config(text)
         norm_pair, _ = normalized_pair(build_profiles(cfg))
-        _, expected = suggest_grid(norm_pair, k=cfg.eigen_count, alphas=cfg.alphas)
+        _, expected = suggest_grid(norm_pair, k=cfg.eigen_count)
         assert payload["provenance"]["grid_reasoning"] == list(expected)
+
+    @pytest.mark.parametrize("command", ["model-spectrum", "sweep", "verify", "report"])
+    def test_auto_grid_reasoning_is_printed(self, tmp_path, capsys, command):
+        text = GAUSSIAN_MINI.replace("mode = manual\nn = 512\nhalf_length = 14", "mode = auto")
+        out = tmp_path / "out"
+        config = ["--config", write(tmp_path, text)]
+        if command == "report":
+            assert main(["sweep", *config, "--out", str(out)]) == 0
+            capsys.readouterr()
+            config = []
+        assert main([command, *config, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        cfg = parse_config(text)
+        norm_pair, _ = normalized_pair(build_profiles(cfg))
+        _, reasoning = suggest_grid(norm_pair, k=cfg.eigen_count)
+        assert len(reasoning) >= 3
+        for entry in reasoning:
+            assert f"  {entry}" in printed
+
+    def test_records_columns_follow_their_radii_in_any_order(self, tmp_path):
+        text = GAUSSIAN_MINI + "\n[localization]\nradii = 8, 2, 4\n"
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        lines = (out / "records.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        records = json.loads((out / "report.json").read_text())["records"]
+        assert len(rows) == len(records) == 3
+        for row, record in zip(rows, records):
+            loc = record["localization"]
+            for r in (8, 2, 4):
+                i = loc["radii"].index(r)
+                assert float(row[f"pos_mass_out_R{r}"]) == pytest.approx(
+                    loc["position_mass_outside"][i], rel=1e-6)
+                assert float(row[f"frq_mass_out_R{r}"]) == pytest.approx(
+                    loc["frequency_mass_outside"][i], rel=1e-6)
+
+    def test_duplicate_radii_exit_2(self, tmp_path, capsys):
+        text = GAUSSIAN_MINI + "\n[localization]\nradii = 2, 2\n"
+        rc = main(["sweep", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "radii must be distinct" in capsys.readouterr().err
 
     def test_eigenfunction_dumps_loadable(self, tmp_path):
         text = GAUSSIAN_MINI + "\n[output]\nemit_eigenfunctions = true\n"

@@ -4,7 +4,9 @@ import pytest
 from specgap import (
     GridError,
     ProfileRole,
+    SolveSettings,
     StateVector,
+    SweepSettings,
     build_grid,
     inner,
     inner_freq,
@@ -14,6 +16,7 @@ from specgap import (
     norm,
     norm_freq,
     random_state,
+    run_sweep,
     save_state,
     state,
     suggest_grid,
@@ -207,8 +210,8 @@ class TestSerialization:
 class TestSuggestGrid:
     def test_reasonable_and_deterministic(self, gaussian_pair):
         norm_pair, _ = normalized_pair(gaussian_pair)
-        grid, reasoning = suggest_grid(norm_pair, k=3, alphas=[0.2, 0.1, 0.05, 0.025])
-        assert (grid, reasoning) == suggest_grid(norm_pair, k=3, alphas=[0.2, 0.1, 0.05, 0.025])
+        grid, reasoning = suggest_grid(norm_pair, k=3)
+        assert (grid, reasoning) == suggest_grid(norm_pair, k=3)
         assert grid.half_length >= 8.0
         assert grid.n_per_axis >= 64 and (grid.n_per_axis & (grid.n_per_axis - 1)) == 0
         assert reasoning
@@ -220,21 +223,39 @@ class TestSuggestGrid:
         # same probe gave this grid too.
         symbol = make_catalog_profile("gaussian_power", [2], 3)
         weight = make_catalog_profile("gaussian_power", [2], 3, role=ProfileRole.WEIGHT_V)
-        grid, _ = suggest_grid(make_pair(symbol, weight), k=k, alphas=[0.2, 0.1, 0.05, 0.025])
+        grid, _ = suggest_grid(make_pair(symbol, weight), k=k)
         assert (grid.dimension, grid.n_per_axis, grid.half_length) == (3, 128, 18.0)
 
-    def test_anisotropic_symbol_decays_on_every_axis(self):
+    def test_anisotropic_symbol_grid_ignores_which_axis_is_slow(self):
         # exp(-<xi, Q xi>) with one slow axis; which axis is slow must not
-        # change the grid, and the scaled symbol must have decayed at the
-        # top lattice frequency along both axes.
+        # change the grid.
         weight = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
-        ladder = [0.2, 0.1, 0.05, 0.025]
         grids = []
         for q in ([1.0, 0.0, 0.0, 0.01], [0.01, 0.0, 0.0, 1.0]):
             symbol = make_catalog_profile("aniso_gaussian", q, 2)
-            grid, _ = suggest_grid(make_pair(symbol, weight), k=3, alphas=ladder)
-            s = min(ladder) ** (2.0 / (2.0 + 2.0))
-            on_axes = symbol.evaluate(s * grid.max_frequency * np.eye(2))
-            assert np.all(on_axes <= 1e-8)
+            grid, _ = suggest_grid(make_pair(symbol, weight), k=3)
             grids.append(grid)
         assert grids[0] == grids[1]
+
+    def test_rational_symbol_grid_matches_a_fine_grid(self):
+        # The slowly decaying symbol 1/(1+xi^2) has the model operator of
+        # the Gaussian pair, so it gets the same modest grid, and that grid
+        # already gives the spectrum of a far finer one at every alpha.
+        symbol = make_catalog_profile("rational_power", [2], 1)
+        weight = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
+        pair = make_pair(symbol, weight)
+        grid, _ = suggest_grid(normalized_pair(pair)[0], k=3)
+        assert grid.size <= 1024
+        auto, fine = (
+            run_sweep(pair, [0.2, 0.1, 0.05], 3,
+                      SweepSettings(solver=SolveSettings(tol=1e-9), grid=g))
+            for g in (None, build_grid(1, 2048, 25.0))
+        )
+        assert auto.provenance["grid"] == grid.describe()
+        values = [
+            (mu, mu_fine)
+            for (mu, _), (mu_fine, _) in zip(auto.model_eigenvalues, fine.model_eigenvalues)
+        ] + [(rec.lam, rec_fine.lam) for rec, rec_fine in zip(auto.records, fine.records)]
+        assert len(values) == 3 + 9
+        for value, reference in values:
+            assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
