@@ -234,8 +234,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("rel_final and rel_extrap must lie in (0, 1]")
     if not cfg.radii or not all(0 < r < math.inf for r in cfg.radii):
         raise ConfigError("localization radii must be positive and finite")
-    if len(set(cfg.radii)) != len(cfg.radii):
-        raise ConfigError(f"localization radii must be distinct, got {list(cfg.radii)}")
+    # records.csv names a radius's columns by {r:g}, so the labels must differ.
+    if len({f"{r:g}" for r in cfg.radii}) != len(cfg.radii):
+        raise ConfigError(
+            f"localization radii must be distinct to 6 significant digits, got {list(cfg.radii)}"
+        )
 
 
 def emit_config(cfg: RunConfig) -> str:

@@ -19,10 +19,16 @@ Three modes:
   or over the whole complement) it locks all of them; cut by the step
   budget, it locks nothing.  With full reorthogonalization the estimates
   are the residuals up to rounding (Parlett 1998); the certification
-  below is the one explicit residual check.  Once k pairs are locked, a
-  completeness probe runs one more cycle.  A value beyond the k-th
-  locked one (a degenerate copy the earlier cycles could not see) is
-  locked and the probe repeats; otherwise the solve is done.
+  below is the one explicit residual check.  The test solves the
+  tridiagonal Ritz problem, so it runs on a schedule, not at every step:
+  the estimates fall about geometrically, and a failed test puts the next
+  one half way to the step where the rate since the test before reaches
+  the target, at most one step further off than the last gap (Saad,
+  *Numerical Methods for Large Eigenvalue Problems*, SIAM 2011, ch. 6).
+  The last step of a budget-cut cycle is always tested.  Once k pairs
+  are locked, a completeness probe runs one more cycle.  A value beyond
+  the k-th locked one (a degenerate copy the earlier cycles could not
+  see) is locked and the probe repeats; otherwise the solve is done.
 * ``DENSE_FULL`` -- materialize the operator column by column into one
   Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
   to ``DENSE_SIZE_LIMIT`` unknowns.  The matrix is not symmetrized:
@@ -52,12 +58,15 @@ SIAM 1998), so the choice rests on the stiffness ||A|| / mu_k, with
 mu_k estimated by Weyl's law from the multiplier and potential samples
 (:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500),
 shift-invert from there on.  Measured on a 2-core box (k=3, tol 1e-9,
-Gaussian pairs unless noted, median of 3 solves), Lanczos beat
-shift-invert at ratios 63 (d=2, 48^2, L=8: 0.10 vs 0.67 s), 103 (80^2,
-L=10: 0.29 vs 1.71 s), 174 (128^2, L=10: 0.80 vs 3.72 s) and 219 (128^2,
-L=8: 0.90 vs 2.33 s), tied at 1283 (1-D, N=1280, L=20: 0.68 vs 0.64 s),
-and lost 1.4x at 1804 (N=1536) and 4.5x at 5417 (d=2 quartic symbol,
-56^2, L=8).  Above 1024 unknowns shift-invert also beats dense on stiff
+Gaussian pairs unless noted, median of 3 solves, one BLAS thread),
+Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.05 vs 0.61 s),
+103 (80^2, L=10: 0.20 vs 1.52 s), 174 (128^2, L=10: 0.67 vs 3.29 s),
+219 (128^2, L=8: 0.72 vs 2.39 s), 1283 (1-D, N=1280, L=20: 0.37 vs
+0.65 s) and 1804 (N=1536: 0.45 vs 0.69 s), about tied at 2434 (N=1792:
+0.77 vs 0.68 s), and lost 1.2-1.4x at 3134 (N=2048) and 3.2x at 5417 (d=2
+quartic symbol, 56^2, L=8).  The limit stays below that 1-D crossover;
+in d=2 the crossover lies somewhere between 219 and 5417, unmeasured.
+Above 1024 unknowns shift-invert also beats dense on stiff
 operators (56^2 quartic: 0.82 vs 3.22 s; 1-D N=4096: 1.16 vs 7.20 s),
 except in 1-D up to about 2048 unknowns (N=1536: 0.51 vs 0.65 s).
 
@@ -68,6 +77,7 @@ settings produce bit-identical results within one build.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +207,11 @@ _CONVERGED = 0.1
 # leaves it orthogonal to working precision; only one that cancels more of
 # it needs a second pass.
 _DGKS = 1 / np.sqrt(2)
+# The Ritz test costs as much as reorthogonalization, and the estimates fall
+# about geometrically, so a failed test schedules the next one this fraction
+# of the way to the step where the rate since the test before reaches the
+# target (see _test_gap).
+_TEST_AHEAD = 0.5
 
 
 def _vdot(a: np.ndarray, b: np.ndarray):
@@ -272,6 +287,26 @@ def _leading_ritz(alphas: list[float], betas: list[float], count: int):
     return theta[::-1], s_mat[:, ::-1]
 
 
+def _test_gap(last_step: int, last_worst: float, step: int, worst: float,
+              stop_tol: float) -> int:
+    """Steps from a failed Ritz test at ``step``, whose worst estimate is
+    ``worst``, to the next one, given the test before it.
+
+    While the estimates fall, the next test comes ``_TEST_AHEAD`` of the
+    way to where their rate since the last test reaches ``stop_tol``, but
+    at most one step later than the gap between the last two tests: a rate
+    measured across a plateau is near 0 and would skip far past the target.
+    Otherwise (no earlier test, estimates that did not fall, or
+    ``stop_tol`` 0) the next step is tested."""
+    if not last_worst > worst >= stop_tol > 0:
+        return 1
+    gap = step - last_step
+    rate = math.log(last_worst / worst) / gap
+    if rate == 0:  # two estimates one rounding apart
+        return 1
+    return max(1, min(int(_TEST_AHEAD * math.log(worst / stop_tol) / rate), gap + 1))
+
+
 def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
                    stop_tol: float):
     """Run Lanczos from the first basis row, reorthogonalizing each new
@@ -279,16 +314,21 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
 
     Stops after ``max_steps`` steps, on breakdown (an invariant subspace),
     or once the ``want`` leading Ritz pairs have residual estimates
-    beta_m*|s_m,i| below ``stop_tol``.  Returns ``(theta, s_mat, m,
-    estimates, converged)``: the leading Ritz values and tridiagonal
-    eigenvectors, the cycle length, the final residual estimates, and
-    whether the leading pairs are final (estimates met or breakdown).
+    beta_m*|s_m,i| below ``stop_tol``.  Breakdown is checked at every
+    step, the estimates only at the steps :func:`_test_gap` schedules
+    (from step ``want`` on, and always at step ``max_steps``), so a
+    cycle stops only at a step whose test passed; ``stop_tol`` 0 tests
+    every step.  Returns ``(theta, s_mat, m, estimates, converged)``:
+    the leading Ritz values and tridiagonal eigenvectors, the cycle
+    length, the final residual estimates, and whether the leading pairs
+    are final (estimates met or breakdown).
     """
     arr, base = rows.array, rows.locked
     alphas: list[float] = []
     betas: list[float] = []
     scale = 1.0
     converged = False
+    next_test, tested = want, (0, 0.0)  # (step, worst estimate) of the last Ritz test
     for j in range(max_steps):
         q = arr[base + j]
         av = apply_values(q.reshape(shape)).ravel()
@@ -304,9 +344,12 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
             converged = True  # invariant subspace exhausted
             break
         betas.append(beta)
-        if m >= want:
-            _, s_mat = _leading_ritz(alphas, betas, want)
-            if np.all(beta * np.abs(s_mat[-1]) < stop_tol):
+        if m >= next_test or m == max_steps >= want:
+            theta, s_mat = _leading_ritz(alphas, betas, want)
+            worst = beta * float(np.max(np.abs(s_mat[-1])))
+            next_test = m + _test_gap(*tested, m, worst, stop_tol)
+            tested = (m, worst)
+            if worst < stop_tol:
                 converged = True
                 break
         if m == max_steps:
@@ -314,7 +357,8 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
         rows.reserve(base + m + 1)
         arr = rows.array
         arr[base + m] = w / beta
-    theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
+    if tested[0] != m:  # breakdown, or a cycle shorter than want
+        theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
     return theta, s_mat, m, beta * np.abs(s_mat[-1]), converged
 
 

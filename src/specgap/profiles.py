@@ -332,12 +332,13 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
     Checks, in order: all sampled values finite; global maximum attained
     at the origin and nowhere else among the samples; principal part
     positively homogeneous of the declared degree and positive on the
-    sphere; normalized expansion residuals
-    ``|max - evaluate - principal| / r^degree`` nonincreasing along the
-    (decreasing) expansion radii; and, for weights, the lower bound
-    ``evaluate >= -max + margin``.  The asymptotic smallness of the
-    expansion remainder cannot be decided from finitely many samples;
-    monotone decrease along the radius ladder is what "pass" means here.
+    sphere (random directions and the coordinate axes); normalized
+    expansion residuals ``|max - evaluate - principal| / r^degree``
+    nonincreasing along the (decreasing) expansion radii; and, for
+    weights, the lower bound ``evaluate >= -max + margin``.  The
+    asymptotic smallness of the expansion remainder cannot be decided
+    from finitely many samples; monotone decrease along the radius ladder
+    is what "pass" means here.
     """
     plan = plan or SamplePlan()
     failures: list[str] = []
@@ -377,10 +378,15 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
             global_max_ok = False
             failures.append("evaluate exceeds max_value at a near-zero sample")
 
-    # (ii) homogeneity and positivity of the principal part on a sphere sample.
+    # (ii) homogeneity and positivity of the principal part on a sphere sample;
+    # positivity also on the coordinate axes, where a principal part that
+    # ignores a coordinate vanishes but random directions never land.
+    axes = np.concatenate([np.eye(spec.dimension), -np.eye(spec.dimension)])
     with np.errstate(all="ignore"):
         base = np.asarray(spec.principal(dirs), dtype=float)
-    positivity_ok = bool(np.all(np.isfinite(base)) and np.all(base > 0))
+        on_axes = np.asarray(spec.principal(axes), dtype=float)
+    positive = np.concatenate([base, on_axes])
+    positivity_ok = bool(np.all(np.isfinite(positive)) and np.all(positive > 0))
     if not positivity_ok:
         failures.append("principal part is not positive on the sphere sample")
     hom_max = np.inf

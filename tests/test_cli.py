@@ -227,6 +227,33 @@ class TestValidateCommand:
         assert any(line.startswith("[symbol] ") and line.endswith(": pass") for line in lines)
         assert any(line.startswith("[weight] ") and line.endswith(": pass") for line in lines)
 
+    def test_runs_as_a_package(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap", "validate",
+             "--config", str(CONFIGS / "gaussian.ini")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "[symbol] gaussian_power(2): pass"
+
+    @pytest.mark.parametrize("name", ["gaussian", "custom_expression", "mixed_degree"])
+    def test_every_shipped_config_passes(self, name, capsys):
+        assert main(["validate", "--config", str(CONFIGS / f"{name}.ini")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_principal_part_vanishing_on_an_axis_fails(self, tmp_path, capsys):
+        # x1^2 vanishes along x2, where no random sphere direction lands.
+        text = GAUSSIAN_MINI.replace(
+            "[symbol]\nkind = catalog\nname = gaussian_power\nparams = 2",
+            "[symbol]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x1^2\ndegree = 2",
+        ).replace("dimension = 1", "dimension = 2")
+        rc = main(["validate", "--config", write(tmp_path, text)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[symbol] exp(-x1^2): FAIL" in out
+        assert "failure: principal part is not positive on the sphere sample" in out
+
 
 class TestModelSpectrumCommand:
     def test_harmonic_csv(self, tmp_path, capsys):
@@ -396,6 +423,14 @@ class TestSweepAndVerify:
         rc = main(["sweep", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "radii must be distinct" in capsys.readouterr().err
+
+    def test_radii_with_one_column_label_exit_2(self, tmp_path, capsys):
+        # Both would be named pos_mass_out_R2 in records.csv.
+        text = GAUSSIAN_MINI + "\n[localization]\nradii = 2, 2.0000001\n"
+        rc = main(["sweep", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "radii must be distinct to 6 significant digits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_eigenfunction_dumps_loadable(self, tmp_path):
         text = GAUSSIAN_MINI + "\n[output]\nemit_eigenfunctions = true\n"

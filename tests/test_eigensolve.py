@@ -259,6 +259,87 @@ class TestReorthogonalization:
         assert np.max(np.abs(gram - np.eye(m))) <= 1e-13
 
 
+class TestRitzTestSchedule:
+    """``_lanczos_cycle`` solves the tridiagonal Ritz problem only on a
+    schedule set by the measured decay of the residual estimates, yet a
+    cycle still stops at the first step where the test passes, and the
+    last step of a budget-cut cycle is always tested."""
+
+    @staticmethod
+    def operators():
+        a1 = make_catalog_profile("gaussian_power", [2], 1)
+        v1 = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
+        a2 = make_catalog_profile("gaussian_power", [2], 2)
+        v2 = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
+        model_1d = build_model_operator(make_pair(a1, v1), build_grid(1, 256, 12.0))
+        model_2d = build_model_operator(make_pair(a2, v2), build_grid(2, 48, 8.0))
+        scaled = build_scaled_operator(make_pair(a1, v1), 0.1, build_grid(1, 512, 14.0))
+        return {
+            "1-D model": (model_1d, lambda values: -model_1d.apply_values(values)),
+            "48^2 model": (model_2d, lambda values: -model_2d.apply_values(values)),
+            "scaled sandwich": (scaled, scaled.apply_values),
+        }
+
+    @staticmethod
+    def cycle(op, apply_values, max_steps):
+        # The stop tolerance of a k=3, tol=1e-9 solve, from a fixed start.
+        rows = eigensolve._Rows(4, op.grid.size, np.float64)
+        rows.start(np.random.default_rng(1))
+        stop_tol = eigensolve._CONVERGED * 1e-9 * max(1.0, abs(op.upper_bound))
+        return eigensolve._lanczos_cycle(
+            apply_values, op.grid.shape, rows, max_steps, 3, stop_tol
+        )
+
+    @pytest.mark.parametrize("case", ["1-D model", "48^2 model", "scaled sandwich"])
+    def test_a_cycle_stops_at_its_first_passing_step(self, case):
+        op, apply_values = self.operators()[case]
+        theta, s_mat, m, estimates, converged = self.cycle(op, apply_values, op.grid.size)
+        assert converged and 10 < m < op.grid.size
+        *_, short_m, _, short_converged = self.cycle(op, apply_values, m - 1)
+        assert (short_m, short_converged) == (m - 1, False)
+        again = self.cycle(op, apply_values, m)
+        assert (again[2], again[4]) == (m, True)
+        for got, want in zip(again[:2] + again[3:4], (theta, s_mat, estimates)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_the_48x48_model_solve_tests_at_most_every_other_step(self, monkeypatch):
+        op, _ = self.operators()["48^2 model"]
+        counts = {"ritz": 0, "steps": 0}
+        leading_ritz, lanczos_cycle = eigensolve._leading_ritz, eigensolve._lanczos_cycle
+
+        def counted_ritz(*args):
+            counts["ritz"] += 1
+            return leading_ritz(*args)
+
+        def counted_cycle(*args):
+            out = lanczos_cycle(*args)
+            counts["steps"] += out[2]
+            return out
+
+        monkeypatch.setattr(eigensolve, "_leading_ritz", counted_ritz)
+        monkeypatch.setattr(eigensolve, "_lanczos_cycle", counted_cycle)
+        pairs = smallest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, mode=Mode.LANCZOS))
+        np.testing.assert_allclose(
+            [p.value for p in pairs], np.sqrt(2.0) * np.array([2, 4, 4]), rtol=1e-6
+        )
+        assert counts["steps"] > 100
+        assert counts["ritz"] <= counts["steps"] / 2
+
+    @pytest.mark.parametrize(
+        "last_step, last_worst, worst, stop_tol, gap",
+        [
+            (0, 0.0, 1e-3, 1e-10, 1),  # no earlier test
+            (18, 1e-4, 1e-3, 1e-10, 1),  # the estimates rose
+            (10, 1e-7, 1e-8, 0.0, 1),  # stop_tol 0 tests every step
+            (10, 1e-7, 1e-8, 3e-10, 7),  # half way to the projected target
+            (10, 1e-2, 1e-3, 1e-10, 11),  # capped at one step more than 10
+            (19, 1e-3, 1e-3 * (1 - 1e-12), 1e-10, 2),  # a plateau: capped
+        ],
+    )
+    def test_the_gap_to_the_next_test(self, last_step, last_worst, worst, stop_tol, gap):
+        assert eigensolve._test_gap(last_step, last_worst, 20, worst, stop_tol) == gap
+
+
 class TestBottomSolves:
     def test_harmonic_dense_and_shift_invert_agree_with_analytic(self, gaussian_pair, grid_512):
         op = build_model_operator(gaussian_pair, grid_512)

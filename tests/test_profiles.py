@@ -199,6 +199,12 @@ class TestValidation:
             make_catalog_profile("aniso_gaussian", [2, 0, 0, 1], 2),
             make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V),
             make_catalog_profile("rational_power", [2], 1, role=ProfileRole.WEIGHT_V),
+            # d > 1, where positivity is also checked on the coordinate axes.
+            make_catalog_profile("gaussian_power", [4], 2),
+            make_catalog_profile("gaussian_power", [2], 3),
+            make_catalog_profile("rational_power", [2], 3),
+            make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V),
+            make_catalog_profile("rational_power", [2], 3, role=ProfileRole.WEIGHT_V),
         ]
         for spec in specs:
             assert validate_profile(spec).passed, spec.label
@@ -312,6 +318,13 @@ class TestExpressionProfiles:
         report = validate_profile(spec)
         assert not report.positivity_ok
         assert not report.passed
+
+    def test_principal_part_ignoring_a_coordinate_fails_positivity(self):
+        # x1^2 is positive on every random direction but 0 on the x2 axis.
+        spec = expression_profile("exp(-x1^2)", "x1^2", 2.0, 2)
+        report = validate_profile(spec)
+        assert not report.positivity_ok
+        assert "principal part is not positive on the sphere sample" in report.failures
 
     def test_sign_changing_weight_via_expression(self):
         # dips to about -0.45 near |x| = sqrt(3); margin stays positive
