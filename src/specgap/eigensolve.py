@@ -29,10 +29,11 @@ Three modes:
   are locked, a completeness probe runs one more cycle.  A value beyond
   the k-th locked one (a degenerate copy the earlier cycles could not
   see) is locked and the probe repeats; otherwise the solve is done.
-* ``DENSE_FULL`` -- materialize the operator column by column into one
-  Fortran-ordered matrix, which LAPACK then overwrites; permitted only up
-  to ``DENSE_SIZE_LIMIT`` unknowns.  The matrix is not symmetrized:
-  ``eigh`` reads only its lower triangle.
+* ``DENSE_FULL`` -- materialize the operator in blocks of rows (one apply
+  to a stack of identity rows per block) into one Fortran-ordered matrix,
+  which LAPACK then overwrites; permitted only up to ``DENSE_SIZE_LIMIT``
+  unknowns.  The matrix is not symmetrized: ``eigh`` reads only its
+  lower triangle.
 * ``SHIFT_INVERT_BOTTOM`` -- the same Lanczos core on (A + c I)^-1 with
   inner conjugate-gradient solves, matrix-free.
 
@@ -51,8 +52,9 @@ solves, and float64 eigenvectors.  Other operators run in complex128.
 
 :func:`bottom_mode` is the one place that picks the mode of a
 model-operator solve.  Up to ``DENSE_CHOICE_LIMIT`` (1024) unknowns it
-materializes (eigh costs at most 0.17 s there).  Above that, plain
-Lanczos on -A converges at a rate set by the wanted gap against the
+materializes (at 1024 unknowns eigh takes 0.11 s on a real operator,
+0.54 s on a complex one, and the materialization 20-26 ms).  Above that,
+plain Lanczos on -A converges at a rate set by the wanted gap against the
 spread of the spectrum (Parlett, *The Symmetric Eigenvalue Problem*,
 SIAM 1998), so the choice rests on the stiffness ||A|| / mu_k, with
 mu_k estimated by Weyl's law from the multiplier and potential samples
@@ -61,14 +63,17 @@ shift-invert from there on.  Measured on a 2-core box (k=3, tol 1e-9,
 Gaussian pairs unless noted, median of 3 solves, one BLAS thread),
 Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.05 vs 0.61 s),
 103 (80^2, L=10: 0.20 vs 1.52 s), 174 (128^2, L=10: 0.67 vs 3.29 s),
-219 (128^2, L=8: 0.72 vs 2.39 s), 1283 (1-D, N=1280, L=20: 0.37 vs
-0.65 s) and 1804 (N=1536: 0.45 vs 0.69 s), about tied at 2434 (N=1792:
-0.77 vs 0.68 s), and lost 1.2-1.4x at 3134 (N=2048) and 3.2x at 5417 (d=2
-quartic symbol, 56^2, L=8).  The limit stays below that 1-D crossover;
-in d=2 the crossover lies somewhere between 219 and 5417, unmeasured.
-Above 1024 unknowns shift-invert also beats dense on stiff
-operators (56^2 quartic: 0.82 vs 3.22 s; 1-D N=4096: 1.16 vs 7.20 s),
-except in 1-D up to about 2048 unknowns (N=1536: 0.51 vs 0.65 s).
+219 (128^2, L=8: 0.72 vs 2.39 s), 951 (d=2 quartic symbol, 36^2, L=8:
+0.36 vs 0.53 s), 1283 (1-D, N=1280, L=20: 0.33 vs 0.52 s), 1423
+(quartic 40^2: 0.50 vs 0.58 s), 1804 (N=1536: 0.52 vs 0.68 s) and 2434
+(N=1792: 0.72 vs 0.83 s), and lost 1.4x at 3134 (N=2048: 1.04 vs
+0.74 s) and 4.6x at 5417 (quartic 56^2: 2.38 vs 0.52 s).  The limit
+stays below both crossovers.  From 1025 to 1792 unknowns dense beat
+both on these stiff operators (N=1280: 0.26 s, N=1536: 0.42 s, N=1792:
+0.60 s, quartic 36^2: 0.26 s, 40^2: 0.49 s), so shift-invert, which
+bottom_mode picks there, is the slowest of the three; from 2048 unknowns
+on shift-invert wins (N=2048: dense 0.97 s; quartic 56^2: 2.95 s; 1-D
+N=4096, one solve each: 7.91 vs 1.02 s).
 
 All randomness flows from the seed in :class:`SolveSettings`; identical
 settings produce bit-identical results within one build.
@@ -114,6 +119,11 @@ STIFFNESS_LIMIT = 500.0
 _SHIFT = 1.0
 # CG iteration cap of one shift-invert inner solve.
 INNER_MAX_ITERATIONS = 50000
+# materialize_dense applies the operator to this many identity rows per call:
+# one batched FFT instead of one call per column, whose argument handling
+# dominates a small transform.  More rows per block save little and raise
+# the peak memory of the block's FFT buffers.
+_DENSE_BLOCK = 16
 
 
 class Mode(enum.Enum):
@@ -423,10 +433,8 @@ def _rayleigh_ritz(op: HermitianOperator, basis: np.ndarray, k: int, which: str)
     """
     shape = op.grid.shape
     v_mat, _ = np.linalg.qr(basis.T)
-    a_cols = np.stack(
-        [op.apply_values(v_mat[:, j].reshape(shape)).ravel() for j in range(v_mat.shape[1])],
-        axis=1,
-    )
+    count = v_mat.shape[1]
+    a_cols = op.apply_values(v_mat.T.reshape(count, *shape)).reshape(count, -1).T
     small = v_mat.conj().T @ a_cols
     small = 0.5 * (small + small.conj().T)
     vals, rot = np.linalg.eigh(small)
@@ -448,7 +456,10 @@ def materialize_dense(op: HermitianOperator) -> np.ndarray:
     The matrix is float64 for a ``real`` operator, else complex128, and
     Fortran-ordered, so LAPACK can work on it without a copy.  It is not
     symmetrized: column j is exactly A e_j, and ``eigh`` reads only the
-    lower triangle."""
+    lower triangle.
+
+    The operator is applied to ``_DENSE_BLOCK`` identity rows per call, and
+    row j of the C-ordered result is A e_j; its transpose is the matrix."""
     n = op.grid.size
     if n > DENSE_SIZE_LIMIT:
         raise ValueError(
@@ -456,13 +467,12 @@ def materialize_dense(op: HermitianOperator) -> np.ndarray:
         )
     shape = op.grid.shape
     dtype = np.float64 if op.real else np.complex128
-    mat = np.empty((n, n), dtype=dtype, order="F")
-    basis = np.zeros(n, dtype=dtype)
-    for j in range(n):
-        basis[j] = 1.0
-        mat[:, j] = op.apply_values(basis.reshape(shape)).ravel()
-        basis[j] = 0.0
-    return mat
+    rows = np.empty((n, n), dtype=dtype)
+    for start in range(0, n, _DENSE_BLOCK):
+        count = min(_DENSE_BLOCK, n - start)
+        eye = np.eye(count, n, start, dtype=dtype)  # rows e_start .. e_(start+count-1)
+        rows[start : start + count] = op.apply_values(eye.reshape(count, *shape)).reshape(count, n)
+    return rows.T
 
 
 # ---------------------------------------------------------------------------

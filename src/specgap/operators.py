@@ -11,7 +11,9 @@ Three operator shapes are built here, all acting on grid functions:
 
 Every apply goes through :func:`fourier_multiplier`.  Inside op(m) the
 transform's phase (-1)^(j1+...+jd) and its (h/sqrt(2 pi))^(+-d) scales
-cancel, so op(m) is just ifftn(m * fftn(v)).  When the samples m are
+cancel, so op(m) is just ifftn(m * fftn(v)), taken over the trailing
+grid axes: every apply accepts one grid function or a stack of them,
+shape (..., *grid.shape), and maps each alike.  When the samples m are
 even on the lattice (m[k] == m[-k mod N] on every axis; true for radial
 symbols, not for a quadratic form with cross terms, which differs on the
 Nyquist rows) op(m) maps real vectors to real vectors and is computed
@@ -71,6 +73,11 @@ class HermitianOperator:
     ``real`` is set by the builders when the multiplier samples are even
     on the lattice, so the operator maps real vectors to real vectors and
     solvers may work in float64.
+
+    ``apply_values`` takes an array of shape ``(..., *grid.shape)``: one
+    grid function, or a stack of them along the leading axes.  The
+    operators built here transform over the trailing grid axes only, so
+    a stack of b vectors gives exactly the b single applies, in one call.
     """
 
     grid: Grid
@@ -157,10 +164,12 @@ def fourier_multiplier(m: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray
     ``real`` says m is even on the lattice; the apply then uses the
     half-spectrum real FFT and returns float64 for float64 input (complex
     input goes through as its real and imaginary parts).  Otherwise the
-    apply is the complex ifftn(m * fftn(v)).
+    apply is the complex ifftn(m * fftn(v)).  The transforms run over the
+    trailing ``m.ndim`` axes, so ``v`` may be a stack of grid functions,
+    shape ``(..., *m.shape)``.
     """
     shape = m.shape
-    axes = tuple(range(m.ndim))
+    axes = tuple(range(-m.ndim, 0))
     if not _is_even(m):
         def complex_apply(values: np.ndarray) -> np.ndarray:
             return sfft.ifftn(m * sfft.fftn(values, axes=axes), axes=axes)

@@ -38,11 +38,12 @@ QUARTIC_MODEL_GROUND = 1.6832198980
 
 
 def counting(op):
-    """``op`` with an apply that counts its calls in ``calls[0]``."""
+    """``op`` with an apply that counts the vectors it is applied to in
+    ``calls[0]``: a stack of b grid functions counts b."""
     calls = [0]
 
     def apply_values(values):
-        calls[0] += 1
+        calls[0] += values.shape[0] if values.ndim > op.grid.dimension else 1
         return op.apply_values(values)
 
     return dataclasses.replace(op, apply_values=apply_values), calls
@@ -409,17 +410,25 @@ class TestBottomSolves:
     def test_dense_matrix_is_fortran_ordered_and_holds_the_columns(self):
         # Not symmetrized: eigh reads only the lower triangle, and
         # test_hermitian_to_machine_precision checks the operator itself.
-        grid = build_grid(2, 20, 5.0)
+        # 40 and 10^2 unknowns end in a partial block of rows.
         rng = np.random.default_rng(5)
-        op = random_mult_pot_operator(grid, rng)  # not even: complex path
-        mat = materialize_dense(op)
-        assert not op.real and mat.flags.f_contiguous
-        basis = np.zeros(grid.size)
-        for j in (0, 77, grid.size - 1):
-            basis[j] = 1.0
-            column = op.apply_values(basis.reshape(grid.shape)).ravel()
-            basis[j] = 0.0
-            np.testing.assert_allclose(mat[:, j], column, rtol=0, atol=1e-12)
+        for d, n in ((1, 40), (2, 10), (2, 20)):
+            grid = build_grid(d, n, 5.0)
+            a = make_catalog_profile("gaussian_power", [2], d)
+            v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
+            model = build_model_operator(make_pair(a, v), grid)
+            random = random_mult_pot_operator(grid, rng)  # not even: complex path
+            for op, dtype in ((model, np.float64), (random, np.complex128)):
+                mat = materialize_dense(op)
+                assert op.real is (dtype is np.float64)
+                assert mat.dtype == dtype and mat.flags.f_contiguous
+                columns = np.empty_like(mat)
+                basis = np.zeros(grid.size, dtype=dtype)
+                for j in range(grid.size):
+                    basis[j] = 1.0
+                    columns[:, j] = op.apply_values(basis.reshape(grid.shape)).ravel()
+                    basis[j] = 0.0
+                assert np.array_equal(mat, columns)
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_every_bottom_mode_solves_up_to_the_grid_dimension(self, gaussian_pair, mode):

@@ -522,3 +522,44 @@ class TestRealApply:
         np.testing.assert_allclose(
             dense, [1.0915782382417, 2.3844137370876, 3.3986951675210], rtol=1e-11
         )
+
+
+def _stack_operators(d, real):
+    """The four operator builders in dimension d, on the real path (even
+    samples) or the complex path."""
+    grid = build_grid(d, {1: 64, 2: 16, 3: 8}[d], 5.0)
+    rng = np.random.default_rng(40 + d)
+    if real:
+        a = make_catalog_profile("gaussian_power", [2], d)
+    else:
+        a = expression_profile(_NON_EVEN_EXPR, _NON_EVEN_PRINCIPAL, 1, d)
+    v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
+    pair = make_pair(a, v)
+    m = rng.random(grid.shape)
+    if real:  # m[k] + m[-k mod N] is even on the lattice
+        axes = tuple(range(d))
+        m = m + np.roll(np.flip(m, axes), 1, axes)
+    q = rng.random(grid.shape)
+    return grid, [
+        build_scaled_operator(pair, 0.3, grid),
+        build_model_operator(pair, grid),
+        build_multiplier_operator(grid, m),
+        build_multiplier_plus_potential(grid, m, q),
+    ]
+
+
+class TestStackApply:
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_stack_applies_as_its_vectors_do(self, d, real):
+        grid, ops = _stack_operators(d, real)
+        rng = np.random.default_rng(50 + d)
+        real_stack = rng.standard_normal((5, *grid.shape))
+        complex_stack = real_stack + 1j * rng.standard_normal((5, *grid.shape))
+        for op in ops:
+            assert op.real is real, op.label
+            for stack in (real_stack, complex_stack):
+                got = op.apply_values(stack)
+                want = np.stack([op.apply_values(x) for x in stack])
+                assert got.shape == stack.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want), op.label
