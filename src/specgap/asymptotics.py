@@ -54,7 +54,7 @@ __all__ = [
     "StudyReport",
     "SweepSettings",
     "suggest_grid",
-    "choose_grid",
+    "model_spectrum",
     "scaled_gap",
     "extrapolate_limit",
     "localization_metrics",
@@ -183,9 +183,12 @@ class StudyReport:
 class SweepSettings:
     """Everything a sweep needs besides the pair, the ladder and k.
 
-    ``solver.mode`` picks the model solve (``None`` lets
-    :func:`bottom_mode` choose from the grid size and the stiffness of
-    the model operator); the top solves always run ``LANCZOS``.
+    ``grid`` and ``solver`` also drive the model step,
+    :func:`model_spectrum`: ``solver.mode`` picks the model solve
+    (``None`` lets :func:`bottom_mode` choose from the grid size and the
+    stiffness of the model operator); the top solves always run
+    ``LANCZOS``.  ``config.sweep_settings`` maps a run configuration to
+    these settings.
     """
 
     solver: SolveSettings = field(default_factory=SolveSettings)
@@ -404,22 +407,30 @@ def _min_on_sphere(profile, dirs: np.ndarray) -> float:
     return float(vals.min()) if vals.size else 1.0
 
 
-def choose_grid(
-    pair: ProfilePair,
-    k: int,
-    grid: Grid | None = None,
-) -> tuple[Grid, tuple[str, ...]]:
-    """The grid a study runs on, with the reasoning the report records:
-    ``grid`` itself when supplied, else :func:`suggest_grid`'s choice for
-    ``pair``."""
-    if grid is not None:
-        return grid, ("grid supplied explicitly",)
-    return suggest_grid(pair, k)
-
-
 # ---------------------------------------------------------------------------
-# The sweep
+# The model step and the sweep
 # ---------------------------------------------------------------------------
+
+def model_spectrum(
+    norm_pair: ProfilePair, k: int, settings: SweepSettings
+) -> tuple[Grid, tuple[str, ...], Mode, str, list[EigenPair]]:
+    """The lowest k eigenpairs of the model operator of ``norm_pair``
+    (maxima normalized to 1) on the study grid.
+
+    The grid is ``settings.grid`` when supplied, else
+    :func:`suggest_grid`'s choice; :func:`bottom_mode` picks the solve
+    from ``settings.solver.mode``.  Returns the grid, the grid reasoning,
+    the mode, the reason for the mode and the pairs, ascending.
+    """
+    if settings.grid is not None:
+        grid, grid_reasoning = settings.grid, ("grid supplied explicitly",)
+    else:
+        grid, grid_reasoning = suggest_grid(norm_pair, k)
+    op = build_model_operator(norm_pair, grid)
+    mode, reason = bottom_mode(op, k, settings.solver.mode)
+    pairs = smallest_eigenpairs(op, replace(settings.solver, k=k, mode=mode))
+    return grid, grid_reasoning, mode, reason, pairs
+
 
 def run_sweep(
     pair: ProfilePair,
@@ -439,8 +450,8 @@ def run_sweep(
     flagged record and an inconclusive verdict for the affected index,
     not a crash.  Maxima are normalized to 1 internally (the sandwich
     scales linearly, so eigenvalues rescale exactly); the report records
-    the rescaling, the model-solve mode that ran and why
-    :func:`bottom_mode` picked it.
+    the rescaling and, from :func:`model_spectrum`, the grid reasoning,
+    the model-solve mode that ran and why :func:`bottom_mode` picked it.
     """
     settings = settings or SweepSettings()
     alphas = [float(x) for x in alphas]
@@ -452,13 +463,10 @@ def run_sweep(
         raise ValueError("alphas must be positive")
 
     norm_pair, scale = normalized_pair(pair)
-    grid, grid_reasoning = choose_grid(norm_pair, k, settings.grid)
+    grid, grid_reasoning, model_mode, model_mode_reason, model_pairs = model_spectrum(
+        norm_pair, k, settings
+    )
     grid_id = grid.describe()
-
-    model_op = build_model_operator(norm_pair, grid)
-    model_mode, model_mode_reason = bottom_mode(model_op, k, settings.solver.mode)
-    model_settings = replace(settings.solver, k=k, mode=model_mode)
-    model_pairs = smallest_eigenpairs(model_op, model_settings)
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]
 
     solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS)

@@ -4,6 +4,10 @@ Subcommands: validate | model-spectrum | sweep | verify | report.
 Exit codes: 0 success, 1 verification/validation failure,
 2 configuration error, 3 numerical failure.  All randomness flows from
 the single config seed (overridable with --seed).
+
+``config.sweep_settings`` maps the run configuration to settings;
+``asymptotics.model_spectrum`` is the model step of ``model-spectrum``
+and ``asymptotics.run_sweep`` the study of ``sweep`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -14,25 +18,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .asymptotics import REPORT_SCHEMA, SweepSettings, VerdictStatus, choose_grid, run_sweep
+from .asymptotics import REPORT_SCHEMA, VerdictStatus, model_spectrum, run_sweep
 from .config import (
     ConfigError,
     RunConfig,
     build_profiles,
     emit_config,
-    grid_of,
-    model_mode_of,
     parse_config,
+    sweep_settings,
     validate_config,
 )
-from .eigensolve import (
-    InnerSolveStallError,
-    NoConvergenceError,
-    SolveSettings,
-    bottom_mode,
-    smallest_eigenpairs,
-)
-from .operators import build_model_operator, normalized_pair
+from .eigensolve import InnerSolveStallError, NoConvergenceError
+from .operators import normalized_pair
 from .profiles import validate_profile
 from .reportio import (
     model_csv_text,
@@ -86,16 +83,6 @@ def _configured_run(args) -> RunConfig:
     return cfg
 
 
-def _solve_settings(cfg: RunConfig) -> SolveSettings:
-    return SolveSettings(
-        k=cfg.eigen_count,
-        tol=cfg.tol,
-        max_iterations=cfg.max_iterations,
-        rng_seed=cfg.seed,
-        mode=model_mode_of(cfg),
-    )
-
-
 def cmd_validate(args) -> int:
     pair = build_profiles(_configured_run(args))
     ok = True
@@ -117,11 +104,9 @@ def cmd_validate(args) -> int:
 def cmd_model_spectrum(args) -> int:
     cfg = _configured_run(args)
     norm_pair, scale = normalized_pair(build_profiles(cfg))
-    grid, grid_reasoning = choose_grid(norm_pair, cfg.eigen_count, grid_of(cfg))
-    settings = _solve_settings(cfg)
-    op = build_model_operator(norm_pair, grid)
-    mode, reason = bottom_mode(op, settings.k, settings.mode)
-    pairs = smallest_eigenpairs(op, replace(settings, mode=mode))
+    grid, grid_reasoning, mode, reason, pairs = model_spectrum(
+        norm_pair, cfg.eigen_count, sweep_settings(cfg)
+    )
     rows = [
         {
             "n": i + 1,
@@ -149,16 +134,7 @@ def cmd_model_spectrum(args) -> int:
 def _run_configured_sweep(args):
     """Run the configured sweep, write its files and print the report."""
     cfg = _configured_run(args)
-    pair = build_profiles(cfg)
-    settings = SweepSettings(
-        solver=_solve_settings(cfg),
-        grid=grid_of(cfg),
-        radii=cfg.radii,
-        rel_final=cfg.rel_final,
-        rel_extrap=cfg.rel_extrap,
-        keep_vectors=cfg.emit_eigenfunctions,
-    )
-    report = run_sweep(pair, cfg.alphas, cfg.eigen_count, settings)
+    report = run_sweep(build_profiles(cfg), cfg.alphas, cfg.eigen_count, sweep_settings(cfg))
     report.config["source"] = emit_config(cfg)
     paths = write_report_files(report, args.out)
     print(render_report(report.to_dict()))

@@ -6,7 +6,9 @@ sections, parsed with :mod:`configparser`).  ``parse_config`` and
 normalized form of the input.  The ``[symbol]``/``[weight]`` profile
 sections are read by ``_profile_from_section``; every other key is a row
 of ``_SCHEMA``, and ``validate_config`` documents the range of every
-field.
+field.  ``sweep_settings`` is the one mapping from a run configuration
+to the :class:`~specgap.asymptotics.SweepSettings` that the model step
+and the sweep run with.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from .asymptotics import SweepSettings
 from .eigensolve import Mode, SolveSettings
-from .grid import Grid, build_grid
+from .grid import build_grid
 from .profiles import (
     ProfilePair,
     ProfileRole,
@@ -31,7 +33,7 @@ from .profiles import (
 from .expr import ExpressionError, parse_expression
 
 __all__ = ["ConfigError", "ProfileConfig", "RunConfig", "parse_config", "emit_config",
-           "validate_config", "build_profiles"]
+           "validate_config", "build_profiles", "sweep_settings"]
 
 
 class ConfigError(ValueError):
@@ -290,12 +292,23 @@ def build_profiles(cfg: RunConfig) -> ProfilePair:
     return make_pair(a, v)
 
 
-def model_mode_of(cfg: RunConfig) -> Mode | None:
-    return _MODEL_MODES[cfg.model_mode]
-
-
-def grid_of(cfg: RunConfig) -> Grid | None:
-    """The manual grid, or None when the grid is left to the study."""
-    if cfg.grid_mode != "manual":
-        return None
-    return build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length)
+def sweep_settings(cfg: RunConfig) -> SweepSettings:
+    """The solver and sweep settings a run describes.  The grid is the
+    manual grid, or None, which leaves its choice to the study."""
+    grid = None
+    if cfg.grid_mode == "manual":
+        grid = build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length)
+    return SweepSettings(
+        solver=SolveSettings(
+            k=cfg.eigen_count,
+            tol=cfg.tol,
+            max_iterations=cfg.max_iterations,
+            rng_seed=cfg.seed,
+            mode=_MODEL_MODES[cfg.model_mode],
+        ),
+        grid=grid,
+        radii=cfg.radii,
+        rel_final=cfg.rel_final,
+        rel_extrap=cfg.rel_extrap,
+        keep_vectors=cfg.emit_eigenfunctions,
+    )

@@ -4,7 +4,7 @@ A tiny arithmetic grammar for user-supplied symbol/weight functions:
 
 * identifiers ``x1`` .. ``xd`` (coordinates) and ``x`` (the full point,
   only as the argument of ``norm``),
-* numeric literals,
+* numeric literals, evaluated as float64,
 * binary operators ``+ - * / ^`` (``^`` is the power operator),
 * unary ``+``/``-``,
 * the functions ``exp``, ``abs`` and ``norm(x)`` (Euclidean norm).
@@ -102,6 +102,20 @@ class _Validator(ast.NodeVisitor):
         self.visit(arg)
 
 
+class _Literals(ast.NodeTransformer):
+    """Replace each numeric literal by a name bound to its float64 value,
+    so that arithmetic on literals alone overflows to inf instead of
+    running as Python big integers (``3^3^15`` would take seconds)."""
+
+    def __init__(self):
+        self.values: dict[str, np.float64] = {}
+
+    def visit_Constant(self, node):
+        name = f"_{len(self.values)}"
+        self.values[name] = np.float64(node.value)
+        return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
+
+
 def parse_expression(src: str, dimension: int) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression string into a vectorized point function.
 
@@ -116,12 +130,17 @@ def parse_expression(src: str, dimension: int) -> Callable[[np.ndarray], np.ndar
         raise ExpressionError("empty expression")
     # '^' is the grammar's power operator; Python's ast spells it '**'.
     pythonized = src.replace("^", "**")
+    literals = _Literals()
     try:
         tree = ast.parse(pythonized, mode="eval")
+        _Validator(src, dimension).visit(tree)
+        code = compile(literals.visit(tree), filename="<profile-expression>", mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"syntax error in expression {src!r}: {exc.msg}") from exc
-    _Validator(src, dimension).visit(tree)
-    code = compile(tree, filename="<profile-expression>", mode="eval")
+    except RecursionError as exc:
+        raise ExpressionError(
+            f"expression nested too deeply ({len(src)} characters)"
+        ) from exc
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -130,6 +149,7 @@ def parse_expression(src: str, dimension: int) -> Callable[[np.ndarray], np.ndar
                 f"points must have trailing axis of length {dimension}, got shape {pts.shape}"
             )
         env = {f"x{i + 1}": pts[..., i] for i in range(dimension)}
+        env.update(literals.values)
         env["exp"] = np.exp
         env["abs"] = np.abs
         env["norm"] = lambda v: np.sqrt(np.sum(np.square(v), axis=-1))

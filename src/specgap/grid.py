@@ -246,8 +246,15 @@ def load_state(path) -> StateVector:
         if len(header) != _HEADER.size:
             raise GridError("state dump header is truncated")
         d, n, L = _HEADER.unpack(header)
-        grid = build_grid(d, n, L, max_nodes=n**d)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
+    count, rest = divmod(len(payload), 16)
+    # A valid N is at least 8, so N^d > 2^d: no valid header with d outside
+    # 1..count.bit_length() matches the payload, and checking d first keeps
+    # N^d small when the header is forged.
+    if rest or not 1 <= d <= count.bit_length():
+        raise GridError("state dump payload does not match the header")
+    grid = build_grid(d, n, L, max_nodes=n**d)
+    raw = np.frombuffer(payload, dtype="<f8")
     if raw.size != 2 * grid.size:
         raise GridError("state dump payload does not match the header")
     values = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)

@@ -21,6 +21,6 @@ def test_every_traced_global_exists_except_the_stale_cli_hook():
         for name in names
         if not hasattr(importlib.import_module(module), name)
     }
-    # specgap.cli reaches suggest_grid only through choose_grid, where the
-    # specgap.asymptotics hook traces it.
+    # specgap.cli reaches suggest_grid only through asymptotics.model_spectrum,
+    # where the specgap.asymptotics hook traces it.
     assert missing == {("specgap.cli", "suggest_grid")}

@@ -18,8 +18,8 @@ from specgap.config import (
     RunConfig,
     build_profiles,
     emit_config,
-    model_mode_of,
     parse_config,
+    sweep_settings,
 )
 from specgap.operators import normalized_pair
 from specgap.reportio import write_text_atomic
@@ -101,7 +101,7 @@ class TestConfigRoundTrip:
 
     def test_model_mode_accepts_lanczos(self):
         cfg = parse_config("[solver]\nmodel_mode = lanczos\n")
-        assert model_mode_of(cfg) is Mode.LANCZOS
+        assert sweep_settings(cfg).solver.mode is Mode.LANCZOS
         assert parse_config(emit_config(cfg)) == cfg
 
     def test_a_run_threads_key_is_ignored(self):
@@ -182,6 +182,32 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "configuration error" in err
+
+    def test_a_literal_power_tower_exits_2_promptly(self, tmp_path):
+        # Literals are float64, so the tower overflows to inf and the origin
+        # check rejects the profile; as an exact integer it would not finish.
+        text = GAUSSIAN_MINI.replace(
+            "[symbol]\nkind = catalog\nname = gaussian_power\nparams = 2",
+            "[symbol]\nkind = expression\nexpr = 1 + 0*9^9^9\nprincipal = x1^2\ndegree = 2",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap", "validate", "--config", write(tmp_path, text)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "expr", ["-" * 5000 + "1", "+".join(["1"] * 20000)], ids=["unary-minus", "long-sum"]
+    )
+    def test_deeply_nested_expression_exits_2(self, tmp_path, capsys, expr):
+        text = GAUSSIAN_MINI.replace(
+            "[symbol]\nkind = catalog\nname = gaussian_power\nparams = 2",
+            f"[symbol]\nkind = expression\nexpr = {expr}\nprincipal = x1^2\ndegree = 2",
+        )
+        assert main(["validate", "--config", write(tmp_path, text)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     @pytest.mark.parametrize("expr", ["exp(-x01^2)", "x\u0661 + 1"], ids=["leading-zero", "non-ascii"])
     def test_unbound_coordinate_exits_2(self, tmp_path, capsys, expr):
@@ -302,6 +328,42 @@ class TestModelSpectrumCommand:
         )
         assert rc == 2
         assert "requested 9 pairs from a 8-dimensional operator" in capsys.readouterr().err
+
+
+class TestModelSpectrumAgreesWithVerify:
+    """``model-spectrum`` and ``verify`` share one model step, so they
+    report the same spectrum, mode, mode reason and grid reasoning."""
+
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            (GAUSSIAN_MINI, "dense_full"),
+            (GAUSSIAN_MINI.replace("mode = manual\nn = 512\nhalf_length = 14", "mode = auto"),
+             "dense_full"),
+            (GAUSSIAN_MINI + "\n[solver]\nmodel_mode = lanczos\n", "lanczos"),
+        ],
+        ids=["manual-grid", "auto-grid", "lanczos"],
+    )
+    def test_same_spectrum_mode_and_reasons(self, tmp_path, capsys, text, mode):
+        config = write(tmp_path, text.replace("eigen_count = 1", "eigen_count = 2"))
+        assert main(["model-spectrum", "--config", config, "--out", str(tmp_path / "m")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--config", config, "--out", str(tmp_path / "v")]) in (0, 1)
+        report = json.loads((tmp_path / "v" / "report.json").read_text(encoding="utf-8"))
+        prov = report["provenance"]
+
+        lines = (tmp_path / "m" / "model_spectrum.csv").read_text(encoding="utf-8").splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert [(row["mu"], row["residual"]) for row in rows] == [
+            (f"{e['mu']:.17g}", f"{e['residual']:.3e}") for e in report["model_eigenvalues"]
+        ]
+        assert len(rows) == 2
+        assert {row["mode"] for row in rows} == {prov["model_mode"]} == {mode}
+        assert printed[0] == f"model solve: {mode} ({prov['model_mode_reason']})"
+        start = printed.index("grid reasoning:") + 1
+        assert printed[start:printed.index(f"model spectrum on {prov['grid']}:")] == [
+            f"  {entry}" for entry in prov["grid_reasoning"]
+        ]
 
 
 class TestSweepAndVerify:

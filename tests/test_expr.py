@@ -23,6 +23,13 @@ def test_coordinates_and_constants():
     np.testing.assert_allclose(f(x), [5.0, 1.0])
 
 
+def test_literals_are_float64():
+    # 2^1024 overflows to inf instead of an integer that float() rejects.
+    f = parse_expression("x1 + 2^1024 - 10^400", 1)
+    assert np.isnan(f(np.zeros((2, 1)))).all()
+    np.testing.assert_array_equal(parse_expression("7 / 2 + 2^-1", 1)(np.zeros((1, 1))), [4.0])
+
+
 def test_power_is_caret():
     f = parse_expression("abs(x1)^1.5", 1)
     x = np.array([[-4.0], [9.0]])

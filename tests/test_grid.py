@@ -200,6 +200,23 @@ class TestSerialization:
         with pytest.raises(GridError, match="payload"):
             load_state(path)
 
+    @pytest.mark.parametrize(
+        "d, n, payload",
+        [
+            (2**62, 8, 20),  # a 48-byte file; N^d has ~1.4e19 bits
+            (2**62, 8, 128),
+            (-1, 0, 128),  # 0^-1 divides by zero
+        ],
+        ids=["48-byte-file", "128-byte-payload", "zero-n-negative-d"],
+    )
+    def test_forged_dimension_rejected_before_the_node_count(self, tmp_path, d, n, payload):
+        import struct
+
+        path = tmp_path / "forged.sgv"
+        path.write_bytes(b"SGV1" + struct.pack("<qqd", d, n, 2.5) + bytes(payload))
+        with pytest.raises(GridError, match="payload"):
+            load_state(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "short.sgv"
         path.write_bytes(b"SGV1" + b"\x00" * 10)
