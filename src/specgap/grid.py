@@ -143,7 +143,9 @@ def build_grid(
         raise GridError(f"n_per_axis must be at least 8, got {N}")
     if not 0 < L < np.inf:
         raise GridError(f"half_length must be positive and finite, got {L}")
-    if N**d > max_nodes:
+    # N >= 8, so N**d > max_nodes once d exceeds its bit length: reject
+    # such d before taking a power that can be arbitrarily large.
+    if d > max_nodes.bit_length() or N**d > max_nodes:
         raise GridError(
             f"grid with {N}^{d} nodes exceeds the node budget {max_nodes}"
         )

@@ -284,6 +284,12 @@ class SamplePlan:
             raise ProfileError("sample plan must contain radii and expansion radii")
         if any(r <= 0 for r in self.radii + self.expansion_radii):
             raise ProfileError("sample radii must be positive")
+        if self.directions_per_radius < 1:
+            raise ProfileError("directions_per_radius must be at least 1")
+        # A check that does not run must not pass: no factors, or a factor
+        # t with t**degree not positive and finite, would do just that.
+        if not self.homogeneity_factors or not all(0 < t < np.inf for t in self.homogeneity_factors):
+            raise ProfileError("homogeneity_factors must be positive, finite and nonempty")
         diffs = np.diff(self.expansion_radii)
         if not np.all(diffs < 0):
             raise ProfileError("expansion_radii must be strictly decreasing toward 0")
@@ -392,12 +398,14 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
     hom_max = np.inf
     homogeneity_ok = False
     if positivity_ok:
-        hom_max = 0.0
+        hom_residuals = []
         for t in plan.homogeneity_factors:
             with np.errstate(all="ignore"):
                 scaled = np.asarray(spec.principal(t * dirs), dtype=float)
-            expected = t**spec.degree * base
-            hom_max = max(hom_max, float(np.max(np.abs(scaled - expected) / expected)))
+                expected = t**spec.degree * base  # 0 if t**degree underflows
+                hom_residuals.append(np.max(np.abs(scaled - expected) / expected))
+        # np.max keeps a NaN residual, which then fails the comparison.
+        hom_max = float(np.max(hom_residuals))
         homogeneity_ok = hom_max <= _HOMOGENEITY_RTOL
         if not homogeneity_ok:
             failures.append(
@@ -407,14 +415,17 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
     # (iii) expansion residuals along the shrinking radius ladder.  The
     # subtraction max - evaluate cancels to eps*max_value, so dividing by
     # r^degree sets a noise floor below which a residual counts as zero.
+    # The ladder reuses the near samples of evaluate, and shares one sample
+    # of principal at all the points with the domination constant.
     residuals: list[float] = []
     floors: list[float] = []
+    domination = np.nan
     if finite_ok and positivity_ok:
-        for r in plan.expansion_radii:
-            pts = r * dirs
-            with np.errstate(all="ignore"):
-                ev = np.asarray(spec.evaluate(pts), dtype=float)
-                pr = np.asarray(spec.principal(pts), dtype=float)
+        with np.errstate(all="ignore"):
+            princ = np.asarray(spec.principal(points), dtype=float)
+        rows = (len(plan.expansion_radii), len(dirs))
+        near_principal = princ[len(bulk_points):].reshape(rows)
+        for r, ev, pr in zip(plan.expansion_radii, near_values.reshape(rows), near_principal):
             residuals.append(float(np.max(np.abs(spec.max_value - ev - pr)) / r**spec.degree))
             floors.append(16.0 * np.finfo(float).eps * spec.max_value / r**spec.degree)
         expansion_ok = all(
@@ -425,6 +436,10 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
             failures.append(
                 f"expansion residuals {residuals} do not decrease toward 0"
             )
+        # Empirical domination constant: sup (max - evaluate) / principal over samples.
+        ok = np.isfinite(princ) & (princ > 0)
+        if np.any(ok):
+            domination = float(np.max((spec.max_value - values[ok]) / princ[ok]))
     else:
         expansion_ok = False
 
@@ -439,15 +454,6 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
             failures.append(
                 f"weight drops below -max_value + margin (margin = {spec.lower_bound_margin})"
             )
-
-    # Empirical domination constant: sup (max - evaluate) / principal over samples.
-    domination = np.nan
-    if finite_ok and positivity_ok:
-        with np.errstate(all="ignore"):
-            princ = np.asarray(spec.principal(points), dtype=float)
-        ok = np.isfinite(princ) & (princ > 0)
-        if np.any(ok):
-            domination = float(np.max((spec.max_value - values[ok]) / princ[ok]))
 
     return ValidationReport(
         label=spec.label or "profile",

@@ -67,6 +67,8 @@ def test_scalar_broadcast_to_points():
         "x0",  # coordinates start at x1
         "x1 < 2",  # comparison not in the grammar
         "~x1",  # bitwise inversion not in the grammar
+        "True + x1",  # bool literals are not numbers of the grammar
+        "x1 * False",
     ],
 )
 def test_rejects_out_of_grammar(src):
@@ -83,6 +85,28 @@ def test_error_message_carries_diagnostics():
         parse_expression("x0", 2)
     with pytest.raises(ExpressionError, match="unknown identifier 'x01'"):
         parse_expression("x01", 2)
+    with pytest.raises(ExpressionError, match="disallowed literal True"):
+        parse_expression("True + x1", 1)
+    with pytest.raises(ExpressionError, match="integer literal out of float64 range"):
+        parse_expression("1" + "0" * 400 + " * x1", 1)
+
+
+def test_first_offending_node_is_reported_left_to_right():
+    # Pre-order: the call is checked before its argument, the left operand
+    # before the right one.
+    with pytest.raises(ExpressionError, match="only exp, abs and norm"):
+        parse_expression("sin(y) + q", 1)
+    with pytest.raises(ExpressionError, match="unknown identifier 'y'"):
+        parse_expression("exp(y) + sin(q)", 1)
+    with pytest.raises(ExpressionError, match="'Mod'"):
+        parse_expression("x1 % 2 + y", 1)
+
+
+def test_a_long_flat_sum_parses():
+    # Nothing recurses per term: only the parser limits the depth.
+    f = parse_expression("+".join(["x1"] * 2000), 1)
+    x = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    np.testing.assert_array_equal(f(x), 2000 * x[:, 0])
 
 
 def test_rejects_a_nonpositive_dimension():

@@ -62,6 +62,11 @@ class TestBuildGrid:
         # same size fits with a raised budget
         build_grid(2, 4096, 10.0, max_nodes=4096**2)
 
+    def test_huge_dimension_rejected_before_the_node_count(self):
+        # 8**(2**40) would be an integer of about 400 GB.
+        with pytest.raises(GridError, match="budget"):
+            build_grid(2**40, 8, 1.0)
+
 
 class TestTransforms:
     def test_constant_concentrates_at_zero_frequency(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -220,6 +222,52 @@ class TestValidation:
     def test_plan_rejects_empty_or_nonpositive_radii(self, plan, match):
         with pytest.raises(ProfileError, match=match):
             SamplePlan(**plan)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_plan_rejects_a_direction_count_below_one(self, count):
+        with pytest.raises(ProfileError, match="directions_per_radius"):
+            SamplePlan(directions_per_radius=count)
+
+    @pytest.mark.parametrize("factors", [(), (0.0,), (2.0, -1.0), (np.nan,), (np.inf,)])
+    def test_plan_rejects_homogeneity_factors_that_check_nothing(self, factors):
+        with pytest.raises(ProfileError, match="homogeneity_factors"):
+            SamplePlan(homogeneity_factors=factors)
+
+    def test_nan_homogeneity_residual_fails(self):
+        base = make_catalog_profile("gaussian_power", [2], 2)
+
+        def principal(points):
+            r2 = np.sum(np.square(points), axis=-1)
+            return np.where(r2 < 25.0, r2, np.nan)  # undefined beyond |x| = 5
+
+        spec = ProfileSpec(2, ProfileRole.SYMBOL_A, base.evaluate, 1.0, principal, 2.0)
+        report = validate_profile(spec)
+        assert np.isnan(report.homogeneity_residual_max)
+        assert not report.homogeneity_ok and not report.passed
+        # t**degree underflows to 0, so the residual is 0/0
+        report = validate_profile(base, SamplePlan(homogeneity_factors=(1e-200,)))
+        assert np.isnan(report.homogeneity_residual_max) and not report.homogeneity_ok
+
+    def test_every_point_is_sampled_once(self):
+        base = make_catalog_profile("gaussian_power", [2], 2)
+        seen = {"evaluate": 0, "principal": 0}
+
+        def counted(name, fn):
+            def wrapped(points):
+                seen[name] += np.asarray(points).size // 2
+                return fn(points)
+            return wrapped
+
+        spec = dataclasses.replace(
+            base,
+            evaluate=counted("evaluate", base.evaluate),
+            principal=counted("principal", base.principal),
+        )
+        assert validate_profile(spec) == validate_profile(base)
+        # 32 directions: evaluate sees 4 bulk and 3 near radii plus the
+        # origin; principal the unit sphere, 4 axis points, 3 homogeneity
+        # factors and the 7 radii again.
+        assert seen == {"evaluate": 7 * 32 + 1, "principal": 32 + 4 + 3 * 32 + 7 * 32}
 
     def test_wrong_declared_degree_fails_homogeneity(self):
         spec = expression_profile("exp(-x1^2)", "x1^2", 3.0, 1)
