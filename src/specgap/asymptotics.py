@@ -187,8 +187,9 @@ class SweepSettings:
     :func:`model_spectrum`: ``solver.mode`` picks the model solve
     (``None`` lets :func:`bottom_mode` choose from the grid size and the
     stiffness of the model operator); the top solves always run
-    ``LANCZOS``.  ``config.sweep_settings`` maps a run configuration to
-    these settings.
+    ``LANCZOS``.  ``solver.k`` is not read: k is the argument of
+    :func:`run_sweep` and :func:`model_spectrum`.
+    ``config.sweep_settings`` maps a run configuration to these settings.
     """
 
     solver: SolveSettings = field(default_factory=SolveSettings)
@@ -358,12 +359,15 @@ def suggest_grid(pair: ProfilePair, k: int) -> tuple[Grid, tuple[str, ...]]:
     node count is a power of two per axis, halved until it fits the node
     budget.  The coarse estimate runs in the mode :func:`bottom_mode`
     picks: dense on the 128 and 32^2 probes of d = 1, 2, by stiffness on
-    the 16^3 of d = 3.
+    the 16^3 of d = 3.  A probe with fewer than k unknowns doubles its
+    nodes per axis until it has k.
     """
     d = pair.dimension
     reasoning: list[str] = []
 
     n_coarse = {1: 128, 2: 32}.get(d, 16)
+    while n_coarse**d < k:
+        n_coarse *= 2
     coarse = build_grid(d, n_coarse, 10.0)
     pairs = smallest_eigenpairs(
         build_model_operator(pair, coarse),

@@ -1,14 +1,18 @@
 """Declarative run configuration.
 
 Runs are described by an INI document (key-value pairs in nested
-sections, parsed with :mod:`configparser`).  ``parse_config`` and
-``emit_config`` round-trip: emitting a parsed document yields the
-normalized form of the input.  The ``[symbol]``/``[weight]`` profile
-sections are read by ``_profile_from_section``; every other key is a row
-of ``_SCHEMA``, and ``validate_config`` documents the range of every
-field.  ``sweep_settings`` is the one mapping from a run configuration
-to the :class:`~specgap.asymptotics.SweepSettings` that the model step
-and the sweep run with.
+sections, parsed with :mod:`configparser`).  ``_SCHEMA`` describes the
+document once, one row per key: the field it sets, how its value is
+parsed and formatted, and when the run reads it.  ``parse_config`` and
+``emit_config`` both run from that table and round-trip: emitting a
+parsed document yields the normalized form of the input.  One rule
+governs input: a section or key that the run would not read is an
+error, never dropped (``[run]`` alone is accepted and ignored).
+``validate_config`` documents the range of every field, and
+``parse_config`` builds the profiles, so a profile that would not build
+fails there too.  ``sweep_settings`` is the one mapping from a run
+configuration to the :class:`~specgap.asymptotics.SweepSettings` that
+the model step and the sweep run with.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 from .asymptotics import SweepSettings
 from .eigensolve import Mode, SolveSettings
@@ -30,7 +34,7 @@ from .profiles import (
     make_catalog_profile,
     make_pair,
 )
-from .expr import ExpressionError, parse_expression
+from .expr import ExpressionError
 
 __all__ = ["ConfigError", "ProfileConfig", "RunConfig", "parse_config", "emit_config",
            "validate_config", "build_profiles", "sweep_settings"]
@@ -105,30 +109,53 @@ def _g_list(xs: tuple[float, ...]) -> str:
     return ", ".join(map(_g, xs))
 
 
-# The INI schema outside the profile sections, in emitted order:
-# (section, key, RunConfig field, parse, format).
-_SCHEMA = (
-    ("problem", "dimension", "dimension", int, str),
-    ("problem", "alphas", "alphas", _floats, _g_list),
-    ("problem", "eigen_count", "eigen_count", int, str),
-    ("grid", "mode", "grid_mode", _word, str),
-    ("grid", "n", "grid_n", int, str),
-    ("grid", "half_length", "grid_half_length", float, _g),
-    ("solver", "tol", "tol", float, _g),
-    ("solver", "max_iterations", "max_iterations", int, str),
-    ("solver", "seed", "seed", int, str),
-    ("solver", "model_mode", "model_mode", _word, str),
-    ("tolerances", "rel_final", "rel_final", float, _g),
-    ("tolerances", "rel_extrap", "rel_extrap", float, _g),
-    ("localization", "radii", "radii", _floats, _g_list),
+_PROFILES = ("symbol", "weight")
+# A profile section starts from the defaults of its kind.
+_KIND_DEFAULTS = {
+    "catalog": ProfileConfig(),
+    "expression": ProfileConfig(kind="expression", name="", params=()),
+}
+_CATALOG, _EXPRESSION = ("kind", "catalog"), ("kind", "expression")
+_MANUAL = ("grid_mode", "manual")
+
+# One row per INI key, in emitted order: (section, key, field, parse,
+# format, when).  ``field`` is a RunConfig field, or a ProfileConfig one
+# in a profile section; ``when`` is the (field, value) under which the
+# run reads the key, None if it always does, and that field's row comes
+# earlier in its section.
+_SCHEMA = tuple(
+    (section, key, key, parse, fmt, when)
+    for section in _PROFILES
+    for key, parse, fmt, when in (
+        ("kind", _word, str, None),
+        ("name", str, str, _CATALOG),
+        ("params", _floats, _g_list, _CATALOG),
+        ("expr", str, str, _EXPRESSION),
+        ("principal", str, str, _EXPRESSION),
+        ("degree", float, _g, _EXPRESSION),
+        # Only a weight reads its margin; a symbol's is accepted all the same.
+        ("margin", float, _g, _EXPRESSION),
+    )
+) + (
+    ("problem", "dimension", "dimension", int, str, None),
+    ("problem", "alphas", "alphas", _floats, _g_list, None),
+    ("problem", "eigen_count", "eigen_count", int, str, None),
+    ("grid", "mode", "grid_mode", _word, str, None),
+    ("grid", "n", "grid_n", int, str, _MANUAL),
+    ("grid", "half_length", "grid_half_length", float, _g, _MANUAL),
+    ("solver", "tol", "tol", float, _g, None),
+    ("solver", "max_iterations", "max_iterations", int, str, None),
+    ("solver", "seed", "seed", int, str, None),
+    ("solver", "model_mode", "model_mode", _word, str, None),
+    ("tolerances", "rel_final", "rel_final", float, _g, None),
+    ("tolerances", "rel_extrap", "rel_extrap", float, _g, None),
+    ("localization", "radii", "radii", _floats, _g_list, None),
     ("output", "emit_eigenfunctions", "emit_eigenfunctions", _boolean,
-     lambda b: "true" if b else "false"),
+     lambda b: "true" if b else "false", None),
 )
-# The keys of each known section; other sections are ignored.
 _SECTION_KEYS = {sec: {key for s, key, *_ in _SCHEMA if s == sec} for sec, *_ in _SCHEMA}
-_SECTION_KEYS.update(dict.fromkeys(("symbol", "weight"), {f.name for f in fields(ProfileConfig)}))
-# Only a manual grid is described by these fields.
-_MANUAL_GRID_FIELDS = ("grid_n", "grid_half_length")
+# Accepted and ignored: the benchmark's studies still write `threads = 1`.
+_IGNORED_SECTION = "run"
 
 
 def _parsed(section: str, key: str, raw: str, parse):
@@ -138,70 +165,56 @@ def _parsed(section: str, key: str, raw: str, parse):
         raise ConfigError(f"[{section}] {key}: invalid value {raw!r} ({exc})") from exc
 
 
-def _profile_from_section(sec: configparser.SectionProxy, name: str) -> ProfileConfig:
-    default = ProfileConfig()
-    kind = sec.get("kind", default.kind).strip().lower()
-    if kind == "catalog":
-        params = sec.get("params")
-        return ProfileConfig(
-            kind="catalog",
-            name=sec.get("name", default.name).strip(),
-            params=default.params if params is None else _parsed(name, "params", params, _floats),
-        )
+def _read(parser: configparser.ConfigParser, sections, default) -> dict:
+    """The parsed value of every key present in ``sections``, by field;
+    ``default`` supplies the ``when`` fields the document leaves out."""
+    values = {}
+    for section, key, name, parse, _, when in _SCHEMA:
+        if section not in sections or not parser.has_option(section, key):
+            continue
+        if when and (seen := values.get(when[0], getattr(default, when[0]))) != when[1]:
+            on = next(k for s, k, f, *_ in _SCHEMA if (s, f) == (section, when[0]))
+            raise ConfigError(f"[{section}] {key}: not read with {on} = {seen}")
+        values[name] = _parsed(section, key, parser.get(section, key), parse)
+    return values
+
+
+def _profile(parser: configparser.ConfigParser, section: str) -> ProfileConfig:
+    kind = _word(parser.get(section, "kind", fallback=ProfileConfig.kind))
+    if kind not in _KIND_DEFAULTS:
+        raise ConfigError(f"[{section}] unknown profile kind {kind!r}")
+    values = _read(parser, (section,), _KIND_DEFAULTS[kind])
+    profile = replace(_KIND_DEFAULTS[kind], **values)
     if kind == "expression":
-        expr = sec.get("expr", "").strip()
-        principal = sec.get("principal", "").strip()
-        if not expr or not principal:
-            raise ConfigError(f"[{name}] expression profiles need both expr and principal")
-        if "degree" not in sec:
-            raise ConfigError(f"[{name}] expression profiles need a degree")
-        margin = _parsed(name, "margin", sec["margin"], float) if "margin" in sec else None
-        return ProfileConfig(
-            kind="expression",
-            name="",
-            params=(),
-            expr=expr,
-            principal=principal,
-            degree=_parsed(name, "degree", sec["degree"], float),
-            margin=margin,
-        )
-    raise ConfigError(f"[{name}] unknown profile kind {kind!r}")
+        if not profile.expr or not profile.principal:
+            raise ConfigError(f"[{section}] expression profiles need both expr and principal")
+        if "degree" not in values:
+            raise ConfigError(f"[{section}] expression profiles need a degree")
+    return profile
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI run description; raises :class:`ConfigError` with a
-    diagnostic on malformed input, out-of-range values, an expression
-    profile outside the grammar of :mod:`specgap.expr` or an unknown key
-    in a known section.  Missing sections and keys take
-    :class:`RunConfig`'s defaults; unknown sections are ignored."""
+    diagnostic on any input the module docstring rules out.  Missing
+    sections and keys take :class:`RunConfig`'s defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc
-    for section, keys in _SECTION_KEYS.items():
-        unknown = sorted(set(parser[section]) - keys) if parser.has_section(section) else []
+    if parser.defaults():  # configparser's [DEFAULT] would feed every section
+        raise ConfigError(f"[{parser.default_section}] unknown section")
+    for section in [s for s in parser.sections() if s != _IGNORED_SECTION]:
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"[{section}] unknown section")
+        unknown = sorted(set(parser[section]) - _SECTION_KEYS[section])
         if unknown:
             raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
-    values = {
-        name: _profile_from_section(parser[name], name)
-        for name in ("symbol", "weight")
-        if parser.has_section(name)
-    }
-    for section, key, name, parse, _ in _SCHEMA:
-        if parser.has_option(section, key):
-            values[name] = _parsed(section, key, parser.get(section, key), parse)
-    cfg = RunConfig(**values)
+    profiles = {name: _profile(parser, name) for name in _PROFILES if parser.has_section(name)}
+    cfg = RunConfig(**profiles, **_read(parser, _SECTION_KEYS.keys() - _PROFILES, RunConfig()))
     validate_config(cfg)
-    for name in ("symbol", "weight"):
-        profile = getattr(cfg, name)
-        if profile.kind == "expression":
-            for key in ("expr", "principal"):
-                try:
-                    parse_expression(getattr(profile, key), cfg.dimension)
-                except ExpressionError as exc:
-                    raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    build_profiles(cfg)
     return cfg
 
 
@@ -246,35 +259,22 @@ def validate_config(cfg: RunConfig) -> None:
 def emit_config(cfg: RunConfig) -> str:
     """Serialize a config in normalized form (the round-trip fixpoint)."""
     parser = configparser.ConfigParser(interpolation=None)
-
-    def profile_section(name: str, p: ProfileConfig) -> None:
-        parser.add_section(name)
-        parser[name]["kind"] = p.kind
-        if p.kind == "catalog":
-            parser[name]["name"] = p.name
-            parser[name]["params"] = _g_list(p.params)
-        else:
-            parser[name]["expr"] = p.expr
-            parser[name]["principal"] = p.principal
-            parser[name]["degree"] = _g(p.degree)
-            if p.margin is not None:
-                parser[name]["margin"] = _g(p.margin)
-
-    profile_section("symbol", cfg.symbol)
-    profile_section("weight", cfg.weight)
-    for section, key, name, _, fmt in _SCHEMA:
-        if name in _MANUAL_GRID_FIELDS and cfg.grid_mode != "manual":
+    for section, key, name, _, fmt, when in _SCHEMA:
+        owner = getattr(cfg, section) if section in _PROFILES else cfg
+        value = getattr(owner, name)
+        if value is None or (when and getattr(owner, when[0]) != when[1]):
             continue
         if not parser.has_section(section):
             parser.add_section(section)
-        parser[section][key] = fmt(getattr(cfg, name))
+        parser[section][key] = fmt(value)
 
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def _build_profile(p: ProfileConfig, d: int, role: ProfileRole) -> ProfileSpec:
+def _build_profile(cfg: RunConfig, section: str) -> ProfileSpec:
+    p, d, role = getattr(cfg, section), cfg.dimension, ProfileRole(section)
     try:
         if p.kind == "catalog":
             return make_catalog_profile(p.name, list(p.params), d, role=role)
@@ -282,14 +282,12 @@ def _build_profile(p: ProfileConfig, d: int, role: ProfileRole) -> ProfileSpec:
             p.expr, p.principal, p.degree, d, role=role, lower_bound_margin=p.margin
         )
     except (ProfileError, ExpressionError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def build_profiles(cfg: RunConfig) -> ProfilePair:
     """Instantiate the configured symbol/weight pair."""
-    a = _build_profile(cfg.symbol, cfg.dimension, ProfileRole.SYMBOL_A)
-    v = _build_profile(cfg.weight, cfg.dimension, ProfileRole.WEIGHT_V)
-    return make_pair(a, v)
+    return make_pair(*(_build_profile(cfg, section) for section in _PROFILES))
 
 
 def sweep_settings(cfg: RunConfig) -> SweepSettings:

@@ -225,10 +225,17 @@ def expression_profile(
 
     ``max_value`` is the value at the origin.  For weight profiles the
     lower-bound margin defaults to an estimate from coarse radial
-    sampling: c = max_value + min(0, sampled infimum).
+    sampling: c = max_value + min(0, sampled infimum).  An expression
+    outside the grammar raises :class:`ExpressionError` with ``expr:`` or
+    ``principal:`` in front of the message.
     """
-    evaluate = parse_expression(expr, d)
-    principal = parse_expression(principal_expr, d)
+    parsed = []
+    for name, src in (("expr", expr), ("principal", principal_expr)):
+        try:
+            parsed.append(parse_expression(src, d))
+        except ExpressionError as exc:
+            raise ExpressionError(f"{name}: {exc}") from exc
+    evaluate, principal = parsed
     origin = np.zeros((d,))
     max_value = float(evaluate(origin))
     if not np.isfinite(max_value) or max_value <= 0:

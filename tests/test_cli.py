@@ -1,10 +1,12 @@
 import csv
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 
 import specgap
 from specgap import Mode, SolveSettings, SweepSettings, load_state, suggest_grid
+from specgap import config
 from specgap.cli import main
 from specgap.config import (
     ConfigError,
+    ProfileConfig,
     RunConfig,
     build_profiles,
     emit_config,
@@ -25,7 +29,10 @@ from specgap.operators import normalized_pair
 from specgap.reportio import write_text_atomic
 
 SRC = Path(specgap.__file__).resolve().parent.parent
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GOLDEN_EMIT = Path(__file__).resolve().parent / "golden_emit.json"
+EXPRESSION_SYMBOL = "[symbol]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x1^2\ndegree = 2\n"
 
 GAUSSIAN_MINI = textwrap.dedent(
     """
@@ -118,6 +125,65 @@ class TestConfigRoundTrip:
     def test_unknown_key_in_a_known_section_rejected(self, text, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[weight]\nkind = catalog\nexpr = exp(-x1^2 - abs(x1)^3)\n",
+             "[weight] expr: not read with kind = catalog"),
+            ("[symbol]\nkind = catalog\nmargin = 0.5\n",
+             "[symbol] margin: not read with kind = catalog"),
+            (EXPRESSION_SYMBOL + "name = gaussian_power\n",
+             "[symbol] name: not read with kind = expression"),
+            (EXPRESSION_SYMBOL + "params = 2\n", "[symbol] params: not read with kind = expression"),
+            ("[grid]\nmode = auto\nn = 31\nhalf_length = -5\n", "[grid] n: not read with mode = auto"),
+            ("[grid]\nhalf_length = 14\n", "[grid] half_length: not read with mode = auto"),
+            ("[solvr]\ntol = 1e-3\n", "[solvr] unknown section"),
+            ("[DEFAULT]\ntol = 1e-3\n", "[DEFAULT] unknown section"),
+            # a profile that does not build fails here, not in build_profiles
+            ("[symbol]\nname = gausian_power\n", "[symbol] unknown catalog profile 'gausian_power'"),
+            ("[weight]\nparams = 1, 2\n", "[weight] gaussian_power takes exactly one parameter"),
+            (EXPRESSION_SYMBOL.replace("exp(-x1^2)", "sin(x1)"), "[symbol] expr: only exp, abs"),
+            ("[weight]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x2^2\ndegree = 2\n",
+             "[weight] principal: coordinate 'x2' out of range"),
+        ],
+    )
+    def test_input_the_run_would_not_read_or_build_is_rejected(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(text)
+
+    def test_every_field_has_exactly_one_row(self):
+        profiles = ("symbol", "weight")
+        run_rows = [name for section, _, name, *_ in config._SCHEMA if section not in profiles]
+        assert sorted(run_rows) == sorted(
+            f.name for f in fields(RunConfig) if f.name not in profiles
+        )
+        for profile in profiles:
+            rows = [name for section, _, name, *_ in config._SCHEMA if section == profile]
+            assert sorted(rows) == sorted(f.name for f in fields(ProfileConfig))
+
+    def test_normalized_form_of_every_shipped_ini_is_unchanged(self):
+        # tests/golden_emit.json pins emit_config(parse_config(text)), the
+        # `config.source` of report.json, for configs/*.ini and every
+        # benchmark study at full size and shrunk.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        texts = {
+            path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+            for path in [*sorted(CONFIGS.glob("*.ini")), workloads.OWN_CONFIGS / "gaussian_auto.ini"]
+        }
+        for workload in workloads.WORKLOADS:
+            for shrink in (False, True):
+                for study in workloads.studies(workload, shrink):
+                    texts[f"{workload}/{study.name}"] = study.ini
+        golden = json.loads(GOLDEN_EMIT.read_text(encoding="utf-8"))
+        assert sorted(texts) == sorted(golden)
+        for name, text in texts.items():
+            assert emit_config(parse_config(text)) == golden[name], name
 
     @pytest.mark.parametrize(
         "text",

@@ -239,6 +239,12 @@ class TestSuggestGrid:
         assert reasoning
         assert grid.dimension == 1
 
+    def test_probe_grows_until_it_holds_k_pairs(self, gaussian_pair):
+        # The 128-node probe of d = 1 has room for 128 pairs; k = 130 needs 256.
+        grid, reasoning = suggest_grid(normalized_pair(gaussian_pair)[0], k=130)
+        assert reasoning[0].startswith("coarse solve on d=1 N=256 ")
+        assert grid.size >= 130
+
     @pytest.mark.parametrize("k", [3, 4])
     def test_3d_gaussian_pair_probe_gives_the_dense_probe_grid(self, k):
         # The 16^3 probe is solved by Lanczos on -A; a dense solve of the
