@@ -11,7 +11,6 @@ import numpy as np
 
 from specgap import (
     ProfileRole,
-    SamplePlan,
     expression_profile,
     make_catalog_profile,
     sigma_exponent,
@@ -74,11 +73,10 @@ print("=" * 70)
 for beta, gamma in [(2, 2), (2, 4), (1, 1)]:
     print(f"  degrees (beta={beta}, gamma={gamma}) -> sigma = {sigma_exponent(beta, gamma):.6g}")
 
-# finer expansion ladders tighten the remainder estimate
-plan = SamplePlan(expansion_radii=(0.3, 0.1, 0.03, 0.01, 0.003))
+# the validator probes the expansion at |x| = 0.1, 0.01, 0.001
 gauss = make_catalog_profile("gaussian_power", [2], 1)
-report = validate_profile(gauss, plan)
-print("\ngaussian remainder ladder on a finer radius schedule:")
-for r, res in zip(plan.expansion_radii, report.expansion_residuals):
+report = validate_profile(gauss)
+print("\ngaussian remainder ladder on the validator's radius schedule:")
+for r, res in zip((1e-1, 1e-2, 1e-3), report.expansion_residuals):
     print(f"  |x| = {r:<6g} normalized remainder = {res:.3e}")
 print("\n(the remainder shrinks like |x|^2: the quadratic principal part is correct)")

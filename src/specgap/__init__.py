@@ -8,7 +8,6 @@ from .profiles import (  # noqa: F401
     ProfileSpec,
     ProfilePair,
     ProfileError,
-    SamplePlan,
     ValidationReport,
     sigma_exponent,
     make_catalog_profile,

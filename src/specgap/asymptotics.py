@@ -276,16 +276,18 @@ def localization_metrics(
     alpha: float,
     eigpair: EigenPair,
     radii: Sequence[float],
-    mu: float | None = None,
+    mu: float,
 ) -> LocalizationMetrics:
     """Outside-masses, flatness forms and the exact gap identity.
 
     ``eigpair`` must come from the scaled-operator solve of ``pair`` at
-    the same alpha.  Per unit squared norm of psi, ``k_form`` is
-    :func:`symbol_flatness_form` of W_alpha*psi and ``s_form`` is
-    :func:`weight_flatness_form` of psi (unit-normalized maxima); their
-    sum is checked against alpha^-sigma * (1 - lambda/(A0*V0^2)).  Radii
-    may arrive in any order; the output is sorted ascending.
+    the same alpha, and ``mu`` is the matching model eigenvalue of
+    ``pair``, which scales the empirical constants ``c_hat_*``.  Per unit
+    squared norm of psi, ``k_form`` is :func:`symbol_flatness_form` of
+    W_alpha*psi and ``s_form`` is :func:`weight_flatness_form` of psi
+    (unit-normalized maxima); their sum is checked against
+    alpha^-sigma * (1 - lambda/(A0*V0^2)).  Radii may arrive in any
+    order; the output is sorted ascending.
     """
     norm_pair, scale = normalized_pair(pair)
     grid = eigpair.vector.grid
@@ -308,9 +310,9 @@ def localization_metrics(
 
     gamma = pair.a_profile.degree
     beta = pair.v_profile.degree
-    mu_proxy = (mu / scale) if mu is not None else max(target, 1e-300)
-    c_hat_pos = tuple(out * r**beta / mu_proxy for out, r in zip(pos_out, radii_sorted))
-    c_hat_freq = tuple(out * r**gamma / mu_proxy for out, r in zip(frq_out, radii_sorted))
+    mu_norm = mu / scale
+    c_hat_pos = tuple(out * r**beta / mu_norm for out, r in zip(pos_out, radii_sorted))
+    c_hat_freq = tuple(out * r**gamma / mu_norm for out, r in zip(frq_out, radii_sorted))
 
     return LocalizationMetrics(
         radii=radii_sorted,
@@ -552,9 +554,7 @@ def run_sweep(
             "model_mode_reason": model_mode_reason,
         },
     )
-    report.verdicts = verify_limit_law(
-        report, rel_final=settings.rel_final, rel_extrap=settings.rel_extrap
-    )
+    report.verdicts = verify_limit_law(report)
     return report
 
 
@@ -562,12 +562,10 @@ def run_sweep(
 # Verdicts
 # ---------------------------------------------------------------------------
 
-def verify_limit_law(
-    report: StudyReport,
-    rel_final: float = SweepSettings.rel_final,
-    rel_extrap: float = SweepSettings.rel_extrap,
-) -> list[Verdict]:
-    """Evaluate the three-part finite-alpha criterion per index.
+def verify_limit_law(report: StudyReport) -> list[Verdict]:
+    """Evaluate the three-part finite-alpha criterion per index, with the
+    tolerances ``rel_final`` and ``rel_extrap`` that :func:`run_sweep`
+    records in ``report.config``.
 
     PASS requires the final-point and extrapolated relative errors to be
     within their tolerances, the error ladder to be nonincreasing, the
@@ -577,6 +575,7 @@ def verify_limit_law(
     else that misses is a FAIL.  Every verdict carries its reasons.
     """
     sigma = report.config["profiles"]["sigma"]
+    rel_final, rel_extrap = report.config["rel_final"], report.config["rel_extrap"]
     verdicts: list[Verdict] = []
 
     def unjudged(n: int, status: VerdictStatus, mu: float, reason: str) -> None:

@@ -7,12 +7,14 @@ parsed and formatted, and when the run reads it.  ``parse_config`` and
 ``emit_config`` both run from that table and round-trip: emitting a
 parsed document yields the normalized form of the input.  One rule
 governs input: a section or key that the run would not read is an
-error, never dropped (``[run]`` alone is accepted and ignored).
-``validate_config`` documents the range of every field, and
-``parse_config`` builds the profiles, so a profile that would not build
-fails there too.  ``sweep_settings`` is the one mapping from a run
-configuration to the :class:`~specgap.asymptotics.SweepSettings` that
-the model step and the sweep run with.
+error, never dropped.  ``[run]`` is the only input accepted and
+ignored: the benchmark's studies still write ``threads = 1`` (ROADMAP
+item 6).  ``validate_config`` documents the range of every field and
+builds a manual grid, and ``parse_config`` builds the profiles, so a
+grid or a profile that would not build fails there too.
+``sweep_settings`` is the one mapping from a run configuration to the
+:class:`~specgap.asymptotics.SweepSettings` that the model step and the
+sweep run with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .asymptotics import SweepSettings
 from .eigensolve import Mode, SolveSettings
-from .grid import build_grid
+from .grid import GridError, build_grid
 from .profiles import (
     ProfilePair,
     ProfileRole,
@@ -52,7 +54,6 @@ class ProfileConfig:
     expr: str = ""
     principal: str = ""
     degree: float = 0.0
-    margin: float | None = None
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,6 @@ _SCHEMA = tuple(
         ("expr", str, str, _EXPRESSION),
         ("principal", str, str, _EXPRESSION),
         ("degree", float, _g, _EXPRESSION),
-        # Only a weight reads its margin; a symbol's is accepted all the same.
-        ("margin", float, _g, _EXPRESSION),
     )
 ) + (
     ("problem", "dimension", "dimension", int, str, None),
@@ -224,8 +223,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"dimension must be 1..3, got {cfg.dimension}")
     if cfg.eigen_count < 1:
         raise ConfigError(f"eigen_count must be >= 1, got {cfg.eigen_count}")
-    if not cfg.alphas:
-        raise ConfigError("alphas must be nonempty")
+    if len(cfg.alphas) < 3:
+        raise ConfigError(f"the alpha ladder needs at least 3 entries, got {len(cfg.alphas)}")
     if not all(0 < a < math.inf for a in cfg.alphas):
         raise ConfigError("alphas must be positive and finite")
     if not all(b < a for a, b in zip(cfg.alphas, cfg.alphas[1:])):
@@ -233,10 +232,10 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.grid_mode not in ("auto", "manual"):
         raise ConfigError(f"grid mode must be auto or manual, got {cfg.grid_mode!r}")
     if cfg.grid_mode == "manual":
-        if cfg.grid_n < 8 or cfg.grid_n % 2:
-            raise ConfigError(f"grid n must be even and >= 8, got {cfg.grid_n}")
-        if not 0 < cfg.grid_half_length < math.inf:
-            raise ConfigError("grid half_length must be positive and finite")
+        try:
+            build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length)
+        except GridError as exc:
+            raise ConfigError(f"[grid] {exc}") from exc
     if not 0 < cfg.tol <= 1e-2:
         raise ConfigError(f"solver tol must lie in (0, 1e-2], got {cfg.tol}")
     if cfg.max_iterations < 1:
@@ -261,12 +260,11 @@ def emit_config(cfg: RunConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
     for section, key, name, _, fmt, when in _SCHEMA:
         owner = getattr(cfg, section) if section in _PROFILES else cfg
-        value = getattr(owner, name)
-        if value is None or (when and getattr(owner, when[0]) != when[1]):
+        if when and getattr(owner, when[0]) != when[1]:
             continue
         if not parser.has_section(section):
             parser.add_section(section)
-        parser[section][key] = fmt(value)
+        parser[section][key] = fmt(getattr(owner, name))
 
     buf = io.StringIO()
     parser.write(buf)
@@ -278,9 +276,7 @@ def _build_profile(cfg: RunConfig, section: str) -> ProfileSpec:
     try:
         if p.kind == "catalog":
             return make_catalog_profile(p.name, list(p.params), d, role=role)
-        return expression_profile(
-            p.expr, p.principal, p.degree, d, role=role, lower_bound_margin=p.margin
-        )
+        return expression_profile(p.expr, p.principal, p.degree, d, role=role)
     except (ProfileError, ExpressionError) as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -298,7 +294,6 @@ def sweep_settings(cfg: RunConfig) -> SweepSettings:
         grid = build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length)
     return SweepSettings(
         solver=SolveSettings(
-            k=cfg.eigen_count,
             tol=cfg.tol,
             max_iterations=cfg.max_iterations,
             rng_seed=cfg.seed,

@@ -694,8 +694,8 @@ def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertRe
     )
 
 
-def cluster_eigenvalues(values, tol: float, factor: float = 1e3) -> list[list[int]]:
-    """Group indices of eigenvalues that agree within factor*tol.
+def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
+    """Group indices of eigenvalues that agree within 1e3*tol.
 
     Degenerate levels (guaranteed by symmetry in d >= 2) are only defined
     up to rotation inside a cluster, so comparisons should use cluster
@@ -703,7 +703,7 @@ def cluster_eigenvalues(values, tol: float, factor: float = 1e3) -> list[list[in
     """
     clusters: list[list[int]] = []
     for i, val in enumerate(values):
-        if clusters and abs(val - values[clusters[-1][-1]]) <= factor * tol:
+        if clusters and abs(val - values[clusters[-1][-1]]) <= 1e3 * tol:
             clusters[-1].append(i)
         else:
             clusters.append([i])

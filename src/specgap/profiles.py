@@ -24,7 +24,6 @@ __all__ = [
     "ProfileSpec",
     "ProfilePair",
     "ProfileError",
-    "SamplePlan",
     "ValidationReport",
     "sigma_exponent",
     "make_catalog_profile",
@@ -55,7 +54,8 @@ class ProfileSpec:
     ``principal`` is positively homogeneous of order ``degree`` and
     positive away from the origin.  ``lower_bound_margin`` is the
     positive constant c in ``evaluate >= -max_value + c`` and is only
-    meaningful for weight profiles.
+    meaningful for weight profiles: exact for catalog profiles, measured
+    by :func:`expression_profile` for expressions.
     """
 
     dimension: int
@@ -219,13 +219,13 @@ def expression_profile(
     degree: float,
     d: int,
     role: ProfileRole = ProfileRole.SYMBOL_A,
-    lower_bound_margin: float | None = None,
 ) -> ProfileSpec:
     """Build a profile from expression strings (see :mod:`specgap.expr`).
 
-    ``max_value`` is the value at the origin.  For weight profiles the
-    lower-bound margin defaults to an estimate from coarse radial
-    sampling: c = max_value + min(0, sampled infimum).  An expression
+    ``max_value`` is the value at the origin.  A weight's lower-bound
+    margin is measured, never declared: c = max_value + min(0, sampled
+    infimum) over coarse radial sampling, so a weight that dips to
+    -max_value or below gets c <= 0 and is rejected.  An expression
     outside the grammar raises :class:`ExpressionError` with ``expr:`` or
     ``principal:`` in front of the message.
     """
@@ -242,13 +242,10 @@ def expression_profile(
         raise ProfileError(f"expression value at the origin must be positive, got {max_value}")
     margin = 0.0
     if role is ProfileRole.WEIGHT_V:
-        if lower_bound_margin is None:
-            sampled = evaluate(_margin_probe_points(d))
-            sampled = sampled[np.isfinite(sampled)]
-            low = float(sampled.min()) if sampled.size else 0.0
-            margin = max_value + min(0.0, low)
-        else:
-            margin = float(lower_bound_margin)
+        sampled = evaluate(_margin_probe_points(d))
+        sampled = sampled[np.isfinite(sampled)]
+        low = float(sampled.min()) if sampled.size else 0.0
+        margin = max_value + min(0.0, low)
     return ProfileSpec(
         dimension=d,
         role=role,
@@ -274,32 +271,6 @@ def _sphere_directions(d: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, d))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Where a profile gets probed by the validator."""
-
-    radii: tuple[float, ...] = (8.0, 4.0, 2.0, 1.0)
-    directions_per_radius: int = 32
-    expansion_radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
-    homogeneity_factors: tuple[float, ...] = (0.5, 2.0, 10.0)
-    seed: int = 7
-
-    def __post_init__(self):
-        if not self.radii or not self.expansion_radii:
-            raise ProfileError("sample plan must contain radii and expansion radii")
-        if any(r <= 0 for r in self.radii + self.expansion_radii):
-            raise ProfileError("sample radii must be positive")
-        if self.directions_per_radius < 1:
-            raise ProfileError("directions_per_radius must be at least 1")
-        # A check that does not run must not pass: no factors, or a factor
-        # t with t**degree not positive and finite, would do just that.
-        if not self.homogeneity_factors or not all(0 < t < np.inf for t in self.homogeneity_factors):
-            raise ProfileError("homogeneity_factors must be positive, finite and nonempty")
-        diffs = np.diff(self.expansion_radii)
-        if not np.all(diffs < 0):
-            raise ProfileError("expansion_radii must be strictly decreasing toward 0")
 
 
 @dataclass(frozen=True)
@@ -338,9 +309,14 @@ class ValidationReport:
 
 _HOMOGENEITY_RTOL = 1e-12
 
+# The expansion radii of the fixed probe, decreasing toward 0.
+_EXPANSION_RADII = (1e-1, 1e-2, 1e-3)
 
-def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> ValidationReport:
-    """Probe a profile against its declared metadata.
+
+def validate_profile(spec: ProfileSpec) -> ValidationReport:
+    """Probe a profile against its declared metadata on the fixed probe:
+    32 seeded directions at radii 8, 4, 2, 1 and 1e-1, 1e-2, 1e-3, with
+    homogeneity factors 0.5, 2 and 10.
 
     Checks, in order: all sampled values finite; global maximum attained
     at the origin and nowhere else among the samples; principal part
@@ -353,12 +329,14 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
     from finitely many samples; monotone decrease along the radius ladder
     is what "pass" means here.
     """
-    plan = plan or SamplePlan()
     failures: list[str] = []
-    dirs = _sphere_directions(spec.dimension, plan.directions_per_radius, plan.seed)
+    # As a float64, t**degree and r**degree overflow to inf or underflow to
+    # 0, and the check they feed fails, where Python floats would raise.
+    degree = np.float64(spec.degree)
+    dirs = _sphere_directions(spec.dimension, 32, seed=7)
 
-    bulk_points = np.concatenate([r * dirs for r in plan.radii], axis=0)
-    near_points = np.concatenate([r * dirs for r in plan.expansion_radii], axis=0)
+    bulk_points = np.concatenate([r * dirs for r in (8.0, 4.0, 2.0, 1.0)], axis=0)
+    near_points = np.concatenate([r * dirs for r in _EXPANSION_RADII], axis=0)
     points = np.concatenate([bulk_points, near_points], axis=0)
     with np.errstate(all="ignore"):
         bulk_values = np.asarray(spec.evaluate(bulk_points), dtype=float)
@@ -406,10 +384,10 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
     homogeneity_ok = False
     if positivity_ok:
         hom_residuals = []
-        for t in plan.homogeneity_factors:
+        for t in (0.5, 2.0, 10.0):
             with np.errstate(all="ignore"):
                 scaled = np.asarray(spec.principal(t * dirs), dtype=float)
-                expected = t**spec.degree * base  # 0 if t**degree underflows
+                expected = t**degree * base  # 0 if t**degree underflows
                 hom_residuals.append(np.max(np.abs(scaled - expected) / expected))
         # np.max keeps a NaN residual, which then fails the comparison.
         hom_max = float(np.max(hom_residuals))
@@ -428,13 +406,14 @@ def validate_profile(spec: ProfileSpec, plan: SamplePlan | None = None) -> Valid
     floors: list[float] = []
     domination = np.nan
     if finite_ok and positivity_ok:
+        rows = (len(_EXPANSION_RADII), len(dirs))
         with np.errstate(all="ignore"):
             princ = np.asarray(spec.principal(points), dtype=float)
-        rows = (len(plan.expansion_radii), len(dirs))
-        near_principal = princ[len(bulk_points):].reshape(rows)
-        for r, ev, pr in zip(plan.expansion_radii, near_values.reshape(rows), near_principal):
-            residuals.append(float(np.max(np.abs(spec.max_value - ev - pr)) / r**spec.degree))
-            floors.append(16.0 * np.finfo(float).eps * spec.max_value / r**spec.degree)
+            near_principal = princ[len(bulk_points):].reshape(rows)
+            for r, ev, pr in zip(_EXPANSION_RADII, near_values.reshape(rows), near_principal):
+                scale = r**degree
+                residuals.append(float(np.max(np.abs(spec.max_value - ev - pr)) / scale))
+                floors.append(16.0 * np.finfo(float).eps * spec.max_value / scale)
         expansion_ok = all(
             nxt <= prv * (1.0 + 1e-9) + 1e-14 or nxt <= floor
             for prv, nxt, floor in zip(residuals, residuals[1:], floors[1:])

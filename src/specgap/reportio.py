@@ -97,11 +97,11 @@ def model_csv_text(model_rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def plot_script_text(report: StudyReport, csv_name: str = "records.csv") -> str:
+def plot_script_text(report: StudyReport) -> str:
     mus = [mu for mu, _ in report.model_eigenvalues]
     return f'''"""Plot scaled spectral gaps against the model eigenvalues.
 
-Generated alongside {csv_name}; run with any Python that has
+Generated alongside records.csv; run with any Python that has
 matplotlib and pandas installed.
 """
 import pandas as pd
@@ -109,7 +109,7 @@ import matplotlib.pyplot as plt
 
 MODEL_EIGENVALUES = {mus!r}
 
-df = pd.read_csv("{csv_name}", comment="#")
+df = pd.read_csv("records.csv", comment="#")
 fig, ax = plt.subplots(figsize=(6, 4))
 for n, group in df.groupby("n"):
     group = group.sort_values("alpha")

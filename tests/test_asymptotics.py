@@ -116,7 +116,9 @@ class TestLocalization:
         alpha = 0.2
         op = build_scaled_operator(pair, alpha, grid_256)
         top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
-        metrics = localization_metrics(pair, alpha, top, radii=(2.0, 4.0))
+        # the flat weight's model operator has no eigenvalue; any mu serves
+        # the forms, which do not read it
+        metrics = localization_metrics(pair, alpha, top, radii=(2.0, 4.0), mu=1.0)
         assert metrics.s_form == 0.0
         assert metrics.k_form == pytest.approx(
             (1 - top.value) / alpha, rel=1e-9, abs=1e-12
@@ -126,8 +128,12 @@ class TestLocalization:
         alpha = 0.05
         op = build_scaled_operator(gaussian_pair, alpha, grid_512)
         top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
-        sorted_m = localization_metrics(gaussian_pair, alpha, top, radii=(2.0, 4.0, 8.0))
-        shuffled = localization_metrics(gaussian_pair, alpha, top, radii=(8.0, 2.0, 4.0))
+        sorted_m = localization_metrics(
+            gaussian_pair, alpha, top, radii=(2.0, 4.0, 8.0), mu=np.sqrt(2.0)
+        )
+        shuffled = localization_metrics(
+            gaussian_pair, alpha, top, radii=(8.0, 2.0, 4.0), mu=np.sqrt(2.0)
+        )
         assert sorted_m == shuffled
         assert sorted_m.radii == (2.0, 4.0, 8.0)
 
@@ -162,7 +168,8 @@ def mehler_eigenvalues(alpha, count):
 
 
 def synthetic_report(gaps_by_n, mus, alphas, residual=1e-12, sigma=1.0,
-                     converged=True, with_extrapolation=True):
+                     converged=True, with_extrapolation=True,
+                     rel_final=SweepSettings.rel_final, rel_extrap=SweepSettings.rel_extrap):
     records = []
     for n, gaps in gaps_by_n.items():
         for alpha, gap in zip(alphas, gaps):
@@ -183,6 +190,7 @@ def synthetic_report(gaps_by_n, mus, alphas, residual=1e-12, sigma=1.0,
             extrapolations[n] = extrapolate_limit(alphas, gaps, sigma=sigma)
     return StudyReport(
         config={"alphas": list(alphas), "k": len(gaps_by_n),
+                "rel_final": rel_final, "rel_extrap": rel_extrap,
                 "profiles": {"sigma": sigma}},
         model_eigenvalues=[(mu, 1e-12) for mu in mus],
         records=records,
@@ -226,8 +234,9 @@ class TestVerdicts:
 
     def test_final_point_out_of_tolerance_fails(self):
         alphas = [0.2, 0.1, 0.05]
-        report = synthetic_report({1: [1.0, 1.2, 1.3]}, [2.0], alphas)
-        verdicts = verify_limit_law(report, rel_final=0.05, rel_extrap=0.5)
+        report = synthetic_report({1: [1.0, 1.2, 1.3]}, [2.0], alphas,
+                                  rel_final=0.05, rel_extrap=0.5)
+        verdicts = verify_limit_law(report)
         assert verdicts[0].status is VerdictStatus.FAIL
         assert any("final-point" in r for r in verdicts[0].reasons)
 
@@ -235,16 +244,16 @@ class TestVerdicts:
         alphas = [0.2, 0.1, 0.05, 0.025]
         # final point and extrapolation fine, but the error ladder wiggles
         gaps = [1.90, 1.999, 1.95, 1.999]
-        report = synthetic_report({1: gaps}, [2.0], alphas)
-        verdicts = verify_limit_law(report, rel_final=0.05, rel_extrap=0.05)
+        report = synthetic_report({1: gaps}, [2.0], alphas, rel_final=0.05, rel_extrap=0.05)
+        verdicts = verify_limit_law(report)
         assert verdicts[0].status is VerdictStatus.INCONCLUSIVE
         assert not verdicts[0].monotone_ok
 
     def test_one_sided_bound_violation_fails(self):
         alphas = [0.2, 0.1, 0.05]
         gaps = [2.2, 2.1, 2.05]  # approaches from above, final 2.5% high
-        report = synthetic_report({1: gaps}, [2.0], alphas)
-        verdicts = verify_limit_law(report, rel_final=0.05, rel_extrap=0.05)
+        report = synthetic_report({1: gaps}, [2.0], alphas, rel_final=0.05, rel_extrap=0.05)
+        verdicts = verify_limit_law(report)
         assert verdicts[0].status is VerdictStatus.FAIL
         assert not verdicts[0].one_sided_ok
 

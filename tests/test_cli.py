@@ -33,6 +33,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN_EMIT = Path(__file__).resolve().parent / "golden_emit.json"
 EXPRESSION_SYMBOL = "[symbol]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x1^2\ndegree = 2\n"
+# Peaks at V0 = 1 at x = 0 but dips to about -1.15 V0, below -V0.
+DIPPING_WEIGHT = (
+    "[weight]\nkind = expression\nexpr = (1 - 2*x1^2)*exp(-x1^2/2)\n"
+    "principal = 5*x1^2/2\ndegree = 2\n"
+)
 
 GAUSSIAN_MINI = textwrap.dedent(
     """
@@ -91,12 +96,10 @@ class TestConfigRoundTrip:
         catalog = GAUSSIAN_MINI.replace("0.2, 0.1, 0.05", "0.2, 0.0333333333, 0.01").replace(
             "half_length = 14", "half_length = 12.3456789"
         ) + "\n[solver]\ntol = 1.23456789e-9\n"
-        expression = (CONFIGS / "custom_expression.ini").read_text(encoding="utf-8").replace(
-            "degree = 2\n\n[weight]", "degree = 2\nmargin = 0.125\n\n[weight]"
-        )
+        expression = (CONFIGS / "custom_expression.ini").read_text(encoding="utf-8")
         shown = {
             catalog: ("0.0333333333", "half_length = 12.3456789", "tol = 1.23456789e-09"),
-            expression: ("principal = norm(x)^2\ndegree = 2\nmargin = 0.125\n",),
+            expression: ("principal = norm(x)^2\ndegree = 2\n",),
         }
         for text, lines in shown.items():
             cfg = parse_config(text)
@@ -120,6 +123,9 @@ class TestConfigRoundTrip:
         [
             ("[solver]\ntols = 1e-3\n", "[solver] tols"),
             ("[symbol]\nkind = catalog\nnmae = rational_power\n", "[symbol] nmae"),
+            # an expression weight's margin is measured, never declared
+            (EXPRESSION_SYMBOL + "margin = 0.5\n", "[symbol] margin: unknown key"),
+            (DIPPING_WEIGHT + "margin = 0.5\n", "[weight] margin: unknown key"),
         ],
     )
     def test_unknown_key_in_a_known_section_rejected(self, text, named):
@@ -131,8 +137,6 @@ class TestConfigRoundTrip:
         [
             ("[weight]\nkind = catalog\nexpr = exp(-x1^2 - abs(x1)^3)\n",
              "[weight] expr: not read with kind = catalog"),
-            ("[symbol]\nkind = catalog\nmargin = 0.5\n",
-             "[symbol] margin: not read with kind = catalog"),
             (EXPRESSION_SYMBOL + "name = gaussian_power\n",
              "[symbol] name: not read with kind = expression"),
             (EXPRESSION_SYMBOL + "params = 2\n", "[symbol] params: not read with kind = expression"),
@@ -214,6 +218,10 @@ class TestConfigRoundTrip:
             "[symbol]\nkind = expression\nexpr = exp(-x1^2) % 2\nprincipal = x1^2\ndegree = 2\n",
             "[symbol]\nkind = expression\nexpr = sin(x1)\nprincipal = x1^2\ndegree = 2\n",
             "[weight]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x2^2\ndegree = 2\n",
+            DIPPING_WEIGHT,
+            # 512^3 nodes exceed the node budget
+            "[problem]\ndimension = 3\n[grid]\nmode = manual\nn = 512\n",
+            "[problem]\nalphas = 0.2, 0.1\n",  # run_sweep needs 3 points
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -297,6 +305,26 @@ class TestValidateCommand:
     def test_percent_sign_is_a_plain_character(self, tmp_path, capsys, text, message):
         assert main(["validate", "--config", write(tmp_path, text)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            # the weight dips below -V0; a declared margin cannot hide that
+            ("verify", GAUSSIAN_MINI.replace("[weight]\nkind = catalog\nname = gaussian_power\n"
+                                             "params = 2\n", DIPPING_WEIGHT + "margin = 0.5\n"),
+             "[weight] margin: unknown key"),
+            ("validate", GAUSSIAN_MINI.replace("dimension = 1", "dimension = 3"),
+             "[grid] grid with 512^3 nodes exceeds the node budget"),
+            ("validate", GAUSSIAN_MINI.replace("0.2, 0.1, 0.05", "0.2, 0.1"),
+             "the alpha ladder needs at least 3 entries"),
+        ],
+        ids=["dipping-weight-with-margin", "over-budget-grid", "two-point-ladder"],
+    )
+    def test_input_the_run_would_reject_exits_2(self, tmp_path, capsys, command, text, message):
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])

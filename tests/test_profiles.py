@@ -8,7 +8,6 @@ from specgap import (
     ProfileError,
     ProfileRole,
     ProfileSpec,
-    SamplePlan,
     expression_profile,
     make_catalog_profile,
     make_pair,
@@ -114,10 +113,10 @@ class TestHomogeneity:
 class TestValidation:
     def test_gaussian_passes_and_expansion_residual_matches_taylor(self):
         spec = make_catalog_profile("gaussian_power", [2], 1)
-        plan = SamplePlan(radii=(4.0, 2.0, 1.0), expansion_radii=(0.1, 0.01, 0.001))
-        report = validate_profile(spec, plan)
+        report = validate_profile(spec)
         assert report.passed
-        # independent oracle: the exact remainder |1 - e^{-r^2} - r^2| / r^2
+        # expansion radii 0.1, 0.01, 0.001; independent oracle: the exact
+        # remainder |1 - e^{-r^2} - r^2| / r^2
         r = 0.01
         expected = abs(-np.expm1(-(r**2)) - r**2) / r**2
         assert report.expansion_residuals[1] == pytest.approx(expected, rel=1e-9)
@@ -211,28 +210,6 @@ class TestValidation:
         for spec in specs:
             assert validate_profile(spec).passed, spec.label
 
-    def test_plan_rejects_increasing_expansion_radii(self):
-        with pytest.raises(ProfileError):
-            SamplePlan(expansion_radii=(0.001, 0.01))
-
-    @pytest.mark.parametrize(
-        "plan, match",
-        [({"radii": ()}, "must contain"), ({"radii": (1.0, -2.0)}, "positive")],
-    )
-    def test_plan_rejects_empty_or_nonpositive_radii(self, plan, match):
-        with pytest.raises(ProfileError, match=match):
-            SamplePlan(**plan)
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_plan_rejects_a_direction_count_below_one(self, count):
-        with pytest.raises(ProfileError, match="directions_per_radius"):
-            SamplePlan(directions_per_radius=count)
-
-    @pytest.mark.parametrize("factors", [(), (0.0,), (2.0, -1.0), (np.nan,), (np.inf,)])
-    def test_plan_rejects_homogeneity_factors_that_check_nothing(self, factors):
-        with pytest.raises(ProfileError, match="homogeneity_factors"):
-            SamplePlan(homogeneity_factors=factors)
-
     def test_nan_homogeneity_residual_fails(self):
         base = make_catalog_profile("gaussian_power", [2], 2)
 
@@ -244,8 +221,12 @@ class TestValidation:
         report = validate_profile(spec)
         assert np.isnan(report.homogeneity_residual_max)
         assert not report.homogeneity_ok and not report.passed
-        # t**degree underflows to 0, so the residual is 0/0
-        report = validate_profile(base, SamplePlan(homogeneity_factors=(1e-200,)))
+        # 0.5**2000 underflows to 0, so the residual at t = 0.5 is 0/0
+        steep = ProfileSpec(
+            2, ProfileRole.SYMBOL_A, base.evaluate, 1.0,
+            lambda p: np.sum(np.square(p), axis=-1) ** 1000, 2000.0,
+        )
+        report = validate_profile(steep)
         assert np.isnan(report.homogeneity_residual_max) and not report.homogeneity_ok
 
     def test_every_point_is_sampled_once(self):
@@ -276,12 +257,11 @@ class TestValidation:
         assert any("homogeneity residual" in msg for msg in report.failures)
 
     def test_weight_margin_above_the_dip_fails_lower_bound(self):
-        # dips to about -0.45; a declared margin of 0.9 allows only -0.1
-        spec = expression_profile(
-            "(1 - x1^2) * exp(-x1^2 / 2)", "3 * x1^2 / 2", 2.0, 1,
-            role=ProfileRole.WEIGHT_V, lower_bound_margin=0.9,
+        # dips to about -0.45; a margin of 0.9 allows only -0.1
+        measured = expression_profile(
+            "(1 - x1^2) * exp(-x1^2 / 2)", "3 * x1^2 / 2", 2.0, 1, role=ProfileRole.WEIGHT_V,
         )
-        assert spec.lower_bound_margin == 0.9
+        spec = dataclasses.replace(measured, lower_bound_margin=0.9)
         report = validate_profile(spec)
         assert report.lower_bound_ok is False
         assert any("drops below" in msg for msg in report.failures)
