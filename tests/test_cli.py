@@ -219,9 +219,13 @@ class TestConfigRoundTrip:
             "[symbol]\nkind = expression\nexpr = sin(x1)\nprincipal = x1^2\ndegree = 2\n",
             "[weight]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x2^2\ndegree = 2\n",
             DIPPING_WEIGHT,
-            # 512^3 nodes exceed the node budget
+            # manual grids are checked by build_grid: 512^3 nodes exceed the
+            # node budget, 6 nodes are too few, an infinite box is no box
             "[problem]\ndimension = 3\n[grid]\nmode = manual\nn = 512\n",
+            "[grid]\nmode = manual\nn = 6\n",
+            "[grid]\nmode = manual\nn = 32\nhalf_length = inf\n",
             "[problem]\nalphas = 0.2, 0.1\n",  # run_sweep needs 3 points
+            "[problem]\nalphas = 0.2\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -317,8 +321,11 @@ class TestValidateCommand:
              "[grid] grid with 512^3 nodes exceeds the node budget"),
             ("validate", GAUSSIAN_MINI.replace("0.2, 0.1, 0.05", "0.2, 0.1"),
              "the alpha ladder needs at least 3 entries"),
+            ("validate", GAUSSIAN_MINI.replace("0.2, 0.1, 0.05", "0.2"),
+             "the alpha ladder needs at least 3 entries, got 1"),
         ],
-        ids=["dipping-weight-with-margin", "over-budget-grid", "two-point-ladder"],
+        ids=["dipping-weight-with-margin", "over-budget-grid", "two-point-ladder",
+             "one-point-ladder"],
     )
     def test_input_the_run_would_reject_exits_2(self, tmp_path, capsys, command, text, message):
         out = tmp_path / "out"
