@@ -4,15 +4,18 @@ A profile is a decaying function on R^d with a single global maximum at
 the origin and a principal homogeneous expansion there.  This script
 builds a few catalog profiles plus one custom expression profile, runs
 the validator on each, and shows what a deliberately broken profile
-looks like in the report.
+looks like in the report.  A weight must also stay above -V0, its
+maximum negated; the symbol/weight pair checks that when it is built.
 """
 
 import numpy as np
 
 from specgap import (
+    ProfileError,
     ProfileRole,
     expression_profile,
     make_catalog_profile,
+    make_pair,
     sigma_exponent,
     validate_profile,
 )
@@ -50,9 +53,25 @@ custom = expression_profile(
     role=ProfileRole.WEIGHT_V,
 )
 report = validate_profile(custom)
+x = np.linspace(-10.0, 10.0, 4001)[:, None]
 print(f"\n{custom.label}")
-print(f"  sign-changing weight, estimated lower-bound margin {custom.lower_bound_margin:.4f}")
+print(f"  sign-changing weight, sampled minimum {custom.evaluate(x).min():.4f} "
+      f"against -V0 = {-custom.max_value:g}")
 print(f"  passed: {report.passed}")
+gauss_symbol = make_catalog_profile("gaussian_power", [2], 1)
+make_pair(gauss_symbol, custom)
+print("  the pair accepts it as a weight")
+
+deep = expression_profile(
+    "exp(-x1^2) - 2.2*exp(-400*(abs(x1)-1)^2)", "x1^2", degree=2.0, d=1,
+    role=ProfileRole.WEIGHT_V,
+)
+print(f"\n{deep.label}")
+print(f"  sampled minimum {deep.evaluate(x).min():.4f} against -V0 = {-deep.max_value:g}")
+try:
+    make_pair(gauss_symbol, deep)
+except ProfileError as exc:
+    print(f"  the pair rejects it: {exc}")
 
 print()
 print("=" * 70)

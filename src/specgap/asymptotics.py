@@ -56,6 +56,7 @@ __all__ = [
     "suggest_grid",
     "model_spectrum",
     "scaled_gap",
+    "alpha_ladder",
     "extrapolate_limit",
     "localization_metrics",
     "run_sweep",
@@ -190,6 +191,12 @@ class SweepSettings:
     ``LANCZOS``.  ``solver.k`` is not read: k is the argument of
     :func:`run_sweep` and :func:`model_spectrum`.
     ``config.sweep_settings`` maps a run configuration to these settings.
+
+    The class owns the ranges of its own fields: ``rel_final`` and
+    ``rel_extrap`` lie in (0, 1], and the localization ``radii`` are
+    positive, finite and distinct as ``{r:g}``, the label of their
+    records.csv columns; anything else raises ``ValueError`` with the
+    field's name first.
     """
 
     solver: SolveSettings = field(default_factory=SolveSettings)
@@ -198,6 +205,17 @@ class SweepSettings:
     rel_final: float = 0.05
     rel_extrap: float = 0.02
     keep_vectors: bool = False
+
+    def __post_init__(self):
+        for name in ("rel_final", "rel_extrap"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if not self.radii or not all(0 < r < np.inf for r in self.radii):
+            raise ValueError(f"radii must be positive and finite, got {list(self.radii)}")
+        if len({f"{r:g}" for r in self.radii}) != len(self.radii):
+            raise ValueError(
+                f"radii must be distinct to 6 significant digits, got {list(self.radii)}"
+            )
 
 
 def scaled_gap(lam: float, alpha: float, pair: ProfilePair) -> float:
@@ -210,6 +228,19 @@ def scaled_gap(lam: float, alpha: float, pair: ProfilePair) -> float:
 # ---------------------------------------------------------------------------
 # Extrapolation
 # ---------------------------------------------------------------------------
+
+def alpha_ladder(alphas: Sequence[float]) -> list[float]:
+    """The alphas as floats, checked: at least 3 of them, positive,
+    finite and strictly decreasing.  NaN fails every check."""
+    alphas = [float(a) for a in alphas]
+    if len(alphas) < 3:
+        raise ValueError(f"the alpha ladder needs at least 3 entries, got {len(alphas)}")
+    if not all(0 < a < np.inf for a in alphas):
+        raise ValueError("alphas must be positive and finite")
+    if not all(b < a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly decreasing")
+    return alphas
+
 
 def extrapolate_limit(
     alphas: Sequence[float], gaps: Sequence[float], sigma: float
@@ -227,18 +258,15 @@ def extrapolate_limit(
     alpha^(2*sigma) term is large, a free rate drifts away from sigma and
     biases the limit.
 
-    Non-monotone ladders cannot carry the model; they are flagged
-    degenerate and the last gap is returned as the limit estimate.  A
-    constant ladder returns its value.
+    The alphas must pass :func:`alpha_ladder`.  Non-monotone ladders
+    cannot carry the model; they are flagged degenerate and the last gap
+    is returned as the limit estimate.  A constant ladder returns its
+    value.
     """
-    a = np.asarray(list(alphas), dtype=float)
+    a = np.asarray(alpha_ladder(alphas))
     g = np.asarray(list(gaps), dtype=float)
-    if a.size < 3:
-        raise ValueError("extrapolation needs at least 3 ladder points")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
-        raise ValueError("ladder contains non-finite entries")
-    if not np.all(np.diff(a) < 0):
-        raise ValueError("alphas must be strictly decreasing")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gaps must be finite")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
 
@@ -460,13 +488,7 @@ def run_sweep(
     the model-solve mode that ran and why :func:`bottom_mode` picked it.
     """
     settings = settings or SweepSettings()
-    alphas = [float(x) for x in alphas]
-    if len(alphas) < 3:
-        raise ValueError("the alpha ladder needs at least 3 strictly decreasing entries")
-    if not all(b < a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly decreasing")
-    if any(x <= 0 for x in alphas):
-        raise ValueError("alphas must be positive")
+    alphas = alpha_ladder(alphas)
 
     norm_pair, scale = normalized_pair(pair)
     grid, grid_reasoning, model_mode, model_mode_reason, model_pairs = model_spectrum(

@@ -9,10 +9,13 @@ parsed document yields the normalized form of the input.  One rule
 governs input: a section or key that the run would not read is an
 error, never dropped.  ``[run]`` is the only input accepted and
 ignored: the benchmark's studies still write ``threads = 1`` (ROADMAP
-item 6).  ``validate_config`` documents the range of every field and
-builds a manual grid, and ``parse_config`` builds the profiles, so a
-grid or a profile that would not build fails there too.
-``sweep_settings`` is the one mapping from a run configuration to the
+item 6).  Each range has one owner: ``validate_config`` keeps the rules
+of the document itself (the dimension, the pair count and the mode
+names) and applies every other rule by building what the run builds
+from the fields: the alpha ladder, the solver and sweep settings and a
+manual grid.  ``parse_config`` also builds the profiles, so a profile
+or a pair that would not build fails there too.  ``sweep_settings`` is
+the one mapping from a run configuration to the
 :class:`~specgap.asymptotics.SweepSettings` that the model step and the
 sweep run with.
 """
@@ -21,10 +24,9 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from dataclasses import dataclass, field, replace
 
-from .asymptotics import SweepSettings
+from .asymptotics import SweepSettings, alpha_ladder
 from .eigensolve import Mode, SolveSettings
 from .grid import GridError, build_grid
 from .profiles import (
@@ -217,42 +219,43 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+# The key behind each settings field whose range can fail; the settings
+# classes name the field first in their messages.
+_SETTING_KEYS = {
+    "tol": "[solver] tol",
+    "max_iterations": "[solver] max_iterations",
+    "rng_seed": "[solver] seed",
+    "rel_final": "[tolerances] rel_final",
+    "rel_extrap": "[tolerances] rel_extrap",
+    "radii": "[localization] radii",
+}
+
+
 def validate_config(cfg: RunConfig) -> None:
-    """Raise :class:`ConfigError` on an out-of-range field; NaN fails every check."""
+    """Raise :class:`ConfigError` on a field the run would reject.
+
+    The document's own rules are checked here; every other rule is
+    applied by building what the run builds, and its ``ValueError``
+    becomes a ``ConfigError`` that names the key.  NaN fails every check.
+    """
     if not 1 <= cfg.dimension <= 3:
         raise ConfigError(f"dimension must be 1..3, got {cfg.dimension}")
     if cfg.eigen_count < 1:
         raise ConfigError(f"eigen_count must be >= 1, got {cfg.eigen_count}")
-    if len(cfg.alphas) < 3:
-        raise ConfigError(f"the alpha ladder needs at least 3 entries, got {len(cfg.alphas)}")
-    if not all(0 < a < math.inf for a in cfg.alphas):
-        raise ConfigError("alphas must be positive and finite")
-    if not all(b < a for a, b in zip(cfg.alphas, cfg.alphas[1:])):
-        raise ConfigError("alphas must be strictly decreasing")
+    try:
+        alpha_ladder(cfg.alphas)
+    except ValueError as exc:
+        raise ConfigError(f"[problem] alphas: {exc}") from exc
     if cfg.grid_mode not in ("auto", "manual"):
         raise ConfigError(f"grid mode must be auto or manual, got {cfg.grid_mode!r}")
-    if cfg.grid_mode == "manual":
-        try:
-            build_grid(cfg.dimension, cfg.grid_n, cfg.grid_half_length)
-        except GridError as exc:
-            raise ConfigError(f"[grid] {exc}") from exc
-    if not 0 < cfg.tol <= 1e-2:
-        raise ConfigError(f"solver tol must lie in (0, 1e-2], got {cfg.tol}")
-    if cfg.max_iterations < 1:
-        raise ConfigError("max_iterations must be positive")
-    if cfg.seed < 0:
-        raise ConfigError(f"[solver] seed must be >= 0, got {cfg.seed}")
     if cfg.model_mode not in _MODEL_MODES:
         raise ConfigError(f"model_mode must be one of {sorted(_MODEL_MODES)}")
-    if not (0 < cfg.rel_final <= 1 and 0 < cfg.rel_extrap <= 1):
-        raise ConfigError("rel_final and rel_extrap must lie in (0, 1]")
-    if not cfg.radii or not all(0 < r < math.inf for r in cfg.radii):
-        raise ConfigError("localization radii must be positive and finite")
-    # records.csv names a radius's columns by {r:g}, so the labels must differ.
-    if len({f"{r:g}" for r in cfg.radii}) != len(cfg.radii):
-        raise ConfigError(
-            f"localization radii must be distinct to 6 significant digits, got {list(cfg.radii)}"
-        )
+    try:
+        sweep_settings(cfg)
+    except GridError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{_SETTING_KEYS[str(exc).split()[0]]}: {exc}") from exc
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -282,8 +285,13 @@ def _build_profile(cfg: RunConfig, section: str) -> ProfileSpec:
 
 
 def build_profiles(cfg: RunConfig) -> ProfilePair:
-    """Instantiate the configured symbol/weight pair."""
-    return make_pair(*(_build_profile(cfg, section) for section in _PROFILES))
+    """Instantiate the configured symbol/weight pair; a weight that the
+    pair rejects is a ``[weight]`` error."""
+    symbol, weight = (_build_profile(cfg, section) for section in _PROFILES)
+    try:
+        return make_pair(symbol, weight)
+    except ProfileError as exc:
+        raise ConfigError(f"[weight] {exc}") from exc
 
 
 def sweep_settings(cfg: RunConfig) -> SweepSettings:

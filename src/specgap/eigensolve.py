@@ -142,6 +142,10 @@ class SolveSettings:
     spectral scale: a pair certifies when ||A v - value*v|| does not
     exceed tol * max(1, |upper_bound|).  For the sandwiched operators
     (norm <= 1) this coincides with an absolute tolerance.
+
+    The class owns the ranges of its fields: 1 <= k, 0 < tol <= 1e-2,
+    1 <= max_iterations and 0 <= rng_seed; anything else raises
+    ``ValueError`` with the field's name first.  NaN fails every check.
     """
 
     k: int = 1
@@ -153,8 +157,12 @@ class SolveSettings:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0 < self.tol <= 1e-2:
+            raise ValueError(f"tol must lie in (0, 1e-2], got {self.tol}")
+        if not self.max_iterations >= 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not self.rng_seed >= 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -221,7 +221,8 @@ def to_position(u_hat: StateVector) -> StateVector:
 
 # ---------------------------------------------------------------------------
 # Binary state dumps: magic "SGV1", then little-endian int64 d, int64 N,
-# float64 L, then N^d (re, im) float64 pairs in C order.
+# float64 L, then N^d little-endian complex128 values (re, im float64
+# pairs) in C order.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SGV1"
@@ -229,14 +230,10 @@ _HEADER = struct.Struct("<qqd")
 
 
 def save_state(u: StateVector, path) -> None:
-    interleaved = np.empty(u.grid.size * 2, dtype="<f8")
-    flat = u.values.ravel()
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(u.grid.dimension, u.grid.n_per_axis, u.grid.half_length))
-        fh.write(interleaved.tobytes())
+        fh.write(u.values.astype("<c16").tobytes())
 
 
 def load_state(path) -> StateVector:
@@ -256,8 +253,7 @@ def load_state(path) -> StateVector:
     if rest or not 1 <= d <= count.bit_length():
         raise GridError("state dump payload does not match the header")
     grid = build_grid(d, n, L, max_nodes=n**d)
-    raw = np.frombuffer(payload, dtype="<f8")
-    if raw.size != 2 * grid.size:
+    if count != grid.size:
         raise GridError("state dump payload does not match the header")
-    values = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-    return StateVector(grid, values)
+    # frombuffer views the read-only bytes; the copy is the caller's to write.
+    return StateVector(grid, np.frombuffer(payload, "<c16").reshape(grid.shape).copy())

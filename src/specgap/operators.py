@@ -391,7 +391,6 @@ def normalized_pair(pair: ProfilePair) -> tuple[ProfilePair, float]:
             evaluate=lambda pts, _f=p.evaluate, _c=c: np.asarray(_f(pts)) / _c,
             principal=lambda pts, _f=p.principal, _c=c: np.asarray(_f(pts)) / _c,
             max_value=1.0,
-            lower_bound_margin=p.lower_bound_margin / c if p.lower_bound_margin else 0.0,
             label=f"{p.label}/max",
         )
 

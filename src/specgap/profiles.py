@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,10 +52,8 @@ class ProfileSpec:
     ``evaluate`` and ``principal`` are vectorized over points of shape
     ``(..., d)`` (trailing coordinate axis) and return shape ``(...)``.
     ``principal`` is positively homogeneous of order ``degree`` and
-    positive away from the origin.  ``lower_bound_margin`` is the
-    positive constant c in ``evaluate >= -max_value + c`` and is only
-    meaningful for weight profiles: exact for catalog profiles, measured
-    by :func:`expression_profile` for expressions.
+    positive away from the origin.  A weight's lower bound is a property
+    of the pair it joins; :class:`ProfilePair` checks it.
     """
 
     dimension: int
@@ -64,7 +62,6 @@ class ProfileSpec:
     max_value: float
     principal: PointFn
     degree: float
-    lower_bound_margin: float = 0.0
     label: str = ""
 
     def __post_init__(self):
@@ -74,13 +71,19 @@ class ProfileSpec:
             raise ProfileError("max_value must be positive")
         if not (self.degree > 0):
             raise ProfileError("degree must be positive")
-        if self.role is ProfileRole.WEIGHT_V and not (self.lower_bound_margin > 0):
-            raise ProfileError("weight profiles need a positive lower_bound_margin")
 
 
 @dataclass(frozen=True)
 class ProfilePair:
-    """Symbol profile + weight profile; ``sigma`` follows from their degrees."""
+    """Symbol profile + weight profile; ``sigma`` follows from their degrees.
+
+    The theorem needs |V| to reach its maximum V0 only at the origin, so
+    a real weight must also stay above -V0.  The pair samples the
+    weight once, on 40 radii from 1e-2 to 1e3 along 16 seeded directions
+    and on :func:`validate_profile`'s 7 radii along its 32 (94 points in
+    1-D, 864 in d >= 2), and raises :class:`ProfileError` when the
+    smallest sample is <= -V0.
+    """
 
     a_profile: ProfileSpec
     v_profile: ProfileSpec
@@ -88,6 +91,15 @@ class ProfilePair:
     def __post_init__(self):
         if self.a_profile.dimension != self.v_profile.dimension:
             raise ProfileError("profiles must share the same dimension")
+        v = self.v_profile
+        with np.errstate(all="ignore"):
+            values = np.asarray(v.evaluate(_weight_probe_points(v.dimension)), dtype=float)
+        low = float(np.min(values, initial=np.inf, where=~np.isnan(values)))
+        if low <= -v.max_value:
+            raise ProfileError(
+                f"sampled minimum {low:.6g} <= -V0 = {-v.max_value:.6g}; "
+                "the weight must stay above -V0"
+            )
 
     @property
     def dimension(self) -> int:
@@ -169,9 +181,7 @@ def make_catalog_profile(
     rational_power(p): 1/(1+|x|^p), max 1, principal |x|^p, degree p.
     aniso_gaussian(Q): exp(-<x,Qx>) for symmetric positive-definite Q
     (given as a row-major list of d*d entries), principal <x,Qx>, degree 2.
-
-    Catalog profiles are nonnegative, so weight-role instances get the
-    analytic lower-bound margin c = max_value (evaluate >= 0 = -max + c).
+    All three are positive, so every one serves as a weight.
     """
     params = [float(p) for p in params]
     if name in ("gaussian_power", "rational_power"):
@@ -200,7 +210,6 @@ def make_catalog_profile(
         label = "aniso_gaussian"
     else:
         raise ProfileError(f"unknown catalog profile {name!r}")
-    margin = 1.0 if role is ProfileRole.WEIGHT_V else 0.0
     return ProfileSpec(
         dimension=d,
         role=role,
@@ -208,7 +217,6 @@ def make_catalog_profile(
         max_value=1.0,
         principal=principal,
         degree=degree,
-        lower_bound_margin=margin,
         label=label,
     )
 
@@ -222,12 +230,10 @@ def expression_profile(
 ) -> ProfileSpec:
     """Build a profile from expression strings (see :mod:`specgap.expr`).
 
-    ``max_value`` is the value at the origin.  A weight's lower-bound
-    margin is measured, never declared: c = max_value + min(0, sampled
-    infimum) over coarse radial sampling, so a weight that dips to
-    -max_value or below gets c <= 0 and is rejected.  An expression
-    outside the grammar raises :class:`ExpressionError` with ``expr:`` or
-    ``principal:`` in front of the message.
+    ``max_value`` is the value at the origin.  Whether a weight stays
+    above -max_value is checked by the :class:`ProfilePair` it joins.
+    An expression outside the grammar raises :class:`ExpressionError`
+    with ``expr:`` or ``principal:`` in front of the message.
     """
     parsed = []
     for name, src in (("expr", expr), ("principal", principal_expr)):
@@ -240,12 +246,6 @@ def expression_profile(
     max_value = float(evaluate(origin))
     if not np.isfinite(max_value) or max_value <= 0:
         raise ProfileError(f"expression value at the origin must be positive, got {max_value}")
-    margin = 0.0
-    if role is ProfileRole.WEIGHT_V:
-        sampled = evaluate(_margin_probe_points(d))
-        sampled = sampled[np.isfinite(sampled)]
-        low = float(sampled.min()) if sampled.size else 0.0
-        margin = max_value + min(0.0, low)
     return ProfileSpec(
         dimension=d,
         role=role,
@@ -253,15 +253,8 @@ def expression_profile(
         max_value=max_value,
         principal=principal,
         degree=float(degree),
-        lower_bound_margin=margin,
         label=expr,
     )
-
-
-def _margin_probe_points(d: int) -> np.ndarray:
-    radii = np.geomspace(1e-2, 1e3, 40)
-    dirs = _sphere_directions(d, 16, seed=11)
-    return radii[:, None, None] * dirs[None, :, :]
 
 
 def _sphere_directions(d: int, count: int, seed: int) -> np.ndarray:
@@ -273,19 +266,30 @@ def _sphere_directions(d: int, count: int, seed: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+# The fixed probe of validate_profile: 32 seeded directions at the bulk
+# radii and at the expansion radii, which decrease toward 0.
+_BULK_RADII = (8.0, 4.0, 2.0, 1.0)
+_EXPANSION_RADII = (1e-1, 1e-2, 1e-3)
+
+
+def _shells(radii, dirs: np.ndarray) -> np.ndarray:
+    return np.concatenate([r * dirs for r in radii], axis=0)
+
+
+def _weight_probe_points(d: int) -> np.ndarray:
+    """The points on which :class:`ProfilePair` samples its weight."""
+    return np.concatenate([
+        _shells(np.geomspace(1e-2, 1e3, 40), _sphere_directions(d, 16, seed=11)),
+        _shells(_BULK_RADII + _EXPANSION_RADII, _sphere_directions(d, 32, seed=7)),
+    ])
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Pass/fail per check plus the raw residuals behind each verdict."""
+    """One line per failed check plus the raw residuals behind the verdict."""
 
     label: str
-    finite_ok: bool
-    global_max_ok: bool
-    homogeneity_ok: bool
-    positivity_ok: bool
-    expansion_ok: bool
-    lower_bound_ok: bool | None
     expansion_residuals: tuple[float, ...]
-    expansion_noise_floors: tuple[float, ...]
     homogeneity_residual_max: float
     domination_constant: float
     failures: tuple[str, ...] = ()
@@ -295,22 +299,10 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        checks = [
-            self.finite_ok,
-            self.global_max_ok,
-            self.homogeneity_ok,
-            self.positivity_ok,
-            self.expansion_ok,
-        ]
-        if self.lower_bound_ok is not None:
-            checks.append(self.lower_bound_ok)
-        return all(checks)
+        return not self.failures
 
 
 _HOMOGENEITY_RTOL = 1e-12
-
-# The expansion radii of the fixed probe, decreasing toward 0.
-_EXPANSION_RADII = (1e-1, 1e-2, 1e-3)
 
 
 def validate_profile(spec: ProfileSpec) -> ValidationReport:
@@ -321,13 +313,13 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
     Checks, in order: all sampled values finite; global maximum attained
     at the origin and nowhere else among the samples; principal part
     positively homogeneous of the declared degree and positive on the
-    sphere (random directions and the coordinate axes); normalized
+    sphere (random directions and the coordinate axes); and normalized
     expansion residuals ``|max - evaluate - principal| / r^degree``
-    nonincreasing along the (decreasing) expansion radii; and, for
-    weights, the lower bound ``evaluate >= -max + margin``.  The
-    asymptotic smallness of the expansion remainder cannot be decided
-    from finitely many samples; monotone decrease along the radius ladder
-    is what "pass" means here.
+    nonincreasing along the (decreasing) expansion radii.  Every failed
+    check adds one line to ``failures``.  The asymptotic smallness of the
+    expansion remainder cannot be decided from finitely many samples;
+    monotone decrease along the radius ladder is what "pass" means here.
+    A weight's lower bound belongs to its pair, see :class:`ProfilePair`.
     """
     failures: list[str] = []
     # As a float64, t**degree and r**degree overflow to inf or underflow to
@@ -335,8 +327,8 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
     degree = np.float64(spec.degree)
     dirs = _sphere_directions(spec.dimension, 32, seed=7)
 
-    bulk_points = np.concatenate([r * dirs for r in (8.0, 4.0, 2.0, 1.0)], axis=0)
-    near_points = np.concatenate([r * dirs for r in _EXPANSION_RADII], axis=0)
+    bulk_points = _shells(_BULK_RADII, dirs)
+    near_points = _shells(_EXPANSION_RADII, dirs)
     points = np.concatenate([bulk_points, near_points], axis=0)
     with np.errstate(all="ignore"):
         bulk_values = np.asarray(spec.evaluate(bulk_points), dtype=float)
@@ -351,22 +343,18 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
 
     # (i) global maximum: attained at the origin, strictly below at the bulk
     # radii, and nowhere above it (near-zero samples may tie in float).
-    global_max_ok = finite_ok
     if finite_ok:
         if not math.isclose(origin_value, spec.max_value, rel_tol=1e-12, abs_tol=0.0):
-            global_max_ok = False
             failures.append(
                 f"evaluate(0) = {origin_value!r} does not equal max_value = {spec.max_value!r}"
             )
         if np.any(bulk_values >= spec.max_value):
-            global_max_ok = False
             worst = bulk_points[int(np.argmax(bulk_values))]
             failures.append(
                 f"maximum not attained only near 0: evaluate({worst.tolist()}) = "
                 f"{float(bulk_values.max())!r} >= max_value"
             )
         if np.any(near_values > spec.max_value):
-            global_max_ok = False
             failures.append("evaluate exceeds max_value at a near-zero sample")
 
     # (ii) homogeneity and positivity of the principal part on a sphere sample;
@@ -381,7 +369,6 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
     if not positivity_ok:
         failures.append("principal part is not positive on the sphere sample")
     hom_max = np.inf
-    homogeneity_ok = False
     if positivity_ok:
         hom_residuals = []
         for t in (0.5, 2.0, 10.0):
@@ -391,8 +378,7 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
                 hom_residuals.append(np.max(np.abs(scaled - expected) / expected))
         # np.max keeps a NaN residual, which then fails the comparison.
         hom_max = float(np.max(hom_residuals))
-        homogeneity_ok = hom_max <= _HOMOGENEITY_RTOL
-        if not homogeneity_ok:
+        if not hom_max <= _HOMOGENEITY_RTOL:
             failures.append(
                 f"homogeneity residual {hom_max:.3e} exceeds {_HOMOGENEITY_RTOL:.0e}"
             )
@@ -403,9 +389,9 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
     # The ladder reuses the near samples of evaluate, and shares one sample
     # of principal at all the points with the domination constant.
     residuals: list[float] = []
-    floors: list[float] = []
     domination = np.nan
     if finite_ok and positivity_ok:
+        floors: list[float] = []
         rows = (len(_EXPANSION_RADII), len(dirs))
         with np.errstate(all="ignore"):
             princ = np.asarray(spec.principal(points), dtype=float)
@@ -414,11 +400,10 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
                 scale = r**degree
                 residuals.append(float(np.max(np.abs(spec.max_value - ev - pr)) / scale))
                 floors.append(16.0 * np.finfo(float).eps * spec.max_value / scale)
-        expansion_ok = all(
+        if not all(
             nxt <= prv * (1.0 + 1e-9) + 1e-14 or nxt <= floor
             for prv, nxt, floor in zip(residuals, residuals[1:], floors[1:])
-        )
-        if not expansion_ok:
+        ):
             failures.append(
                 f"expansion residuals {residuals} do not decrease toward 0"
             )
@@ -426,31 +411,10 @@ def validate_profile(spec: ProfileSpec) -> ValidationReport:
         ok = np.isfinite(princ) & (princ > 0)
         if np.any(ok):
             domination = float(np.max((spec.max_value - values[ok]) / princ[ok]))
-    else:
-        expansion_ok = False
-
-    # (iv) lower bound, weights only.
-    lower_bound_ok: bool | None = None
-    if spec.role is ProfileRole.WEIGHT_V:
-        lower_bound_ok = finite_ok and bool(
-            spec.lower_bound_margin > 0
-            and np.all(values >= -spec.max_value + spec.lower_bound_margin - 1e-12)
-        )
-        if not lower_bound_ok:
-            failures.append(
-                f"weight drops below -max_value + margin (margin = {spec.lower_bound_margin})"
-            )
 
     return ValidationReport(
         label=spec.label or "profile",
-        finite_ok=finite_ok,
-        global_max_ok=global_max_ok,
-        homogeneity_ok=homogeneity_ok,
-        positivity_ok=positivity_ok,
-        expansion_ok=expansion_ok,
-        lower_bound_ok=lower_bound_ok,
         expansion_residuals=tuple(residuals),
-        expansion_noise_floors=tuple(floors),
         homogeneity_residual_max=hom_max,
         domination_constant=domination,
         failures=tuple(failures),

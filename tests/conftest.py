@@ -50,6 +50,5 @@ def constant_profile(role=ProfileRole.SYMBOL_A, d=1):
         max_value=1.0,
         principal=principal,
         degree=2.0,
-        lower_bound_margin=1.0 if role is ProfileRole.WEIGHT_V else 0.0,
         label="constant-one",
     )

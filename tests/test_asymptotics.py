@@ -72,6 +72,11 @@ class TestExtrapolation:
         with pytest.raises(ValueError):
             extrapolate_limit([0.2, 0.1, 0.05], [1.0, np.nan, 2.0], sigma=1.0)
 
+    @pytest.mark.parametrize("last", [0.0, -0.05])
+    def test_rejects_a_nonpositive_alpha(self, last):
+        with pytest.raises(ValueError, match="alphas must be positive and finite"):
+            extrapolate_limit([0.2, 0.1, last], [1.0, 1.5, 1.7], sigma=1.0)
+
     def test_constant_ladder(self):
         result = extrapolate_limit([0.2, 0.1, 0.05], [4.0, 4.0, 4.0], sigma=1.0)
         assert result.limit == 4.0
@@ -401,8 +406,7 @@ class TestRunSweep:
             dataclasses.replace(a, evaluate=lambda p: 3.0 * a.evaluate(p),
                                 principal=lambda p: 3.0 * a.principal(p), max_value=3.0),
             dataclasses.replace(v, evaluate=lambda p: 2.0 * v.evaluate(p),
-                                principal=lambda p: 2.0 * v.principal(p), max_value=2.0,
-                                lower_bound_margin=2.0),
+                                principal=lambda p: 2.0 * v.principal(p), max_value=2.0),
         )
         settings = SweepSettings(solver=SolveSettings(tol=1e-9), grid=grid_256)
         unit = run_sweep(gaussian_pair, [0.2, 0.1, 0.05], 2, settings)
@@ -423,6 +427,14 @@ class TestRunSweep:
                 np.testing.assert_allclose(getattr(loc, name), getattr(unit_loc, name),
                                            rtol=0.0, atol=1e-12)
             assert loc.identity_rel_gap <= 1e-10
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rel_final", 0.0), ("rel_extrap", 1.5), ("radii", (1.0, 1.0000001)), ("radii", ())],
+    )
+    def test_settings_reject_a_field_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SweepSettings(**{field: value})
 
     def test_input_validation(self, gaussian_pair):
         with pytest.raises(ValueError):

@@ -38,6 +38,14 @@ DIPPING_WEIGHT = (
     "[weight]\nkind = expression\nexpr = (1 - 2*x1^2)*exp(-x1^2/2)\n"
     "principal = 5*x1^2/2\ndegree = 2\n"
 )
+CATALOG_WEIGHT = "[weight]\nkind = catalog\nname = gaussian_power\nparams = 2\n"
+
+
+def well_weight(depth: float, width: float, at: float) -> str:
+    """A Gaussian weight with a narrow well of the given depth at |x1| = at."""
+    return (f"[weight]\nkind = expression\n"
+            f"expr = exp(-x1^2) - {depth:g}*exp(-{width:g}*(abs(x1)-{at:g})^2)\n"
+            "principal = x1^2\ndegree = 2\n")
 
 GAUSSIAN_MINI = textwrap.dedent(
     """
@@ -232,6 +240,22 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[solver]\ntol = 0.5\n", "[solver] tol"),
+            ("[solver]\nmax_iterations = 0\n", "[solver] max_iterations"),
+            ("[solver]\nseed = -1\n", "[solver] seed"),
+            ("[tolerances]\nrel_final = 0\n", "[tolerances] rel_final"),
+            ("[tolerances]\nrel_extrap = 1.5\n", "[tolerances] rel_extrap"),
+            ("[localization]\nradii = 2, 2.0000001\n", "[localization] radii"),
+            ("[problem]\nalphas = 0.2, 0.1, 0\n", "[problem] alphas"),
+        ],
+    )
+    def test_an_out_of_range_value_names_its_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config(text)
+
 
 class TestValidateCommand:
     def test_gaussian_passes(self, tmp_path, capsys):
@@ -323,15 +347,28 @@ class TestValidateCommand:
              "the alpha ladder needs at least 3 entries"),
             ("validate", GAUSSIAN_MINI.replace("0.2, 0.1, 0.05", "0.2"),
              "the alpha ladder needs at least 3 entries, got 1"),
+            # dips to -1.83 V0 in a narrow well at |x| = 1
+            *(
+                (command, GAUSSIAN_MINI.replace(CATALOG_WEIGHT, well_weight(2.2, 400, 1)),
+                 "[weight] sampled minimum -1.83")
+                for command in ("verify", "validate", "model-spectrum")
+            ),
         ],
         ids=["dipping-weight-with-margin", "over-budget-grid", "two-point-ladder",
-             "one-point-ladder"],
+             "one-point-ladder", "well-below-minus-v0-verify", "well-below-minus-v0-validate",
+             "well-below-minus-v0-model-spectrum"],
     )
     def test_input_the_run_would_reject_exits_2(self, tmp_path, capsys, command, text, message):
         out = tmp_path / "out"
         assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_weight_with_a_well_above_minus_v0_passes(self, tmp_path, capsys):
+        # dips to -0.48 V0 at |x| = 2, a radius of the validator's probe
+        text = GAUSSIAN_MINI.replace(CATALOG_WEIGHT, well_weight(0.5, 100, 2))
+        assert main(["validate", "--config", write(tmp_path, text)]) == 0
+        assert "[weight] exp(-x1^2) - 0.5*exp(-100*(abs(x1)-2)^2): pass" in capsys.readouterr().out
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])

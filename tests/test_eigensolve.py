@@ -175,6 +175,13 @@ class TestLanczosTop:
         with pytest.raises(ValueError, match="tol"):
             SolveSettings(tol=tol)
 
+    @pytest.mark.parametrize(
+        "field, value", [("tol", 0.5), ("max_iterations", 0), ("rng_seed", -1)]
+    )
+    def test_settings_reject_a_field_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolveSettings(**{field: value})
+
 
 class TestCompleteness:
     """The negated d=2 harmonic model operator -(op(|xi|^2) + 2|x|^2): its

@@ -164,11 +164,16 @@ class TestSerialization:
         g = build_grid(2, 16, 3.0)
         rng = np.random.default_rng(9)
         u = random_state(g, rng)
+        # a -0.0 real part keeps its sign, and an infinite imaginary part
+        # leaves the finite real part alone
+        u.values[0, :2] = [complex(-0.0, 1.0), complex(1.0, np.inf)]
         path = tmp_path / "vec.sgv"
         save_state(u, path)
         back = load_state(path)
         assert back.grid == g
         np.testing.assert_array_equal(back.values, u.values)
+        assert np.signbit(back.values[0, 0].real)
+        assert back.values[0, 1] == complex(1.0, np.inf)
 
         # real-valued vectors (real solves) dump with zero imaginary parts
         real = StateVector(g, rng.standard_normal(g.shape))

@@ -143,7 +143,6 @@ class TestSandwichOperators:
             max_value=1.0,
             principal=lambda p: np.sum(np.asarray(p) ** 2, axis=-1),
             degree=2.0,
-            lower_bound_margin=1.0,
         )
         pair = make_pair(make_catalog_profile("gaussian_power", [2], 1), blow_up)
         with pytest.raises(OperatorError, match="non-finite"):
@@ -427,7 +426,6 @@ class TestNormalization:
             evaluate=lambda p: 2.0 * base_v.evaluate(p),
             principal=lambda p: 2.0 * base_v.principal(p),
             max_value=2.0,
-            lower_bound_margin=2.0,
         )
         pair = make_pair(a3, v2)
         assert pair.peak_product == pytest.approx(12.0)

@@ -42,13 +42,6 @@ class TestCatalog:
         assert spec.degree == 2.0
         assert spec.evaluate(pts(0.0, 0.0)) == 1.0
 
-    def test_weight_role_gets_margin(self):
-        spec = make_catalog_profile(
-            "gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V
-        )
-        assert spec.role is ProfileRole.WEIGHT_V
-        assert spec.lower_bound_margin == 1.0
-
     @pytest.mark.parametrize(
         "name,params,d",
         [
@@ -139,16 +132,13 @@ class TestValidation:
             label="shifted-gaussian",
         )
         report = validate_profile(spec)
-        assert not report.global_max_ok
         assert not report.passed
         assert any("maximum" in msg or "evaluate(0)" in msg for msg in report.failures)
 
     def test_rational_three_halves_passes(self):
         spec = make_catalog_profile("rational_power", [1.5], 1)
         report = validate_profile(spec)
-        assert report.homogeneity_ok
-        assert report.expansion_ok
-        assert report.passed
+        assert report.passed, report.failures
 
     def test_wrong_principal_fails_expansion(self):
         base = make_catalog_profile("gaussian_power", [4], 1)
@@ -162,7 +152,8 @@ class TestValidation:
             label="quartic-with-quadratic-principal",
         )
         report = validate_profile(spec)
-        assert not report.expansion_ok
+        assert not report.passed
+        assert any("do not decrease toward 0" in msg for msg in report.failures)
 
     def test_nonfinite_samples_fail_report(self):
         def evaluate(points):
@@ -179,17 +170,23 @@ class TestValidation:
             degree=2.0,
         )
         report = validate_profile(spec)
-        assert not report.finite_ok
         assert not report.passed
         assert any("non-finite" in msg for msg in report.failures)
 
     def test_weight_lower_bound_checked(self):
-        spec = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
-        report = validate_profile(spec)
-        assert report.lower_bound_ok
-        # symbols carry no lower-bound check
-        sym = make_catalog_profile("gaussian_power", [2], 1)
-        assert validate_profile(sym).lower_bound_ok is None
+        # Dips to about -1.83 V0 in a narrow well at |x| = 1: the pair
+        # rejects it, while the validator, which has no role branch, judges
+        # it as it would a symbol.
+        dipping = expression_profile(
+            "exp(-x1^2) - 2.2*exp(-400*(abs(x1)-1)^2)", "x1^2", 2.0, 1,
+            role=ProfileRole.WEIGHT_V,
+        )
+        symbol = make_catalog_profile("gaussian_power", [2], 1)
+        with pytest.raises(ProfileError, match=r"sampled minimum -1\.83.* <= -V0 = -1"):
+            make_pair(symbol, dipping)
+        as_symbol = dataclasses.replace(dipping, role=ProfileRole.SYMBOL_A)
+        assert validate_profile(dipping) == validate_profile(as_symbol)
+        assert validate_profile(dipping).passed
 
     def test_every_catalog_profile_passes_default_plan(self):
         specs = [
@@ -220,14 +217,14 @@ class TestValidation:
         spec = ProfileSpec(2, ProfileRole.SYMBOL_A, base.evaluate, 1.0, principal, 2.0)
         report = validate_profile(spec)
         assert np.isnan(report.homogeneity_residual_max)
-        assert not report.homogeneity_ok and not report.passed
+        assert "homogeneity residual nan exceeds 1e-12" in report.failures
         # 0.5**2000 underflows to 0, so the residual at t = 0.5 is 0/0
         steep = ProfileSpec(
             2, ProfileRole.SYMBOL_A, base.evaluate, 1.0,
             lambda p: np.sum(np.square(p), axis=-1) ** 1000, 2000.0,
         )
         report = validate_profile(steep)
-        assert np.isnan(report.homogeneity_residual_max) and not report.homogeneity_ok
+        assert np.isnan(report.homogeneity_residual_max) and not report.passed
 
     def test_every_point_is_sampled_once(self):
         base = make_catalog_profile("gaussian_power", [2], 2)
@@ -253,18 +250,8 @@ class TestValidation:
     def test_wrong_declared_degree_fails_homogeneity(self):
         spec = expression_profile("exp(-x1^2)", "x1^2", 3.0, 1)
         report = validate_profile(spec)
-        assert not report.homogeneity_ok
+        assert not report.passed
         assert any("homogeneity residual" in msg for msg in report.failures)
-
-    def test_weight_margin_above_the_dip_fails_lower_bound(self):
-        # dips to about -0.45; a margin of 0.9 allows only -0.1
-        measured = expression_profile(
-            "(1 - x1^2) * exp(-x1^2 / 2)", "3 * x1^2 / 2", 2.0, 1, role=ProfileRole.WEIGHT_V,
-        )
-        spec = dataclasses.replace(measured, lower_bound_margin=0.9)
-        report = validate_profile(spec)
-        assert report.lower_bound_ok is False
-        assert any("drops below" in msg for msg in report.failures)
 
 
 class TestPair:
@@ -306,18 +293,6 @@ class TestPair:
         with pytest.raises(ProfileError, match=match):
             ProfileSpec(**{**fields, field: value})
 
-    def test_weight_requires_positive_margin(self):
-        with pytest.raises(ProfileError):
-            ProfileSpec(
-                dimension=1,
-                role=ProfileRole.WEIGHT_V,
-                evaluate=lambda p: np.ones(np.asarray(p).shape[:-1]),
-                max_value=1.0,
-                principal=lambda p: np.asarray(p, dtype=float)[..., 0] ** 2,
-                degree=2.0,
-                lower_bound_margin=0.0,
-            )
-
 
 class TestExpressionProfiles:
     def test_expression_gaussian_matches_catalog(self):
@@ -329,12 +304,6 @@ class TestExpressionProfiles:
         np.testing.assert_allclose(spec.principal(x), catalog.principal(x), rtol=1e-14)
         assert validate_profile(spec).passed
 
-    def test_expression_weight_margin_estimated(self):
-        spec = expression_profile(
-            "1/(1+x1^2)", "x1^2", 2.0, 1, role=ProfileRole.WEIGHT_V
-        )
-        assert spec.lower_bound_margin == pytest.approx(1.0, rel=1e-6)
-
     @pytest.mark.parametrize("expr", ["x1", "-exp(-x1^2)"])
     def test_nonpositive_origin_value_rejected(self, expr):
         with pytest.raises(ProfileError, match="at the origin"):
@@ -344,18 +313,19 @@ class TestExpressionProfiles:
         # a constant symbol has no decay and a vanishing principal part
         spec = expression_profile("1 + 0*x1", "0*x1", 2.0, 1)
         report = validate_profile(spec)
-        assert not report.positivity_ok
         assert not report.passed
+        assert "principal part is not positive on the sphere sample" in report.failures
 
     def test_principal_part_ignoring_a_coordinate_fails_positivity(self):
         # x1^2 is positive on every random direction but 0 on the x2 axis.
         spec = expression_profile("exp(-x1^2)", "x1^2", 2.0, 2)
         report = validate_profile(spec)
-        assert not report.positivity_ok
+        assert not report.passed
         assert "principal part is not positive on the sphere sample" in report.failures
 
     def test_sign_changing_weight_via_expression(self):
-        # dips to about -0.45 near |x| = sqrt(3); margin stays positive
+        # dips to about -0.45 near |x| = sqrt(3), above -V0 = -1: the pair
+        # takes it
         spec = expression_profile(
             "(1 - x1^2) * exp(-x1^2 / 2)",
             "3 * x1^2 / 2",
@@ -364,6 +334,6 @@ class TestExpressionProfiles:
             role=ProfileRole.WEIGHT_V,
         )
         assert spec.max_value == 1.0
-        assert 0 < spec.lower_bound_margin < 1.0
+        assert make_pair(make_catalog_profile("gaussian_power", [2], 1), spec).v_profile is spec
         report = validate_profile(spec)
         assert report.passed, report.failures
