@@ -1,9 +1,19 @@
 """Command-line front end.
 
-Subcommands: validate | model-spectrum | sweep | verify | report.
-Exit codes: 0 success, 1 verification/validation failure,
-2 configuration error, 3 numerical failure.  All randomness flows from
-the single config seed (overridable with --seed).
+Subcommands: validate | model-spectrum | sweep | verify | report.  All
+randomness flows from the single config seed (overridable with --seed).
+
+Exit codes, the same for each input in every command:
+
+* 0: success;
+* 1: a profile fails :func:`~specgap.profiles.validate_profile` (every
+  command but ``report`` validates both profiles before any solve and
+  prints the failing profile's lines), or a verdict is not PASS
+  (``verify``);
+* 2: a document, settings or pair error, a weight at or below -V0 on
+  the pair's probe or on the study grid, or a non-finite degree (also
+  an unreadable or malformed report for ``report``);
+* 3: a numerical failure.
 
 ``config.sweep_settings`` maps the run configuration to settings;
 ``asymptotics.model_spectrum`` is the model step of ``model-spectrum``
@@ -26,11 +36,10 @@ from .config import (
     emit_config,
     parse_config,
     sweep_settings,
-    validate_config,
 )
 from .eigensolve import InnerSolveStallError, NoConvergenceError
 from .operators import normalized_pair
-from .profiles import validate_profile
+from .profiles import ProfilePair, validate_profile
 from .reportio import (
     model_csv_text,
     render_report,
@@ -78,16 +87,26 @@ def _configured_run(args) -> RunConfig:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     cfg = parse_config(text)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    validate_config(cfg)
+        cfg = replace(cfg, rng_seed=args.seed)
     return cfg
 
 
-def cmd_validate(args) -> int:
-    pair = build_profiles(_configured_run(args))
+class _ProfileRejected(Exception):
+    """A profile failed the validator; its lines are printed."""
+
+
+def _validated_pair(cfg: RunConfig, show_passing: bool = False) -> ProfilePair:
+    """The configured pair, after :func:`validate_profile` has passed
+    both profiles.  Prints the validator's lines for each failing
+    profile, and for the passing ones too with ``show_passing``; raises
+    :class:`_ProfileRejected` if either fails."""
+    pair = build_profiles(cfg)
     ok = True
     for role_name, spec in [("symbol", pair.a_profile), ("weight", pair.v_profile)]:
         report = validate_profile(spec)
+        ok = ok and report.passed
+        if report.passed and not show_passing:
+            continue
         print(f"[{role_name}] {spec.label}: {'pass' if report.passed else 'FAIL'}")
         print(f"  expansion residual ladder: "
               + ", ".join(f"{r:.3e}" for r in report.expansion_residuals))
@@ -97,13 +116,19 @@ def cmd_validate(args) -> int:
             print(f"  failure: {failure}")
         for note in report.notes:
             print(f"  note: {note}")
-        ok = ok and report.passed
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    if not ok:
+        raise _ProfileRejected
+    return pair
+
+
+def cmd_validate(args) -> int:
+    _validated_pair(_configured_run(args), show_passing=True)
+    return EXIT_OK
 
 
 def cmd_model_spectrum(args) -> int:
     cfg = _configured_run(args)
-    norm_pair, scale = normalized_pair(build_profiles(cfg))
+    norm_pair, scale = normalized_pair(_validated_pair(cfg))
     grid, grid_reasoning, mode, reason, pairs = model_spectrum(
         norm_pair, cfg.eigen_count, sweep_settings(cfg)
     )
@@ -134,7 +159,7 @@ def cmd_model_spectrum(args) -> int:
 def _run_configured_sweep(args):
     """Run the configured sweep, write its files and print the report."""
     cfg = _configured_run(args)
-    report = run_sweep(build_profiles(cfg), cfg.alphas, cfg.eigen_count, sweep_settings(cfg))
+    report = run_sweep(_validated_pair(cfg), cfg.alphas, cfg.eigen_count, sweep_settings(cfg))
     report.config["source"] = emit_config(cfg)
     paths = write_report_files(report, args.out)
     print(render_report(report.to_dict()))
@@ -187,6 +212,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _ProfileRejected:
+        return EXIT_VERIFY_FAIL
     except ValueError as exc:  # every specgap input error is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

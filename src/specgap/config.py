@@ -9,15 +9,16 @@ parsed document yields the normalized form of the input.  One rule
 governs input: a section or key that the run would not read is an
 error, never dropped.  ``[run]`` is the only input accepted and
 ignored: the benchmark's studies still write ``threads = 1`` (ROADMAP
-item 6).  Each range has one owner: ``validate_config`` keeps the rules
+item 6).  Each range has one owner.  :class:`RunConfig` owns the rules
 of the document itself (the dimension, the pair count and the mode
-names) and applies every other rule by building what the run builds
-from the fields: the alpha ladder, the solver and sweep settings and a
-manual grid.  ``parse_config`` also builds the profiles, so a profile
-or a pair that would not build fails there too.  ``sweep_settings`` is
-the one mapping from a run configuration to the
-:class:`~specgap.asymptotics.SweepSettings` that the model step and the
-sweep run with.
+names) and checks them when it is built, then applies every other rule
+by building what the run builds from its fields: the alpha ladder, the
+solver and sweep settings and a manual grid.  So no invalid
+``RunConfig`` exists, from the INI or from Python.  ``parse_config``
+also builds the profiles, so a profile or a pair that would not build
+fails there too.  ``sweep_settings`` is the one mapping from a run
+configuration to the :class:`~specgap.asymptotics.SweepSettings` that
+the model step and the sweep run with.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .profiles import (
 from .expr import ExpressionError
 
 __all__ = ["ConfigError", "ProfileConfig", "RunConfig", "parse_config", "emit_config",
-           "validate_config", "build_profiles", "sweep_settings"]
+           "build_profiles", "sweep_settings"]
 
 
 class ConfigError(ValueError):
@@ -60,6 +61,11 @@ class ProfileConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run, as the INI document describes it.  Building one checks
+    every field: a field the run would reject raises
+    :class:`ConfigError`, naming the INI key when a settings class
+    owns the rule.  NaN fails every check."""
+
     symbol: ProfileConfig = field(default_factory=ProfileConfig)
     weight: ProfileConfig = field(default_factory=ProfileConfig)
     dimension: int = 1
@@ -70,7 +76,7 @@ class RunConfig:
     grid_half_length: float = 20.0
     tol: float = SolveSettings.tol
     max_iterations: int = SolveSettings.max_iterations
-    seed: int = SolveSettings.rng_seed
+    rng_seed: int = SolveSettings.rng_seed
     # auto (eigensolve.bottom_mode picks by size and stiffness) | dense |
     # shift_invert | lanczos
     model_mode: str = "auto"
@@ -78,6 +84,28 @@ class RunConfig:
     rel_extrap: float = SweepSettings.rel_extrap
     radii: tuple[float, ...] = SweepSettings.radii
     emit_eigenfunctions: bool = SweepSettings.keep_vectors
+
+    def __post_init__(self):
+        if not 1 <= self.dimension <= 3:
+            raise ConfigError(f"dimension must be 1..3, got {self.dimension}")
+        if self.eigen_count < 1:
+            raise ConfigError(f"eigen_count must be >= 1, got {self.eigen_count}")
+        try:
+            alpha_ladder(self.alphas)
+        except ValueError as exc:
+            raise ConfigError(f"[problem] alphas: {exc}") from exc
+        if self.grid_mode not in ("auto", "manual"):
+            raise ConfigError(f"grid mode must be auto or manual, got {self.grid_mode!r}")
+        if self.model_mode not in _MODEL_MODES:
+            raise ConfigError(f"model_mode must be one of {sorted(_MODEL_MODES)}")
+        try:
+            sweep_settings(self)
+        except GridError as exc:
+            raise ConfigError(f"[grid] {exc}") from exc
+        except ValueError as exc:  # the settings classes name the field first
+            name = str(exc).split()[0]
+            section, key = next((s, k) for s, k, f, *_ in _SCHEMA if f == name)
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
 _MODEL_MODES = {
@@ -146,7 +174,7 @@ _SCHEMA = tuple(
     ("grid", "half_length", "grid_half_length", float, _g, _MANUAL),
     ("solver", "tol", "tol", float, _g, None),
     ("solver", "max_iterations", "max_iterations", int, str, None),
-    ("solver", "seed", "seed", int, str, None),
+    ("solver", "seed", "rng_seed", int, str, None),
     ("solver", "model_mode", "model_mode", _word, str, None),
     ("tolerances", "rel_final", "rel_final", float, _g, None),
     ("tolerances", "rel_extrap", "rel_extrap", float, _g, None),
@@ -214,48 +242,8 @@ def parse_config(text: str) -> RunConfig:
 
     profiles = {name: _profile(parser, name) for name in _PROFILES if parser.has_section(name)}
     cfg = RunConfig(**profiles, **_read(parser, _SECTION_KEYS.keys() - _PROFILES, RunConfig()))
-    validate_config(cfg)
     build_profiles(cfg)
     return cfg
-
-
-# The key behind each settings field whose range can fail; the settings
-# classes name the field first in their messages.
-_SETTING_KEYS = {
-    "tol": "[solver] tol",
-    "max_iterations": "[solver] max_iterations",
-    "rng_seed": "[solver] seed",
-    "rel_final": "[tolerances] rel_final",
-    "rel_extrap": "[tolerances] rel_extrap",
-    "radii": "[localization] radii",
-}
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Raise :class:`ConfigError` on a field the run would reject.
-
-    The document's own rules are checked here; every other rule is
-    applied by building what the run builds, and its ``ValueError``
-    becomes a ``ConfigError`` that names the key.  NaN fails every check.
-    """
-    if not 1 <= cfg.dimension <= 3:
-        raise ConfigError(f"dimension must be 1..3, got {cfg.dimension}")
-    if cfg.eigen_count < 1:
-        raise ConfigError(f"eigen_count must be >= 1, got {cfg.eigen_count}")
-    try:
-        alpha_ladder(cfg.alphas)
-    except ValueError as exc:
-        raise ConfigError(f"[problem] alphas: {exc}") from exc
-    if cfg.grid_mode not in ("auto", "manual"):
-        raise ConfigError(f"grid mode must be auto or manual, got {cfg.grid_mode!r}")
-    if cfg.model_mode not in _MODEL_MODES:
-        raise ConfigError(f"model_mode must be one of {sorted(_MODEL_MODES)}")
-    try:
-        sweep_settings(cfg)
-    except GridError as exc:
-        raise ConfigError(f"[grid] {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{_SETTING_KEYS[str(exc).split()[0]]}: {exc}") from exc
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -304,7 +292,7 @@ def sweep_settings(cfg: RunConfig) -> SweepSettings:
         solver=SolveSettings(
             tol=cfg.tol,
             max_iterations=cfg.max_iterations,
-            rng_seed=cfg.seed,
+            rng_seed=cfg.rng_seed,
             mode=_MODEL_MODES[cfg.model_mode],
         ),
         grid=grid,

@@ -123,7 +123,8 @@ def _sandwich_samples(pair: ProfilePair, alpha: float, grid: Grid,
                       scaled: bool) -> tuple[np.ndarray, np.ndarray]:
     """Finite weight samples V(s x) and multiplier samples a(t xi) on
     ``grid``: (s, t) = (alpha^(gamma/(gamma+beta)), alpha^(beta/(gamma+beta)))
-    for the scaled sandwich, (1, alpha) for the original one."""
+    for the scaled sandwich, (1, alpha) for the original one.  A weight
+    sample at or below -V0 raises :class:`OperatorError`."""
     if alpha <= 0:
         raise OperatorError("alpha must be positive")
     if grid.dimension != pair.dimension:
@@ -138,6 +139,13 @@ def _sandwich_samples(pair: ProfilePair, alpha: float, grid: Grid,
         np.asarray(pair.v_profile.evaluate(pos_scale * grid.position_points), dtype=float),
         "weight",
     )
+    # The pair's probe has fixed radii; the grid's own nodes can still
+    # hold a narrow well at or below -V0.
+    if (low := float(w.min())) <= -pair.v_profile.max_value:
+        raise OperatorError(
+            f"weight sample minimum {low:.6g} <= -V0 = {-pair.v_profile.max_value:.6g} "
+            f"at alpha={alpha:g}; the weight must stay above -V0"
+        )
     b = _finite_or_raise(
         np.asarray(pair.a_profile.evaluate(freq_scale * grid.frequency_points), dtype=float),
         "multiplier",

@@ -52,8 +52,10 @@ class ProfileSpec:
     ``evaluate`` and ``principal`` are vectorized over points of shape
     ``(..., d)`` (trailing coordinate axis) and return shape ``(...)``.
     ``principal`` is positively homogeneous of order ``degree`` and
-    positive away from the origin.  A weight's lower bound is a property
-    of the pair it joins; :class:`ProfilePair` checks it.
+    positive away from the origin.  The degree must satisfy
+    0 < degree < inf, else :class:`ProfileError`.  A weight's lower
+    bound is a property of the pair it joins; :class:`ProfilePair`
+    checks it.
     """
 
     dimension: int
@@ -71,6 +73,8 @@ class ProfileSpec:
             raise ProfileError("max_value must be positive")
         if not (self.degree > 0):
             raise ProfileError("degree must be positive")
+        if self.degree == np.inf:
+            raise ProfileError("degree must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,17 @@ from specgap import (
     make_catalog_profile,
     make_pair,
 )
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, loaded by path: the benchmark's studies."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,11 @@
 import csv
-import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,9 @@ DIPPING_WEIGHT = (
     "principal = 5*x1^2/2\ndegree = 2\n"
 )
 CATALOG_WEIGHT = "[weight]\nkind = catalog\nname = gaussian_power\nparams = 2\n"
+CATALOG_SYMBOL = CATALOG_WEIGHT.replace("[weight]", "[symbol]")
+INFINITE_DEGREE_SYMBOL = EXPRESSION_SYMBOL.replace("degree = 2", "degree = inf")
+SHIFTED_SYMBOL = EXPRESSION_SYMBOL.replace("exp(-x1^2)", "exp(-(x1-1)^2)")
 
 
 def well_weight(depth: float, width: float, at: float) -> str:
@@ -93,7 +95,7 @@ class TestConfigRoundTrip:
         assert cfg.alphas == (0.2, 0.1, 0.05, 0.025)
         assert parse_config("") == RunConfig()
         run, solve, sweep = RunConfig(), SolveSettings(), SweepSettings()
-        assert (run.tol, run.seed, run.max_iterations) == (
+        assert (run.tol, run.rng_seed, run.max_iterations) == (
             solve.tol, solve.rng_seed, solve.max_iterations
         )
         assert (run.rel_final, run.rel_extrap, run.radii) == (
@@ -116,6 +118,22 @@ class TestConfigRoundTrip:
                 assert line in normalized
             assert parse_config(normalized) == cfg
             assert emit_config(parse_config(normalized)) == normalized
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dimension": 4}, "dimension must be 1..3, got 4"),
+            ({"alphas": (0.2, 0.1)}, "[problem] alphas: the alpha ladder needs at least 3"),
+            ({"grid_mode": "manual", "grid_n": 6}, "[grid] "),
+            ({"rng_seed": -1}, "[solver] seed: rng_seed must be >= 0, got -1"),
+            ({"radii": (2.0, 2.0)}, "[localization] radii: radii must be distinct"),
+        ],
+    )
+    def test_an_invalid_run_config_cannot_be_built(self, change, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            RunConfig(**change)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            replace(parse_config(GAUSSIAN_MINI), **change)
 
     def test_model_mode_accepts_lanczos(self):
         cfg = parse_config("[solver]\nmodel_mode = lanczos\n")
@@ -158,6 +176,8 @@ class TestConfigRoundTrip:
             (EXPRESSION_SYMBOL.replace("exp(-x1^2)", "sin(x1)"), "[symbol] expr: only exp, abs"),
             ("[weight]\nkind = expression\nexpr = exp(-x1^2)\nprincipal = x2^2\ndegree = 2\n",
              "[weight] principal: coordinate 'x2' out of range"),
+            (INFINITE_DEGREE_SYMBOL, "[symbol] degree must be positive and finite"),
+            ("[symbol]\nparams = inf\n", "[symbol] degree must be positive and finite"),
         ],
     )
     def test_input_the_run_would_not_read_or_build_is_rejected(self, text, named):
@@ -174,16 +194,10 @@ class TestConfigRoundTrip:
             rows = [name for section, _, name, *_ in config._SCHEMA if section == profile]
             assert sorted(rows) == sorted(f.name for f in fields(ProfileConfig))
 
-    def test_normalized_form_of_every_shipped_ini_is_unchanged(self):
+    def test_normalized_form_of_every_shipped_ini_is_unchanged(self, workloads):
         # tests/golden_emit.json pins emit_config(parse_config(text)), the
         # `config.source` of report.json, for configs/*.ini and every
         # benchmark study at full size and shrunk.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads  # dataclasses look their module up
-        spec.loader.exec_module(workloads)
         texts = {
             path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
             for path in [*sorted(CONFIGS.glob("*.ini")), workloads.OWN_CONFIGS / "gaussian_auto.ini"]
@@ -275,6 +289,21 @@ class TestValidateCommand:
         assert rc == 1
         assert "maximum" in out
 
+    @pytest.mark.parametrize("command", ["model-spectrum", "sweep", "verify"])
+    def test_study_commands_stop_on_a_profile_the_validator_fails(self, tmp_path, capsys,
+                                                                   command):
+        # The symbol peaks at x = 1, so the theorem does not cover the pair.
+        config = write(tmp_path, GAUSSIAN_MINI.replace(CATALOG_SYMBOL, SHIFTED_SYMBOL))
+        assert main(["validate", "--config", config]) == 1
+        validated = capsys.readouterr().out
+        symbol_lines = validated[:validated.index("[weight]")]
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().out == symbol_lines
+        assert "[symbol] exp(-(x1-1)^2): FAIL\n  expansion residual" in symbol_lines
+        assert "  failure: maximum not attained only near 0" in symbol_lines
+        assert not out.exists()
+
     def test_malformed_expression_exits_2(self, tmp_path, capsys):
         text = GAUSSIAN_MINI.replace(
             "[symbol]\nkind = catalog\nname = gaussian_power\nparams = 2",
@@ -353,10 +382,24 @@ class TestValidateCommand:
                  "[weight] sampled minimum -1.83")
                 for command in ("verify", "validate", "model-spectrum")
             ),
+            # dips to -2.14 V0 at |x| = 3, between the pair probe's radii but
+            # on the study grid's nodes at the first alpha
+            *(
+                (command, GAUSSIAN_MINI.replace(CATALOG_WEIGHT, well_weight(2.2, 400, 3)),
+                 "weight sample minimum -2.14136 <= -V0 = -1 at alpha=0.2")
+                for command in ("sweep", "verify")
+            ),
+            *(
+                (command, GAUSSIAN_MINI.replace(CATALOG_SYMBOL, INFINITE_DEGREE_SYMBOL),
+                 "[symbol] degree must be positive and finite")
+                for command in ("validate", "model-spectrum", "verify")
+            ),
         ],
         ids=["dipping-weight-with-margin", "over-budget-grid", "two-point-ladder",
              "one-point-ladder", "well-below-minus-v0-verify", "well-below-minus-v0-validate",
-             "well-below-minus-v0-model-spectrum"],
+             "well-below-minus-v0-model-spectrum", "well-between-probe-radii-sweep",
+             "well-between-probe-radii-verify", "infinite-degree-validate",
+             "infinite-degree-model-spectrum", "infinite-degree-verify"],
     )
     def test_input_the_run_would_reject_exits_2(self, tmp_path, capsys, command, text, message):
         out = tmp_path / "out"

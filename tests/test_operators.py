@@ -148,6 +148,16 @@ class TestSandwichOperators:
         with pytest.raises(OperatorError, match="non-finite"):
             build_original_operator(pair, 0.1, grid_256)
 
+    def test_weight_sample_at_or_below_minus_v0_rejected(self, gaussian_pair, grid_512):
+        # The well at |x| = 3 lies between the radii of the pair's probe.
+        weight = expression_profile(
+            "exp(-x1^2) - 2.2*exp(-400*(abs(x1)-3)^2)", "x1^2", 2.0, 1, role=ProfileRole.WEIGHT_V
+        )
+        pair = make_pair(gaussian_pair.a_profile, weight)
+        with pytest.raises(OperatorError,
+                           match=r"weight sample minimum -2\.14136 <= -V0 = -1 at alpha=0\.2;"):
+            build_scaled_operator(pair, 0.2, grid_512)
+
     def test_grid_dimension_mismatch_rejected(self, gaussian_pair):
         g2 = build_grid(2, 16, 4.0)
         with pytest.raises(OperatorError):

@@ -52,6 +52,7 @@ class TestCatalog:
             ("aniso_gaussian", [1, 0, 0, -1], 2),  # not positive definite
             ("aniso_gaussian", [1, 2, 0, 1], 2),  # not symmetric
             ("aniso_gaussian", [1, 0, 0], 2),  # wrong count
+            ("gaussian_power", [float("inf")], 1),  # the degree must be finite
         ],
     )
     def test_rejects_bad_parameters(self, name, params, d):
@@ -279,7 +280,7 @@ class TestPair:
     @pytest.mark.parametrize(
         "field, value, match",
         [("dimension", 0, "dimension"), ("max_value", 0.0, "max_value"),
-         ("degree", -1.0, "degree")],
+         ("degree", -1.0, "degree"), ("degree", np.inf, "degree must be positive and finite")],
     )
     def test_spec_rejects_a_nonpositive_field(self, field, value, match):
         fields = dict(
