@@ -446,20 +446,26 @@ def _min_on_sphere(profile, dirs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def model_spectrum(
-    norm_pair: ProfilePair, k: int, settings: SweepSettings
+    norm_pair: ProfilePair, alphas: Sequence[float], k: int, settings: SweepSettings
 ) -> tuple[Grid, tuple[str, ...], Mode, str, list[EigenPair]]:
     """The lowest k eigenpairs of the model operator of ``norm_pair``
     (maxima normalized to 1) on the study grid.
 
     The grid is ``settings.grid`` when supplied, else
     :func:`suggest_grid`'s choice; :func:`bottom_mode` picks the solve
-    from ``settings.solver.mode``.  Returns the grid, the grid reasoning,
-    the mode, the reason for the mode and the pairs, ascending.
+    from ``settings.solver.mode``.  Before the solve it samples the
+    scaled sandwich on that grid at each of ``alphas``, so a weight
+    sample at or below -V0, or a non-finite sample, raises the
+    :class:`~specgap.operators.OperatorError` that the sweep would.
+    Returns the grid, the grid reasoning, the mode, the reason for the
+    mode and the pairs, ascending.
     """
     if settings.grid is not None:
         grid, grid_reasoning = settings.grid, ("grid supplied explicitly",)
     else:
         grid, grid_reasoning = suggest_grid(norm_pair, k)
+    for alpha in alphas:
+        make_scaled_symbols(norm_pair, alpha, grid)
     op = build_model_operator(norm_pair, grid)
     mode, reason = bottom_mode(op, k, settings.solver.mode)
     pairs = smallest_eigenpairs(op, replace(settings.solver, k=k, mode=mode))
@@ -492,7 +498,7 @@ def run_sweep(
 
     norm_pair, scale = normalized_pair(pair)
     grid, grid_reasoning, model_mode, model_mode_reason, model_pairs = model_spectrum(
-        norm_pair, k, settings
+        norm_pair, alphas, k, settings
     )
     grid_id = grid.describe()
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]

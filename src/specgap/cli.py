@@ -10,10 +10,14 @@ Exit codes, the same for each input in every command:
   command but ``report`` validates both profiles before any solve and
   prints the failing profile's lines), or a verdict is not PASS
   (``verify``);
-* 2: a document, settings or pair error, a weight at or below -V0 on
-  the pair's probe or on the study grid, or a non-finite degree (also
-  an unreadable or malformed report for ``report``);
-* 3: a numerical failure.
+* 2: a document, settings or pair error, a non-finite degree or
+  ``aniso_gaussian`` coefficient (both at parse time), or a weight at
+  or below -V0 on the pair's probe or on the study grid at any alpha
+  of the ladder (checked before the model solve, so ``model-spectrum``
+  exits 2 on it too and no command writes a file); also an unreadable
+  or malformed report for ``report``;
+* 3: a numerical failure (:class:`~specgap.eigensolve.NoConvergenceError`,
+  an inner CG stall included).
 
 ``config.sweep_settings`` maps the run configuration to settings;
 ``asymptotics.model_spectrum`` is the model step of ``model-spectrum``
@@ -37,7 +41,7 @@ from .config import (
     parse_config,
     sweep_settings,
 )
-from .eigensolve import InnerSolveStallError, NoConvergenceError
+from .eigensolve import NoConvergenceError
 from .operators import normalized_pair
 from .profiles import ProfilePair, validate_profile
 from .reportio import (
@@ -130,7 +134,7 @@ def cmd_model_spectrum(args) -> int:
     cfg = _configured_run(args)
     norm_pair, scale = normalized_pair(_validated_pair(cfg))
     grid, grid_reasoning, mode, reason, pairs = model_spectrum(
-        norm_pair, cfg.eigen_count, sweep_settings(cfg)
+        norm_pair, cfg.alphas, cfg.eigen_count, sweep_settings(cfg)
     )
     rows = [
         {
@@ -217,7 +221,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every specgap input error is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergenceError, InnerSolveStallError) as exc:
+    except NoConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

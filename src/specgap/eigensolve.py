@@ -200,8 +200,9 @@ class NoConvergenceError(RuntimeError):
         self.best_residuals = tuple(float(r) for r in best_residuals)
 
 
-class InnerSolveStallError(RuntimeError):
-    """Inner conjugate-gradient solve hit its iteration cap."""
+class InnerSolveStallError(NoConvergenceError):
+    """Inner conjugate-gradient solve hit its iteration cap; its
+    ``best_residuals`` are empty."""
 
     def __init__(self, achieved_residual: float, iterations: int):
         super().__init__(

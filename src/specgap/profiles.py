@@ -6,13 +6,18 @@ there:  f(x) = max - principal(x) + o(|x|^degree).  Two such profiles
 (one acting as a Fourier-multiplier symbol, one as a position weight)
 form a :class:`ProfilePair`; the coupling exponent sigma combines their
 degrees harmonically, 1/sigma = 1/degree_weight + 1/degree_symbol.
+
+Every profile is evaluated by the checked steps of :mod:`specgap.expr`.
+The catalog is a set of named expressions in that grammar:
+:func:`make_catalog_profile` writes one from its parameters and builds
+it with :func:`expression_profile`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,10 +76,15 @@ class ProfileSpec:
             raise ProfileError("dimension must be a positive integer")
         if not (self.max_value > 0):
             raise ProfileError("max_value must be positive")
-        if not (self.degree > 0):
-            raise ProfileError("degree must be positive")
-        if self.degree == np.inf:
-            raise ProfileError("degree must be positive and finite")
+        _check_degree(self.degree)
+
+
+def _check_degree(degree: float) -> None:
+    """The rule of :class:`ProfileSpec`: 0 < degree < inf."""
+    if not (degree > 0):
+        raise ProfileError("degree must be positive")
+    if degree == np.inf:
+        raise ProfileError("degree must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -135,41 +145,6 @@ def make_pair(a_profile: ProfileSpec, v_profile: ProfileSpec) -> ProfilePair:
     return ProfilePair(a_profile=a_profile, v_profile=v_profile)
 
 
-def _radius(points: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(np.asarray(points, dtype=float)), axis=-1))
-
-
-def _gaussian_power(p: float):
-    def evaluate(points):
-        return np.exp(-_radius(points) ** p)
-
-    def principal(points):
-        return _radius(points) ** p
-
-    return evaluate, principal
-
-
-def _rational_power(p: float):
-    def evaluate(points):
-        return 1.0 / (1.0 + _radius(points) ** p)
-
-    def principal(points):
-        return _radius(points) ** p
-
-    return evaluate, principal
-
-
-def _aniso_gaussian(q: np.ndarray):
-    def quad_form(points):
-        pts = np.asarray(points, dtype=float)
-        return np.einsum("...i,ij,...j->...", pts, q, pts)
-
-    def evaluate(points):
-        return np.exp(-quad_form(points))
-
-    return evaluate, quad_form
-
-
 CATALOG_NAMES = ("gaussian_power", "rational_power", "aniso_gaussian")
 
 
@@ -179,13 +154,17 @@ def make_catalog_profile(
     d: int,
     role: ProfileRole = ProfileRole.SYMBOL_A,
 ) -> ProfileSpec:
-    """Instantiate a catalog profile with exact analytic metadata.
+    """A catalog profile: a named expression in the :mod:`specgap.expr`
+    grammar, built by :func:`expression_profile` and labelled by name.
 
-    gaussian_power(p): exp(-|x|^p), max 1, principal |x|^p, degree p.
-    rational_power(p): 1/(1+|x|^p), max 1, principal |x|^p, degree p.
-    aniso_gaussian(Q): exp(-<x,Qx>) for symmetric positive-definite Q
-    (given as a row-major list of d*d entries), principal <x,Qx>, degree 2.
-    All three are positive, so every one serves as a weight.
+    gaussian_power(p): exp(-norm(x)^p), principal norm(x)^p, degree p.
+    rational_power(p): 1 / (1 + norm(x)^p), principal norm(x)^p, degree p.
+    aniso_gaussian(Q): exp(-(q11*x1*x1 + q12*x1*x2 + ...)) for a symmetric
+    positive-definite Q (given as a row-major list of d*d entries), whose
+    principal is that quadratic form, degree 2.
+    Every number is written as ``repr(float(...))``, which parses back to
+    the same float64.  All three peak at 1 and are positive, so every one
+    serves as a weight.
     """
     params = [float(p) for p in params]
     if name in ("gaussian_power", "rational_power"):
@@ -194,11 +173,11 @@ def make_catalog_profile(
         p = params[0]
         if p <= 0:
             raise ProfileError(f"{name} needs a positive exponent, got {p}")
-        evaluate, principal = (
-            _gaussian_power(p) if name == "gaussian_power" else _rational_power(p)
-        )
-        degree = p
-        label = f"{name}({p:g})"
+        # nan and inf have no literal in the grammar, so the degree rule runs first.
+        _check_degree(p)
+        principal = f"norm(x)^{p!r}"
+        expr = f"exp(-{principal})" if name == "gaussian_power" else f"1 / (1 + {principal})"
+        degree, label = p, f"{name}({p:g})"
     elif name == "aniso_gaussian":
         if len(params) != d * d:
             raise ProfileError(
@@ -207,22 +186,22 @@ def make_catalog_profile(
         q = np.asarray(params, dtype=float).reshape(d, d)
         if not np.allclose(q, q.T, rtol=0.0, atol=1e-12):
             raise ProfileError("aniso_gaussian coefficient matrix must be symmetric")
+        # A NaN entry already fails the symmetry check; an infinite one
+        # passes it and would reach the eigenvalues and the expression.
+        for (i, j), qij in np.ndenumerate(q):
+            if not np.isfinite(qij):
+                raise ProfileError(f"aniso_gaussian coefficient q{i + 1}{j + 1} = {qij} "
+                                   "must be finite")
         if np.linalg.eigvalsh(q)[0] <= 0:
             raise ProfileError("aniso_gaussian coefficient matrix must be positive definite")
-        evaluate, principal = _aniso_gaussian(q)
-        degree = 2.0
-        label = "aniso_gaussian"
+        principal = " + ".join(
+            f"{float(qij)!r}*x{i + 1}*x{j + 1}" for (i, j), qij in np.ndenumerate(q)
+        )
+        expr = f"exp(-({principal}))"
+        degree, label = 2.0, "aniso_gaussian"
     else:
         raise ProfileError(f"unknown catalog profile {name!r}")
-    return ProfileSpec(
-        dimension=d,
-        role=role,
-        evaluate=evaluate,
-        max_value=1.0,
-        principal=principal,
-        degree=degree,
-        label=label,
-    )
+    return replace(expression_profile(expr, principal, degree, d, role=role), label=label)
 
 
 def expression_profile(

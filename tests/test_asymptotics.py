@@ -7,6 +7,7 @@ import pytest
 
 from specgap import (
     Mode,
+    OperatorError,
     ProfileRole,
     SolveSettings,
     StudyReport,
@@ -17,6 +18,7 @@ from specgap import (
     build_multiplier_operator,
     build_scaled_operator,
     cluster_eigenvalues,
+    expression_profile,
     extrapolate_limit,
     largest_eigenpairs,
     load_state,
@@ -27,7 +29,8 @@ from specgap import (
     scaled_gap,
     verify_limit_law,
 )
-from specgap.asymptotics import ExtrapolationResult
+from specgap import asymptotics
+from specgap.asymptotics import ExtrapolationResult, model_spectrum
 from specgap.reportio import render_report, write_report_files
 
 from conftest import constant_profile
@@ -289,6 +292,24 @@ def mini_report(gaussian_pair):
         2,
         SweepSettings(solver=SolveSettings(tol=1e-9), grid=grid),
     )
+
+
+class TestModelSpectrum:
+    @pytest.mark.parametrize("study", [model_spectrum, run_sweep], ids=["model", "sweep"])
+    def test_a_weight_below_minus_v0_on_the_grid_stops_before_the_model_solve(
+        self, grid_512, monkeypatch, study
+    ):
+        # dips to -2.14 V0 at |x| = 3, between the radii of the pair's probe
+        well = expression_profile("exp(-x1^2) - 2.2*exp(-400*(abs(x1)-3)^2)", "x1^2", 2, 1,
+                                  role=ProfileRole.WEIGHT_V)
+        pair = make_pair(make_catalog_profile("gaussian_power", [2], 1), well)
+
+        def no_model_solve(*args):
+            raise AssertionError("the model operator was built")
+
+        monkeypatch.setattr(asymptotics, "build_model_operator", no_model_solve)
+        with pytest.raises(OperatorError, match="weight sample minimum -2.14136 <= -V0"):
+            study(pair, [0.2, 0.1, 0.05], 1, SweepSettings(grid=grid_512))
 
 
 class TestRunSweep:

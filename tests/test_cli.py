@@ -73,6 +73,14 @@ GAUSSIAN_MINI = textwrap.dedent(
     """
 )
 
+# A d=2 run with an aniso_gaussian symbol.
+ANISO_MINI = (
+    GAUSSIAN_MINI.replace(CATALOG_SYMBOL, CATALOG_SYMBOL.replace(
+        "name = gaussian_power\nparams = 2", "name = aniso_gaussian\nparams = 2, 0, 0, 1"))
+    .replace("dimension = 1", "dimension = 2").replace("n = 512", "n = 32")
+    .replace("half_length = 14", "half_length = 6")
+)
+
 
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -383,23 +391,35 @@ class TestValidateCommand:
                 for command in ("verify", "validate", "model-spectrum")
             ),
             # dips to -2.14 V0 at |x| = 3, between the pair probe's radii but
-            # on the study grid's nodes at the first alpha
+            # on the study grid's nodes at the first alpha; found before the
+            # model solve, so model-spectrum stops too
             *(
                 (command, GAUSSIAN_MINI.replace(CATALOG_WEIGHT, well_weight(2.2, 400, 3)),
                  "weight sample minimum -2.14136 <= -V0 = -1 at alpha=0.2")
-                for command in ("sweep", "verify")
+                for command in ("sweep", "verify", "model-spectrum")
             ),
             *(
                 (command, GAUSSIAN_MINI.replace(CATALOG_SYMBOL, INFINITE_DEGREE_SYMBOL),
                  "[symbol] degree must be positive and finite")
                 for command in ("validate", "model-spectrum", "verify")
             ),
+            *(
+                (command, ANISO_MINI.replace("params = 2, 0, 0, 1", f"params = {params}"),
+                 f"[symbol] aniso_gaussian coefficient {message}")
+                for command in ("validate", "model-spectrum", "verify")
+                for params, message in (("1, 0, 0, inf", "q22 = inf must be finite"),
+                                        ("1, nan, nan, 1", "matrix must be symmetric"))
+            ),
         ],
         ids=["dipping-weight-with-margin", "over-budget-grid", "two-point-ladder",
              "one-point-ladder", "well-below-minus-v0-verify", "well-below-minus-v0-validate",
              "well-below-minus-v0-model-spectrum", "well-between-probe-radii-sweep",
-             "well-between-probe-radii-verify", "infinite-degree-validate",
-             "infinite-degree-model-spectrum", "infinite-degree-verify"],
+             "well-between-probe-radii-verify", "well-between-probe-radii-model-spectrum",
+             "infinite-degree-validate", "infinite-degree-model-spectrum",
+             "infinite-degree-verify", "infinite-aniso-coefficient-validate",
+             "nan-aniso-coefficient-validate", "infinite-aniso-coefficient-model-spectrum",
+             "nan-aniso-coefficient-model-spectrum", "infinite-aniso-coefficient-verify",
+             "nan-aniso-coefficient-verify"],
     )
     def test_input_the_run_would_reject_exits_2(self, tmp_path, capsys, command, text, message):
         out = tmp_path / "out"
@@ -608,6 +628,14 @@ class TestSweepAndVerify:
         assert main(["report", "--out", str(out)]) == 0
         rendered = capsys.readouterr().out
         assert "final_err=n/a" in rendered and "nan" not in rendered
+
+    def test_an_inner_cg_stall_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(specgap.eigensolve, "INNER_MAX_ITERATIONS", 2)
+        text = GAUSSIAN_MINI + "\n[solver]\nmodel_mode = shift_invert\n"
+        rc = main(["model-spectrum", "--config", write(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "numerical failure: inner CG stalled" in capsys.readouterr().err
 
     def test_model_solve_failure_exits_3_and_names_the_operator(self, tmp_path, capsys):
         text = GAUSSIAN_MINI + "\n[solver]\nmax_iterations = 3\nmodel_mode = lanczos\n"

@@ -536,6 +536,17 @@ class TestBottomSolves:
             smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-9, mode=Mode.SHIFT_INVERT_BOTTOM))
         assert exc_info.value.achieved_residual > 0
 
+    def test_an_inner_stall_is_a_convergence_failure(self, gaussian_pair, grid_512, monkeypatch):
+        monkeypatch.setattr(eigensolve, "INNER_MAX_ITERATIONS", 2)
+        op = build_model_operator(gaussian_pair, grid_512)
+        with pytest.raises(NoConvergenceError) as exc_info:
+            smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-9, mode=Mode.SHIFT_INVERT_BOTTOM))
+        stall = exc_info.value
+        assert isinstance(stall, InnerSolveStallError)
+        assert stall.iterations == 2
+        assert str(stall) == (f"inner CG stalled at relative residual "
+                              f"{stall.achieved_residual:.3e} after 2 iterations")
+
 
 class TestRealArithmetic:
     def test_real_operators_give_float64_vectors(self, gaussian_pair, grid_256):

@@ -571,3 +571,53 @@ class TestStackApply:
                 want = np.stack([op.apply_values(x) for x in stack])
                 assert got.shape == stack.shape and got.dtype == want.dtype
                 assert np.array_equal(got, want), op.label
+
+
+def fourier_dual(pair):
+    """The Fourier dual of an expression pair with maxima 1: symbol V^2
+    (principal 2*Phi), weight sqrt(a) (principal Psi/2), at the same
+    degrees.  On the grid ``build_grid(d, N, pi*N/(2*L))``, whose nodes
+    are the frequencies of ``build_grid(d, N, L)`` and vice versa, its
+    scaled sandwich has the nonzero spectrum of the original one (XX*
+    against X*X), and its model operator is the Fourier conjugate of the
+    original model operator."""
+    a, v = pair.a_profile, pair.v_profile
+    assert a.max_value == v.max_value == 1.0
+    d = pair.dimension
+    symbol = expression_profile(
+        f"({v.evaluate.source})^2", f"2*({v.principal.source})", v.degree, d
+    )
+    weight = expression_profile(
+        f"({a.evaluate.source})^0.5", f"({a.principal.source})/2", a.degree, d,
+        role=ProfileRole.WEIGHT_V,
+    )
+    return make_pair(symbol, weight)
+
+
+class TestFourierDualOracle:
+    """An exact check of both operators for a pair with gamma != beta,
+    an anisotropic weight and no separable structure."""
+
+    @pytest.mark.parametrize("d, n, half_length", [(1, 256, 10.0), (2, 24, 6.0)])
+    def test_dual_pair_has_the_same_top_and_model_spectrum(self, d, n, half_length):
+        quad = "x1^2" if d == 1 else "x1^2 + 2*x2^2"
+        pair = make_pair(
+            expression_profile("1/(1+norm(x)^3)", "norm(x)^3", 3, d),
+            expression_profile(f"exp(-({quad}) - norm(x)^3)", quad, 2, d,
+                               role=ProfileRole.WEIGHT_V),
+        )
+        dual = fourier_dual(pair)
+        grid = build_grid(d, n, half_length)
+        dual_grid = build_grid(d, n, np.pi * n / (2 * half_length))
+
+        def eigenvalues(op):
+            return np.linalg.eigvalsh(materialize_dense(op))
+
+        for alpha in (0.1, 0.01):
+            top = eigenvalues(build_scaled_operator(pair, alpha, grid))[-6:]
+            dual_top = eigenvalues(build_scaled_operator(dual, alpha, dual_grid))[-6:]
+            assert top[0] > 0.1  # the compared values are not rounding noise
+            np.testing.assert_allclose(dual_top, top, rtol=1e-12, atol=0)
+        model = eigenvalues(build_model_operator(pair, grid))[:6]
+        dual_model = eigenvalues(build_model_operator(dual, dual_grid))[:6]
+        np.testing.assert_allclose(dual_model, model, rtol=1e-12, atol=0)

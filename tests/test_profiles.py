@@ -60,6 +60,89 @@ class TestCatalog:
             make_catalog_profile(name, params, d)
 
 
+# The hand-written catalog functions that the catalog expressions replaced;
+# kept here as the reference they must reproduce.
+def _radius(points):
+    return np.sqrt(np.sum(np.square(np.asarray(points, dtype=float)), axis=-1))
+
+
+def _reference(name, p):
+    evaluate = {
+        "gaussian_power": lambda x: np.exp(-_radius(x) ** p),
+        "rational_power": lambda x: 1.0 / (1.0 + _radius(x) ** p),
+    }[name]
+    return evaluate, lambda x: _radius(x) ** p
+
+
+class TestCatalogExpressions:
+    """Every catalog profile is an expression of :mod:`specgap.expr`."""
+
+    @pytest.mark.parametrize("name", ["gaussian_power", "rational_power"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_power_kinds_match_the_closures_bit_for_bit(self, name, d):
+        rng = np.random.default_rng(100 + d)
+        points = rng.standard_normal((500, d)) * rng.uniform(0.0, 6.0, (500, 1))
+        points[0] = 0.0
+        exponents = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, *rng.uniform(0.05, 8.0, 18)]
+        for p in map(float, exponents):
+            spec = make_catalog_profile(name, [p], d)
+            evaluate, principal = _reference(name, p)
+            assert np.array_equal(spec.evaluate(points), evaluate(points)), p
+            assert np.array_equal(spec.principal(points), principal(points)), p
+            assert (spec.max_value, spec.degree, spec.label) == (1.0, p, f"{name}({p:g})")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_aniso_gaussian_matches_the_quadratic_form(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(20):
+            m = rng.standard_normal((d, d))
+            q = m @ m.T + 0.5 * np.eye(d)  # off-diagonals of both signs
+            spec = make_catalog_profile("aniso_gaussian", q.ravel(), d)
+            points = rng.standard_normal((500, d)) * 3.0
+            form = np.einsum("...i,ij,...j->...", points, q, points)
+            np.testing.assert_allclose(spec.principal(points), form, rtol=1e-15, atol=0)
+            assert np.array_equal(spec.evaluate(points), np.exp(-spec.principal(points)))
+            assert (spec.max_value, spec.degree, spec.label) == (1.0, 2.0, "aniso_gaussian")
+
+    def test_every_kind_is_a_parsed_expression(self):
+        for spec in (make_catalog_profile("gaussian_power", [0.1], 1),
+                     make_catalog_profile("rational_power", [2], 3),
+                     make_catalog_profile("aniso_gaussian", [2, -0.3, -0.3, 1], 2)):
+            assert spec.evaluate.source and spec.principal.source
+        spec = make_catalog_profile("aniso_gaussian", [2, -0.3, -0.3, 1], 2)
+        assert spec.principal.source == "2.0*x1*x1 + -0.3*x1*x2 + -0.3*x2*x1 + 1.0*x2*x2"
+        assert spec.evaluate.source == f"exp(-({spec.principal.source}))"
+
+    @pytest.mark.parametrize(
+        "name, params, d, message",
+        [
+            ("gaussian_power", [float("nan")], 1, "degree must be positive"),
+            ("rational_power", [float("inf")], 2, "degree must be positive and finite"),
+            ("gaussian_power", [0], 1, "gaussian_power needs a positive exponent, got 0.0"),
+            ("rational_power", [-1], 1, "rational_power needs a positive exponent, got -1.0"),
+            ("gaussian_power", [1, 2], 1,
+             "gaussian_power takes exactly one parameter, got [1.0, 2.0]"),
+            ("aniso_gaussian", [1, 0, 0], 2,
+             "aniso_gaussian in dimension 2 needs 4 coefficients, got 3"),
+            ("aniso_gaussian", [1, 2, 0, 1], 2,
+             "aniso_gaussian coefficient matrix must be symmetric"),
+            ("aniso_gaussian", [1, float("nan"), float("nan"), 1], 2,
+             "aniso_gaussian coefficient matrix must be symmetric"),
+            ("aniso_gaussian", [1, 0, 0, -1], 2,
+             "aniso_gaussian coefficient matrix must be positive definite"),
+            ("aniso_gaussian", [1, 0, 0, float("inf")], 2,
+             "aniso_gaussian coefficient q22 = inf must be finite"),
+            ("aniso_gaussian", [1, float("-inf"), float("-inf"), 1], 2,
+             "aniso_gaussian coefficient q12 = -inf must be finite"),
+            ("no_such_profile", [2], 1, "unknown catalog profile 'no_such_profile'"),
+        ],
+    )
+    def test_error_texts(self, name, params, d, message):
+        with pytest.raises(ProfileError) as exc_info:
+            make_catalog_profile(name, params, d)
+        assert str(exc_info.value) == message
+
+
 class TestSigmaExponent:
     @pytest.mark.parametrize(
         "beta,gamma,expected",
