@@ -63,7 +63,8 @@ print(f"{'alpha':>8} {'pos out R=2':>13} {'pos out R=4':>13} "
 for alpha in (0.2, 0.1, 0.05, 0.025):
     op = build_scaled_operator(pair, alpha, grid)
     top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
-    m = localization_metrics(pair, alpha, top, radii, mu=np.sqrt(2.0))
+    sym = make_scaled_symbols(pair, alpha, grid)
+    m = localization_metrics(pair, sym, top, radii, mu=np.sqrt(2.0))
     print(
         f"{alpha:>8g} {m.position_mass_outside[0]:>13.2e} "
         f"{m.position_mass_outside[1]:>13.2e} {m.frequency_mass_outside[0]:>13.2e} "
@@ -81,7 +82,8 @@ print("3) empirical localization constants (outside_mass * R^degree / mu)")
 alpha = 0.025
 op = build_scaled_operator(pair, alpha, grid)
 top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
-m = localization_metrics(pair, alpha, top, radii, mu=np.sqrt(2.0))
+sym = make_scaled_symbols(pair, alpha, grid)
+m = localization_metrics(pair, sym, top, radii, mu=np.sqrt(2.0))
 for r, c_pos, c_frq in zip(m.radii, m.c_hat_pos, m.c_hat_freq):
     print(f"   R = {r:g}: position C-hat = {c_pos:.3e}, frequency C-hat = {c_frq:.3e}")
 print("   (the bounds only promise these stay bounded; the decay here is far faster)")

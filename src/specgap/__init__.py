@@ -23,12 +23,10 @@ from .grid import (  # noqa: F401
     build_grid,
     state,
     random_state,
-    to_frequency,
-    to_position,
+    to_frequency_values,
+    to_position_values,
     inner,
-    inner_freq,
     norm,
-    norm_freq,
     save_state,
     load_state,
 )
@@ -40,7 +38,6 @@ from .operators import (  # noqa: F401
     build_scaled_operator,
     build_original_operator,
     build_model_operator,
-    build_multiplier_operator,
     build_multiplier_plus_potential,
     symbol_flatness_form,
     weight_flatness_form,

@@ -36,6 +36,7 @@ from .eigensolve import (
 )
 from .grid import DEFAULT_NODE_BUDGET, Grid, StateVector, build_grid, norm, to_frequency_values
 from .operators import (
+    ScaledSymbols,
     build_model_operator,
     build_scaled_operator,
     make_scaled_symbols,
@@ -301,46 +302,48 @@ def extrapolate_limit(
 
 def localization_metrics(
     pair: ProfilePair,
-    alpha: float,
+    symbols: ScaledSymbols,
     eigpair: EigenPair,
     radii: Sequence[float],
     mu: float,
 ) -> LocalizationMetrics:
     """Outside-masses, flatness forms and the exact gap identity.
 
-    ``eigpair`` must come from the scaled-operator solve of ``pair`` at
-    the same alpha, and ``mu`` is the matching model eigenvalue of
+    ``pair`` has unit maxima (see
+    :func:`~specgap.operators.normalized_pair`); anything else raises
+    ``ValueError``.  ``symbols`` are its scaled samples at the alpha of
+    the solve, as :func:`model_spectrum` returns them, and give that
+    alpha.  ``eigpair`` comes from the scaled-operator solve of ``pair``
+    at that alpha, and ``mu`` is the matching model eigenvalue of
     ``pair``, which scales the empirical constants ``c_hat_*``.  Per unit
     squared norm of psi, ``k_form`` is :func:`symbol_flatness_form` of
-    W_alpha*psi and ``s_form`` is :func:`weight_flatness_form` of psi
-    (unit-normalized maxima); their sum is checked against
-    alpha^-sigma * (1 - lambda/(A0*V0^2)).  Radii may arrive in any
-    order; the output is sorted ascending.
+    W_alpha*psi and ``s_form`` is :func:`weight_flatness_form` of psi;
+    their sum is checked against alpha^-sigma * (1 - lambda).  Radii may
+    arrive in any order; the output is sorted ascending.
     """
-    norm_pair, scale = normalized_pair(pair)
-    grid = eigpair.vector.grid
+    if not pair.a_profile.max_value == pair.v_profile.max_value == 1.0:
+        raise ValueError("localization_metrics needs a pair with unit maxima")
+    alpha, grid = symbols.alpha, symbols.grid
     radii_sorted = tuple(sorted(float(r) for r in radii))
     psi = eigpair.vector
     total = norm(psi) ** 2
-    sym = make_scaled_symbols(norm_pair, alpha, grid)
 
     pos_out = _mass_outside(np.abs(psi.values) ** 2, grid.position_radii,
                             grid.cell_volume, radii_sorted, total)
     frq_out = _mass_outside(np.abs(to_frequency_values(grid, psi.values)) ** 2,
                             grid.frequency_radii, grid.freq_cell_volume, radii_sorted, total)
 
-    theta = StateVector(grid, sym.weight_values * psi.values)
-    k_form = symbol_flatness_form(norm_pair, alpha, theta, symbols=sym).real / total
-    s_form = weight_flatness_form(norm_pair, alpha, psi, symbols=sym).real / total
+    theta = StateVector(grid, symbols.weight_values * psi.values)
+    k_form = symbol_flatness_form(pair, alpha, theta, symbols=symbols).real / total
+    s_form = weight_flatness_form(pair, alpha, psi, symbols=symbols).real / total
 
-    target = float(alpha ** (-norm_pair.sigma) * (1.0 - eigpair.value / scale))
+    target = float(alpha ** (-pair.sigma) * (1.0 - eigpair.value))
     identity_rel = abs(k_form + s_form - target) / max(abs(target), 1e-300)
 
     gamma = pair.a_profile.degree
     beta = pair.v_profile.degree
-    mu_norm = mu / scale
-    c_hat_pos = tuple(out * r**beta / mu_norm for out, r in zip(pos_out, radii_sorted))
-    c_hat_freq = tuple(out * r**gamma / mu_norm for out, r in zip(frq_out, radii_sorted))
+    c_hat_pos = tuple(out * r**beta / mu for out, r in zip(pos_out, radii_sorted))
+    c_hat_freq = tuple(out * r**gamma / mu for out, r in zip(frq_out, radii_sorted))
 
     return LocalizationMetrics(
         radii=radii_sorted,
@@ -447,7 +450,7 @@ def _min_on_sphere(profile, dirs: np.ndarray) -> float:
 
 def model_spectrum(
     norm_pair: ProfilePair, alphas: Sequence[float], k: int, settings: SweepSettings
-) -> tuple[Grid, tuple[str, ...], Mode, str, list[EigenPair]]:
+) -> tuple[Grid, tuple[str, ...], Mode, str, list[EigenPair], list[ScaledSymbols]]:
     """The lowest k eigenpairs of the model operator of ``norm_pair``
     (maxima normalized to 1) on the study grid.
 
@@ -458,18 +461,19 @@ def model_spectrum(
     sample at or below -V0, or a non-finite sample, raises the
     :class:`~specgap.operators.OperatorError` that the sweep would.
     Returns the grid, the grid reasoning, the mode, the reason for the
-    mode and the pairs, ascending.
+    mode, the pairs, ascending, and those samples, one
+    :class:`~specgap.operators.ScaledSymbols` per alpha in the order of
+    ``alphas``, which :func:`localization_metrics` reads.
     """
     if settings.grid is not None:
         grid, grid_reasoning = settings.grid, ("grid supplied explicitly",)
     else:
         grid, grid_reasoning = suggest_grid(norm_pair, k)
-    for alpha in alphas:
-        make_scaled_symbols(norm_pair, alpha, grid)
+    symbols = [make_scaled_symbols(norm_pair, alpha, grid) for alpha in alphas]
     op = build_model_operator(norm_pair, grid)
     mode, reason = bottom_mode(op, k, settings.solver.mode)
     pairs = smallest_eigenpairs(op, replace(settings.solver, k=k, mode=mode))
-    return grid, grid_reasoning, mode, reason, pairs
+    return grid, grid_reasoning, mode, reason, pairs, symbols
 
 
 def run_sweep(
@@ -497,7 +501,7 @@ def run_sweep(
     alphas = alpha_ladder(alphas)
 
     norm_pair, scale = normalized_pair(pair)
-    grid, grid_reasoning, model_mode, model_mode_reason, model_pairs = model_spectrum(
+    grid, grid_reasoning, model_mode, model_mode_reason, model_pairs, symbols = model_spectrum(
         norm_pair, alphas, k, settings
     )
     grid_id = grid.describe()
@@ -505,7 +509,8 @@ def run_sweep(
 
     solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS)
 
-    def solve_one(alpha: float) -> list[SweepRecord]:
+    def solve_one(sym: ScaledSymbols) -> list[SweepRecord]:
+        alpha = sym.alpha
         op = build_scaled_operator(norm_pair, alpha, grid)
         try:
             pairs = largest_eigenpairs(op, solve_settings)
@@ -527,7 +532,7 @@ def run_sweep(
         for n, eig in enumerate(pairs, start=1):
             lam = scale * eig.value
             loc = localization_metrics(
-                norm_pair, alpha, eig, settings.radii, mu=model_pairs[n - 1].value
+                norm_pair, sym, eig, settings.radii, mu=model_pairs[n - 1].value
             )
             records.append(
                 SweepRecord(
@@ -544,7 +549,7 @@ def run_sweep(
             )
         return records
 
-    records = [rec for alpha in alphas for rec in solve_one(alpha)]
+    records = [rec for sym in symbols for rec in solve_one(sym)]
 
     extrapolations: dict[int, ExtrapolationResult] = {}
     for n in range(1, k + 1):

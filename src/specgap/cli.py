@@ -133,7 +133,7 @@ def cmd_validate(args) -> int:
 def cmd_model_spectrum(args) -> int:
     cfg = _configured_run(args)
     norm_pair, scale = normalized_pair(_validated_pair(cfg))
-    grid, grid_reasoning, mode, reason, pairs = model_spectrum(
+    grid, grid_reasoning, mode, reason, pairs, _ = model_spectrum(
         norm_pair, cfg.alphas, cfg.eigen_count, sweep_settings(cfg)
     )
     rows = [

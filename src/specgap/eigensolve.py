@@ -634,8 +634,8 @@ def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tupl
     ``mode`` passes through when given.  Otherwise ``DENSE_FULL`` up to
     ``DENSE_CHOICE_LIMIT`` unknowns; above it ``LANCZOS`` (on -A) when
     ||A|| < ``STIFFNESS_LIMIT`` times the Weyl estimate of mu_k, else
-    ``SHIFT_INVERT_BOTTOM``.  An operator without both a multiplier and a
-    potential part has no estimate and runs shift-invert above the limit.
+    ``SHIFT_INVERT_BOTTOM``.  An operator without parts, a sandwich, has
+    no estimate and runs shift-invert above the limit.
     """
     if mode is not None:
         return mode, "set in the config"

@@ -15,6 +15,11 @@ The transform is the FFT times the phase (-1)^(j1+...+jd) and the scale
 transform both cancel, so operators apply plain (real, when they can)
 FFTs; :func:`to_frequency_values` and :func:`to_position_values` serve
 where frequency-side values are read (forms, localization).
+
+A :class:`StateVector` holds node values only: :func:`inner`,
+:func:`norm`, :func:`save_state` and operator applies read its values as
+samples on the nodes.  Frequency-side values stay plain arrays; their
+inner product carries the (pi/L)^d weight in place of h^d.
 """
 
 from __future__ import annotations
@@ -32,12 +37,10 @@ __all__ = [
     "build_grid",
     "state",
     "random_state",
-    "to_frequency",
-    "to_position",
+    "to_frequency_values",
+    "to_position_values",
     "inner",
-    "inner_freq",
     "norm",
-    "norm_freq",
     "save_state",
     "load_state",
     "DEFAULT_NODE_BUDGET",
@@ -154,9 +157,10 @@ def build_grid(
 
 @dataclass
 class StateVector:
-    """Grid function with discrete L^2 geometry.  Values are complex128,
-    or float64 for eigenvectors of real operators; dumps store both as
-    (re, im) pairs."""
+    """Grid function with discrete L^2 geometry: values on the nodes,
+    never on the frequency lattice.  Values are complex128, or float64
+    for eigenvectors of real operators; dumps store both as (re, im)
+    pairs."""
 
     grid: Grid
     values: np.ndarray
@@ -185,38 +189,20 @@ def inner(u: StateVector, v: StateVector) -> complex:
     return complex(u.grid.cell_volume * np.vdot(v.values, u.values))
 
 
-def inner_freq(u: StateVector, v: StateVector) -> complex:
-    """(pi/L)^d-weighted inner product for frequency-side vectors."""
-    _check_same_grid(u, v)
-    return complex(u.grid.freq_cell_volume * np.vdot(v.values, u.values))
-
-
 def norm(u: StateVector) -> float:
     return float(np.sqrt(u.grid.cell_volume) * np.linalg.norm(u.values.ravel()))
 
 
-def norm_freq(u: StateVector) -> float:
-    return float(np.sqrt(u.grid.freq_cell_volume) * np.linalg.norm(u.values.ravel()))
-
-
 def to_frequency_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unitary transform of node values to the frequency lattice (FFT order)."""
     scale = (grid.spacing / np.sqrt(2.0 * np.pi)) ** grid.dimension
     return scale * grid._phase * np.fft.fftn(values)
 
 
 def to_position_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_frequency_values`."""
     scale = (np.sqrt(2.0 * np.pi) / grid.spacing) ** grid.dimension
     return scale * np.fft.ifftn(grid._phase * values)
-
-
-def to_frequency(u: StateVector) -> StateVector:
-    """Unitary transform to the frequency lattice (FFT ordering)."""
-    return StateVector(u.grid, to_frequency_values(u.grid, u.values))
-
-
-def to_position(u_hat: StateVector) -> StateVector:
-    """Inverse of :func:`to_frequency`."""
-    return StateVector(u_hat.grid, to_position_values(u_hat.grid, u_hat.values))
 
 
 # ---------------------------------------------------------------------------

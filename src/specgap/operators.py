@@ -46,7 +46,6 @@ __all__ = [
     "build_scaled_operator",
     "build_original_operator",
     "build_model_operator",
-    "build_multiplier_operator",
     "build_multiplier_plus_potential",
     "fourier_multiplier",
     "symbol_flatness_form",
@@ -68,8 +67,11 @@ class HermitianOperator:
     ``upper_bound`` bounds the operator norm ||A|| (not just the top of
     the spectrum); certification scales its tolerance by it.
     ``multiplier_part``/``potential_part`` are optional structural hints
-    (real samples on the frequency lattice / nodes) that solvers may use
-    for preconditioning; they never change what ``apply_values`` does.
+    (real samples on the frequency lattice / nodes); they never change
+    what ``apply_values`` does.  The shift-invert preconditioner reads
+    them, and so does :func:`~specgap.eigensolve.bottom_mode`, whose
+    Weyl estimate needs both.  Only :func:`build_multiplier_plus_potential`
+    sets them, and it sets both; sandwiches carry neither.
     ``real`` is set by the builders when the multiplier samples are even
     on the lattice, so the operator maps real vectors to real vectors and
     solvers may work in float64.
@@ -93,9 +95,6 @@ class HermitianOperator:
             raise OperatorError("state vector grid does not match the operator grid")
         return StateVector(self.grid, self.apply_values(u.values))
 
-    def rayleigh(self, u: StateVector) -> float:
-        return float(np.real(inner(self.apply(u), u)) / np.real(inner(u, u)))
-
 
 def _finite_or_raise(samples: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(samples)):
@@ -109,12 +108,11 @@ class ScaledSymbols:
 
     weight_values[j] = V(alpha^(gamma/(gamma+beta)) * x_j) on the nodes,
     multiplier_values[k] = a(alpha^(beta/(gamma+beta)) * xi_k) on the
-    frequency lattice; sigma is the coupling exponent of the pair.
+    frequency lattice.
     """
 
     grid: Grid
     alpha: float
-    sigma: float
     weight_values: np.ndarray
     multiplier_values: np.ndarray
 
@@ -155,9 +153,7 @@ def _sandwich_samples(pair: ProfilePair, alpha: float, grid: Grid,
 
 def make_scaled_symbols(pair: ProfilePair, alpha: float, grid: Grid) -> ScaledSymbols:
     w, b = _sandwich_samples(pair, alpha, grid, scaled=True)
-    return ScaledSymbols(
-        grid=grid, alpha=float(alpha), sigma=pair.sigma, weight_values=w, multiplier_values=b
-    )
+    return ScaledSymbols(grid=grid, alpha=float(alpha), weight_values=w, multiplier_values=b)
 
 
 def _is_even(m: np.ndarray) -> bool:
@@ -264,22 +260,6 @@ def build_model_operator(pair: ProfilePair, grid: Grid) -> HermitianOperator:
     return build_multiplier_plus_potential(grid, mult, pot, label="model-operator")
 
 
-def build_multiplier_operator(grid: Grid, multiplier_values: np.ndarray) -> HermitianOperator:
-    """Plain Fourier multiplier op(m)."""
-    m = _finite_or_raise(np.asarray(multiplier_values, dtype=float), "multiplier")
-    if m.shape != grid.shape:
-        raise OperatorError("multiplier samples must live on the frequency lattice")
-    apply_values, real = fourier_multiplier(m)
-    return HermitianOperator(
-        grid=grid,
-        apply_values=apply_values,
-        upper_bound=float(np.max(np.abs(m))),
-        label="multiplier",
-        multiplier_part=m,
-        real=real,
-    )
-
-
 def build_multiplier_plus_potential(
     grid: Grid,
     multiplier_values: np.ndarray,
@@ -312,6 +292,18 @@ def build_multiplier_plus_potential(
 # Quadratic forms
 # ---------------------------------------------------------------------------
 
+def _symbols_at(pair: ProfilePair, alpha: float, u: StateVector, v: StateVector,
+                symbols: ScaledSymbols | None) -> ScaledSymbols:
+    """``symbols``, or a fresh sample at ``alpha``; either must sit on the
+    grid of u and v and at ``alpha`` itself."""
+    sym = symbols or make_scaled_symbols(pair, alpha, u.grid)
+    if sym.grid != u.grid or u.grid != v.grid:
+        raise OperatorError("grids do not match")
+    if sym.alpha != alpha:
+        raise OperatorError(f"symbols sampled at alpha={sym.alpha:g}, not at alpha={alpha:g}")
+    return sym
+
+
 def symbol_flatness_form(
     pair: ProfilePair,
     alpha: float,
@@ -323,17 +315,16 @@ def symbol_flatness_form(
     alpha^-sigma * sum (1 - b_alpha) * u_hat * conj(v_hat) * (pi/L)^d.
 
     Nonnegative on the diagonal since b_alpha <= 1 for normalized
-    profiles.  Pass precomputed ``symbols`` to avoid resampling.
+    profiles.  Pass precomputed ``symbols`` of the same alpha to avoid
+    resampling.
     """
     v = u if v is None else v
-    sym = symbols or make_scaled_symbols(pair, alpha, u.grid)
-    if sym.grid != u.grid or u.grid != v.grid:
-        raise OperatorError("grids do not match")
+    sym = _symbols_at(pair, alpha, u, v, symbols)
     u_hat = to_frequency_values(u.grid, u.values)
     v_hat = u_hat if v is u else to_frequency_values(v.grid, v.values)
     prod = np.abs(u_hat) ** 2 if v is u else u_hat * np.conj(v_hat)
     acc = np.sum((1.0 - sym.multiplier_values) * prod)
-    return complex(sym.alpha ** (-sym.sigma) * u.grid.freq_cell_volume * acc)
+    return complex(alpha ** (-pair.sigma) * u.grid.freq_cell_volume * acc)
 
 
 def weight_flatness_form(
@@ -346,12 +337,10 @@ def weight_flatness_form(
     """Position-side flatness form:
     alpha^-sigma * sum (1 - W_alpha^2) * u * conj(v) * h^d."""
     v = u if v is None else v
-    sym = symbols or make_scaled_symbols(pair, alpha, u.grid)
-    if sym.grid != u.grid or u.grid != v.grid:
-        raise OperatorError("grids do not match")
+    sym = _symbols_at(pair, alpha, u, v, symbols)
     prod = np.abs(u.values) ** 2 if v is u else u.values * np.conj(v.values)
     acc = np.sum((1.0 - sym.weight_values**2) * prod)
-    return complex(sym.alpha ** (-sym.sigma) * u.grid.cell_volume * acc)
+    return complex(alpha ** (-pair.sigma) * u.grid.cell_volume * acc)
 
 
 def model_form(pair: ProfilePair, u: StateVector, v: StateVector | None = None) -> complex:

@@ -15,7 +15,6 @@ from specgap import (
     SweepSettings,
     VerdictStatus,
     build_grid,
-    build_multiplier_operator,
     build_scaled_operator,
     cluster_eigenvalues,
     expression_profile,
@@ -25,11 +24,12 @@ from specgap import (
     localization_metrics,
     make_catalog_profile,
     make_pair,
+    make_scaled_symbols,
     run_sweep,
     scaled_gap,
     verify_limit_law,
 )
-from specgap import asymptotics
+from specgap import asymptotics, operators
 from specgap.asymptotics import ExtrapolationResult, model_spectrum
 from specgap.reportio import render_report, write_report_files
 
@@ -126,7 +126,8 @@ class TestLocalization:
         top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
         # the flat weight's model operator has no eigenvalue; any mu serves
         # the forms, which do not read it
-        metrics = localization_metrics(pair, alpha, top, radii=(2.0, 4.0), mu=1.0)
+        sym = make_scaled_symbols(pair, alpha, grid_256)
+        metrics = localization_metrics(pair, sym, top, radii=(2.0, 4.0), mu=1.0)
         assert metrics.s_form == 0.0
         assert metrics.k_form == pytest.approx(
             (1 - top.value) / alpha, rel=1e-9, abs=1e-12
@@ -136,11 +137,12 @@ class TestLocalization:
         alpha = 0.05
         op = build_scaled_operator(gaussian_pair, alpha, grid_512)
         top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
+        sym = make_scaled_symbols(gaussian_pair, alpha, grid_512)
         sorted_m = localization_metrics(
-            gaussian_pair, alpha, top, radii=(2.0, 4.0, 8.0), mu=np.sqrt(2.0)
+            gaussian_pair, sym, top, radii=(2.0, 4.0, 8.0), mu=np.sqrt(2.0)
         )
         shuffled = localization_metrics(
-            gaussian_pair, alpha, top, radii=(8.0, 2.0, 4.0), mu=np.sqrt(2.0)
+            gaussian_pair, sym, top, radii=(8.0, 2.0, 4.0), mu=np.sqrt(2.0)
         )
         assert sorted_m == shuffled
         assert sorted_m.radii == (2.0, 4.0, 8.0)
@@ -149,14 +151,26 @@ class TestLocalization:
         alpha = 0.05
         op = build_scaled_operator(gaussian_pair, alpha, grid_512)
         top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
+        sym = make_scaled_symbols(gaussian_pair, alpha, grid_512)
         m = localization_metrics(
-            gaussian_pair, alpha, top, radii=(2.0, 4.0, 8.0), mu=np.sqrt(2.0)
+            gaussian_pair, sym, top, radii=(2.0, 4.0, 8.0), mu=np.sqrt(2.0)
         )
         assert m.identity_rel_gap <= 1e-10
         for masses in (m.position_mass_outside, m.frequency_mass_outside):
             assert all(0.0 <= x <= 1.0 for x in masses)
             assert masses[0] > masses[1] > masses[2]
         assert all(c >= 0 for c in m.c_hat_freq)
+
+    def test_requires_unit_maxima_not_a_unit_peak_product(self, grid_256):
+        # A0 * V0^2 = 4 * 0.5^2 = 1, yet neither maximum is 1.
+        pair = make_pair(
+            expression_profile("4*exp(-x1^2)", "4*x1^2", 2, 1),
+            expression_profile("0.5*exp(-x1^2)", "0.5*x1^2", 2, 1, role=ProfileRole.WEIGHT_V),
+        )
+        assert pair.peak_product == 1.0
+        top = largest_eigenpairs(build_scaled_operator(pair, 0.2, grid_256), SolveSettings(k=1))[0]
+        with pytest.raises(ValueError, match="unit maxima"):
+            localization_metrics(pair, make_scaled_symbols(pair, 0.2, grid_256), top, (2.0,), 1.0)
 
 
 def mehler_eigenvalues(alpha, count):
@@ -333,6 +347,21 @@ class TestRunSweep:
 
     def test_first_index_passes(self, mini_report):
         assert mini_report.verdicts[0].status is VerdictStatus.PASS
+
+    def test_each_alpha_samples_its_sandwich_twice(self, gaussian_pair, grid_256, monkeypatch):
+        # once in the pre-solve check, whose samples feed localization, and
+        # once in build_scaled_operator
+        calls = []
+        sample = operators._sandwich_samples
+
+        def counted(pair, alpha, grid, scaled):
+            calls.append(alpha)
+            return sample(pair, alpha, grid, scaled)
+
+        monkeypatch.setattr(operators, "_sandwich_samples", counted)
+        alphas = [0.2, 0.1, 0.05, 0.025]
+        run_sweep(gaussian_pair, alphas, 3, SweepSettings(grid=grid_256))
+        assert sorted(calls, reverse=True) == [a for a in alphas for _ in range(2)]
 
     def test_report_carries_provenance_and_config(self, mini_report, gaussian_pair):
         assert mini_report.provenance["rng_seed"] == 74082

@@ -11,7 +11,6 @@ from specgap import (
     SolveSettings,
     build_grid,
     build_model_operator,
-    build_multiplier_operator,
     build_multiplier_plus_potential,
     build_scaled_operator,
     certify,
@@ -61,7 +60,7 @@ class TestLanczosTop:
         grid = build_grid(1, 128, 6.0)
         rng = np.random.default_rng(21)
         m = rng.random(grid.shape)
-        op = build_multiplier_operator(grid, m)
+        op = build_multiplier_plus_potential(grid, m, np.zeros(grid.shape))
         top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
         assert top.value == pytest.approx(float(np.max(m)), abs=1e-10)
 
@@ -147,7 +146,7 @@ class TestLanczosTop:
 
     def test_k_capped_at_the_grid_dimension(self):
         grid = build_grid(1, 32, 4.0)
-        op = build_multiplier_operator(grid, np.ones(grid.shape))
+        op = build_multiplier_plus_potential(grid, np.ones(grid.shape), np.zeros(grid.shape))
         pairs = largest_eigenpairs(op, SolveSettings(k=16, tol=1e-8))
         assert [p.value for p in pairs] == pytest.approx([1.0] * 16, abs=1e-8)
         for mode in (Mode.LANCZOS, Mode.DENSE_FULL):
@@ -458,20 +457,21 @@ class TestBottomSolves:
         with pytest.raises(ValueError, match="dense"):
             smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-8, mode=Mode.DENSE_FULL))
 
-    def test_bottom_mode_switches_above_dense_limit(self):
+    def test_bottom_mode_switches_above_dense_limit(self, gaussian_pair):
         def model(symbol_power, d, n, half_length):
             a = make_catalog_profile("gaussian_power", [symbol_power], d)
             v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
             return build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
 
-        # (operator, explicit mode) -> choice, words of the reason
-        no_potential = build_multiplier_operator(build_grid(1, 2048, 20.0), np.ones(2048))
+        # (operator, explicit mode) -> choice, words of the reason; a
+        # sandwich carries no parts for a stiffness estimate
+        sandwich = build_scaled_operator(gaussian_pair, 0.1, build_grid(1, 2048, 20.0))
         table = [
             ((model(2, 1, 1024, 20.0), None), Mode.DENSE_FULL, "1024 unknowns <= 1024"),
             ((model(2, 2, 80, 10.0), None), Mode.LANCZOS, "< 500"),
             ((model(4, 2, 56, 8.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
             ((model(2, 1, 8192, 20.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
-            ((no_potential, None), Mode.SHIFT_INVERT_BOTTOM, "no parts"),
+            ((sandwich, None), Mode.SHIFT_INVERT_BOTTOM, "no parts"),
             ((model(2, 2, 80, 10.0), Mode.DENSE_FULL), Mode.DENSE_FULL, "set in the config"),
             ((model(2, 1, 1024, 20.0), Mode.LANCZOS), Mode.LANCZOS, "set in the config"),
         ]

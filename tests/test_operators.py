@@ -6,9 +6,9 @@ from specgap import (
     OperatorError,
     ProfileRole,
     SolveSettings,
+    SweepSettings,
     build_grid,
     build_model_operator,
-    build_multiplier_operator,
     build_multiplier_plus_potential,
     build_original_operator,
     build_scaled_operator,
@@ -21,10 +21,10 @@ from specgap import (
     norm,
     random_state,
     residual_form,
+    run_sweep,
     smallest_eigenpairs,
     state,
     symbol_flatness_form,
-    to_frequency,
     validate_profile,
     weight_flatness_form,
 )
@@ -48,6 +48,10 @@ def trivial_pair(a_constant=False, v_constant=False, d=1, a_params=(2,), v_param
         else make_catalog_profile("gaussian_power", list(v_params), d, role=ProfileRole.WEIGHT_V)
     )
     return make_pair(a, v)
+
+
+def rayleigh(op, u):
+    return inner(op.apply(u), u).real / inner(u, u).real
 
 
 def oscillator_ground_state(grid):
@@ -84,7 +88,7 @@ class TestSandwichOperators:
         op = build_scaled_operator(gaussian_pair, alpha, grid_1024)
         u = oscillator_ground_state(grid_1024)
         mu1 = np.sqrt(2.0)
-        quotient = op.rayleigh(u)
+        quotient = rayleigh(op, u)
         assert quotient <= 1.0
         assert quotient >= 1.0 - 1.05 * alpha * mu1
 
@@ -175,16 +179,22 @@ class TestInputChecks:
             (lambda p, g, u, w: build_scaled_operator(p, 0.0, g), "alpha must be positive"),
             (lambda p, g, u, w: build_model_operator(p, build_grid(2, 8, 3.0)),
              "dimension does not match"),
-            (lambda p, g, u, w: build_multiplier_operator(g, np.ones(8)), "frequency lattice"),
+            (lambda p, g, u, w: build_multiplier_plus_potential(g, np.ones(8), np.zeros(g.shape)),
+             "shapes must match"),
             (lambda p, g, u, w: build_multiplier_plus_potential(g, np.ones(g.shape), np.ones(8)),
              "shapes must match"),
             (lambda p, g, u, w: symbol_flatness_form(p, 0.1, u, w), "grids do not match"),
             (lambda p, g, u, w: weight_flatness_form(p, 0.1, u, w), "grids do not match"),
+            (lambda p, g, u, w: symbol_flatness_form(
+                p, 0.1, u, symbols=make_scaled_symbols(p, 0.2, g)), "not at alpha=0.1"),
+            (lambda p, g, u, w: weight_flatness_form(
+                p, 0.1, u, symbols=make_scaled_symbols(p, 0.2, g)), "not at alpha=0.1"),
             (lambda p, g, u, w: model_form(p, u, w), "grids do not match"),
             (lambda p, g, u, w: residual_form(p, -0.1, u), "alpha must be positive"),
         ],
         ids=["apply", "sandwich-alpha", "model-dimension", "multiplier-shape",
-             "potential-shape", "symbol-form", "weight-form", "model-form", "residual-alpha"],
+             "potential-shape", "symbol-form", "weight-form", "symbol-form-alpha",
+             "weight-form-alpha", "model-form", "residual-alpha"],
     )
     def test_rejected(self, gaussian_pair, grid_256, call, match):
         u = oscillator_ground_state(grid_256)
@@ -223,7 +233,7 @@ class TestModelOperator:
         rng = np.random.default_rng(3)
         for _ in range(10):
             u = random_state(grid_256, rng)
-            assert op.rayleigh(u) >= -1e-12
+            assert rayleigh(op, u) >= -1e-12
 
 
 class TestForms:
@@ -269,9 +279,9 @@ class TestForms:
         self, gaussian_pair, grid_512
     ):
         u = oscillator_ground_state(grid_512)
-        u_hat = to_frequency(u)
+        u_hat = to_frequency_values(grid_512, u.values)
         xi = grid_512.freq_axis
-        target = grid_512.freq_cell_volume * np.sum(xi**2 * np.abs(u_hat.values) ** 2)
+        target = grid_512.freq_cell_volume * np.sum(xi**2 * np.abs(u_hat) ** 2)
         errs = [
             abs(symbol_flatness_form(gaussian_pair, a, u).real - target)
             for a in (0.2, 0.1, 0.05)
@@ -361,10 +371,8 @@ class TestForms:
         for alpha in (0.3, 0.1, 0.03):
             for _ in range(3):
                 u = random_state(grid_256, rng)
-                u_hat = to_frequency(u)
-                k_bound = c_a * grid_256.freq_cell_volume * np.sum(
-                    xi**2 * np.abs(u_hat.values) ** 2
-                )
+                u_hat = to_frequency_values(grid_256, u.values)
+                k_bound = c_a * grid_256.freq_cell_volume * np.sum(xi**2 * np.abs(u_hat) ** 2)
                 k_val = symbol_flatness_form(gaussian_pair, alpha, u).real
                 assert k_val <= k_bound * (1 + 1e-10)
                 # weight side: 1 - W^2 = (1-W)(1+W) <= 2*Phi_scaled*c_v... use
@@ -406,7 +414,7 @@ class TestHermitianContract:
         rng = np.random.default_rng(18)
         for _ in range(10):
             u = random_state(grid_256, rng)
-            q = op.rayleigh(u)
+            q = rayleigh(op, u)
             assert -bound * (1 + 1e-12) <= q <= bound * (1 + 1e-12)
 
     def test_linearity_of_apply(self, gaussian_pair, grid_256):
@@ -533,8 +541,8 @@ class TestRealApply:
 
 
 def _stack_operators(d, real):
-    """The four operator builders in dimension d, on the real path (even
-    samples) or the complex path."""
+    """The scaled sandwich, the model operator, op(m) and op(m) + q in
+    dimension d, on the real path (even samples) or the complex path."""
     grid = build_grid(d, {1: 64, 2: 16, 3: 8}[d], 5.0)
     rng = np.random.default_rng(40 + d)
     if real:
@@ -551,7 +559,7 @@ def _stack_operators(d, real):
     return grid, [
         build_scaled_operator(pair, 0.3, grid),
         build_model_operator(pair, grid),
-        build_multiplier_operator(grid, m),
+        build_multiplier_plus_potential(grid, m, np.zeros(grid.shape)),
         build_multiplier_plus_potential(grid, m, q),
     ]
 
@@ -594,21 +602,40 @@ def fourier_dual(pair):
     return make_pair(symbol, weight)
 
 
+def _anisotropic_pair(d):
+    """gamma = 3 symbol, anisotropic degree-2 weight with a cubic tail."""
+    quad = ["x1^2", "x1^2 + 2*x2^2", "x1^2 + 2*x2^2 + 3*x3^2"][d - 1]
+    return make_pair(
+        expression_profile("1/(1+norm(x)^3)", "norm(x)^3", 3, d),
+        expression_profile(f"exp(-({quad}) - norm(x)^3)", quad, 2, d,
+                           role=ProfileRole.WEIGHT_V),
+    )
+
+
+def _dual_grid(grid):
+    return build_grid(grid.dimension, grid.n_per_axis, grid.max_frequency)
+
+
+# The model comparison allows MODEL_ROUNDING * eps * ||A|| besides its
+# rtol: eigvalsh is backward stable, so each computed value moves by a
+# small multiple of eps * ||A||, and ||A|| reaches 6.5e4 in 1-D while the
+# low values are O(1).  The three cases below have differed by up to
+# 17 * eps * ||A||.
+MODEL_ROUNDING = 64
+
+
 class TestFourierDualOracle:
     """An exact check of both operators for a pair with gamma != beta,
     an anisotropic weight and no separable structure."""
 
-    @pytest.mark.parametrize("d, n, half_length", [(1, 256, 10.0), (2, 24, 6.0)])
+    @pytest.mark.parametrize(
+        "d, n, half_length", [(1, 256, 10.0), (2, 24, 6.0), (3, 10, 4.0)]
+    )
     def test_dual_pair_has_the_same_top_and_model_spectrum(self, d, n, half_length):
-        quad = "x1^2" if d == 1 else "x1^2 + 2*x2^2"
-        pair = make_pair(
-            expression_profile("1/(1+norm(x)^3)", "norm(x)^3", 3, d),
-            expression_profile(f"exp(-({quad}) - norm(x)^3)", quad, 2, d,
-                               role=ProfileRole.WEIGHT_V),
-        )
+        pair = _anisotropic_pair(d)
         dual = fourier_dual(pair)
         grid = build_grid(d, n, half_length)
-        dual_grid = build_grid(d, n, np.pi * n / (2 * half_length))
+        dual_grid = _dual_grid(grid)
 
         def eigenvalues(op):
             return np.linalg.eigvalsh(materialize_dense(op))
@@ -618,6 +645,33 @@ class TestFourierDualOracle:
             dual_top = eigenvalues(build_scaled_operator(dual, alpha, dual_grid))[-6:]
             assert top[0] > 0.1  # the compared values are not rounding noise
             np.testing.assert_allclose(dual_top, top, rtol=1e-12, atol=0)
-        model = eigenvalues(build_model_operator(pair, grid))[:6]
-        dual_model = eigenvalues(build_model_operator(dual, dual_grid))[:6]
-        np.testing.assert_allclose(dual_model, model, rtol=1e-12, atol=0)
+        model_op, dual_model_op = build_model_operator(pair, grid), build_model_operator(
+            dual, dual_grid
+        )
+        model = eigenvalues(model_op)[:6]
+        dual_model = eigenvalues(dual_model_op)[:6]
+        size = max(model_op.upper_bound, dual_model_op.upper_bound)
+        np.testing.assert_allclose(
+            dual_model, model, rtol=1e-12, atol=MODEL_ROUNDING * np.finfo(float).eps * size
+        )
+
+    def test_dual_pair_sweeps_alike(self):
+        pair = _anisotropic_pair(1)
+        grid = build_grid(1, 256, 10.0)
+        alphas, settings = [0.1, 0.05, 0.025, 0.0125], SolveSettings(tol=1e-10)
+        report = run_sweep(pair, alphas, 3, SweepSettings(solver=settings, grid=grid))
+        dual = run_sweep(
+            fourier_dual(pair), alphas, 3, SweepSettings(solver=settings, grid=_dual_grid(grid))
+        )
+        # Both solves sit within their residuals of the same exact spectrum;
+        # 8 * eps * A0*V0^2 (A0*V0^2 = 1 here) covers the rounding of the
+        # two sandwiches.
+        eps = np.finfo(float).eps
+        for rec, dual_rec in zip(report.records, dual.records, strict=True):
+            assert (rec.alpha, rec.n) == (dual_rec.alpha, dual_rec.n)
+            assert abs(rec.lam - dual_rec.lam) <= rec.residual + dual_rec.residual + 8 * eps
+        for (mu, res), (dual_mu, dual_res) in zip(
+            report.model_eigenvalues, dual.model_eigenvalues, strict=True
+        ):
+            assert abs(mu - dual_mu) <= res + dual_res
+        assert [v.status for v in report.verdicts] == [v.status for v in dual.verdicts]
