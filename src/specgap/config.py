@@ -9,16 +9,16 @@ parsed document yields the normalized form of the input.  One rule
 governs input: a section or key that the run would not read is an
 error, never dropped.  ``[run]`` is the only input accepted and
 ignored: the benchmark's studies still write ``threads = 1`` (ROADMAP
-item 6).  Each range has one owner.  :class:`RunConfig` owns the rules
+item 7).  Each range has one owner.  :class:`RunConfig` owns the rules
 of the document itself (the dimension, the pair count and the mode
 names) and checks them when it is built, then applies every other rule
 by building what the run builds from its fields: the alpha ladder, the
-solver and sweep settings and a manual grid.  So no invalid
-``RunConfig`` exists, from the INI or from Python.  ``parse_config``
-also builds the profiles, so a profile or a pair that would not build
-fails there too.  ``sweep_settings`` is the one mapping from a run
-configuration to the :class:`~specgap.asymptotics.SweepSettings` that
-the model step and the sweep run with.
+solver and sweep settings, a manual grid and the profile pair.  So no
+invalid ``RunConfig`` exists, from the INI or from Python.  The mode
+names are ``auto`` and the values of :class:`~specgap.eigensolve.Mode`.
+``sweep_settings`` is the one mapping from a run configuration to the
+:class:`~specgap.asymptotics.SweepSettings` that the model step and the
+sweep run with.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class ProfileConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """One run, as the INI document describes it.  Building one checks
-    every field: a field the run would reject raises
-    :class:`ConfigError`, naming the INI key when a settings class
-    owns the rule.  NaN fails every check."""
+    every field and builds the profile pair: a field the run would
+    reject raises :class:`ConfigError`, naming the INI key when a
+    settings class owns the rule, and a profile or pair that would not
+    build raises it under its section.  NaN fails every check."""
 
     symbol: ProfileConfig = field(default_factory=ProfileConfig)
     weight: ProfileConfig = field(default_factory=ProfileConfig)
@@ -77,8 +78,7 @@ class RunConfig:
     tol: float = SolveSettings.tol
     max_iterations: int = SolveSettings.max_iterations
     rng_seed: int = SolveSettings.rng_seed
-    # auto (eigensolve.bottom_mode picks by size and stiffness) | dense |
-    # shift_invert | lanczos
+    # auto (eigensolve.bottom_mode picks by size and stiffness) or a Mode value
     model_mode: str = "auto"
     rel_final: float = SweepSettings.rel_final
     rel_extrap: float = SweepSettings.rel_extrap
@@ -96,8 +96,9 @@ class RunConfig:
             raise ConfigError(f"[problem] alphas: {exc}") from exc
         if self.grid_mode not in ("auto", "manual"):
             raise ConfigError(f"grid mode must be auto or manual, got {self.grid_mode!r}")
-        if self.model_mode not in _MODEL_MODES:
-            raise ConfigError(f"model_mode must be one of {sorted(_MODEL_MODES)}")
+        modes = ["auto", *(mode.value for mode in Mode)]
+        if self.model_mode not in modes:
+            raise ConfigError(f"model_mode must be one of {sorted(modes)}")
         try:
             sweep_settings(self)
         except GridError as exc:
@@ -106,14 +107,7 @@ class RunConfig:
             name = str(exc).split()[0]
             section, key = next((s, k) for s, k, f, *_ in _SCHEMA if f == name)
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-
-_MODEL_MODES = {
-    "auto": None,
-    "dense": Mode.DENSE_FULL,
-    "shift_invert": Mode.SHIFT_INVERT_BOTTOM,
-    "lanczos": Mode.LANCZOS,
-}
+        build_profiles(self)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -183,7 +177,8 @@ _SCHEMA = tuple(
      lambda b: "true" if b else "false", None),
 )
 _SECTION_KEYS = {sec: {key for s, key, *_ in _SCHEMA if s == sec} for sec, *_ in _SCHEMA}
-# Accepted and ignored: the benchmark's studies still write `threads = 1`.
+# Accepted and ignored: the benchmark's studies still write `threads = 1`
+# (ROADMAP item 7).
 _IGNORED_SECTION = "run"
 
 
@@ -196,7 +191,8 @@ def _parsed(section: str, key: str, raw: str, parse):
 
 def _read(parser: configparser.ConfigParser, sections, default) -> dict:
     """The parsed value of every key present in ``sections``, by field;
-    ``default`` supplies the ``when`` fields the document leaves out."""
+    ``default`` (a config, or the class, whose attributes hold the field
+    defaults) supplies the ``when`` fields the document leaves out."""
     values = {}
     for section, key, name, parse, _, when in _SCHEMA:
         if section not in sections or not parser.has_option(section, key):
@@ -241,9 +237,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
     profiles = {name: _profile(parser, name) for name in _PROFILES if parser.has_section(name)}
-    cfg = RunConfig(**profiles, **_read(parser, _SECTION_KEYS.keys() - _PROFILES, RunConfig()))
-    build_profiles(cfg)
-    return cfg
+    return RunConfig(**profiles, **_read(parser, _SECTION_KEYS.keys() - _PROFILES, RunConfig))
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -293,7 +287,7 @@ def sweep_settings(cfg: RunConfig) -> SweepSettings:
             tol=cfg.tol,
             max_iterations=cfg.max_iterations,
             rng_seed=cfg.rng_seed,
-            mode=_MODEL_MODES[cfg.model_mode],
+            mode=None if cfg.model_mode == "auto" else Mode(cfg.model_mode),
         ),
         grid=grid,
         radii=cfg.radii,

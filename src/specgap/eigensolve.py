@@ -35,7 +35,9 @@ Three modes:
   unknowns.  The matrix is not symmetrized: ``eigh`` reads only its
   lower triangle.
 * ``SHIFT_INVERT_BOTTOM`` -- the same Lanczos core on (A + c I)^-1 with
-  inner conjugate-gradient solves, matrix-free.
+  inner conjugate-gradient solves, matrix-free, preconditioned by the
+  inverse of the operator's multiplier part; only operators that carry
+  their parts (model and multiplier-plus-potential operators) run it.
 
 Both spectrum ends and all three modes go through one routine with one
 k rule: any 1 <= k <= size is valid in every mode (Lanczos run over the
@@ -59,9 +61,11 @@ spread of the spectrum (Parlett, *The Symmetric Eigenvalue Problem*,
 SIAM 1998), so the choice rests on the stiffness ||A|| / mu_k, with
 mu_k estimated by Weyl's law from the multiplier and potential samples
 (:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500),
-shift-invert from there on.  Measured on a 2-core box (k=3, tol 1e-9,
-Gaussian pairs unless noted, median of 3 solves, one BLAS thread),
-Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.05 vs 0.61 s),
+shift-invert from there on; an operator without the parts has neither
+the estimate nor the preconditioner, and runs Lanczos.  Measured on a
+2-core box (k=3, tol 1e-9, Gaussian pairs unless noted, median of 3
+solves, one BLAS thread), Lanczos beat shift-invert at ratios 63 (d=2,
+48^2, L=8: 0.05 vs 0.61 s),
 103 (80^2, L=10: 0.20 vs 1.52 s), 174 (128^2, L=10: 0.67 vs 3.29 s),
 219 (128^2, L=8: 0.72 vs 2.39 s), 951 (d=2 quartic symbol, 36^2, L=8:
 0.36 vs 0.53 s), 1283 (1-D, N=1280, L=20: 0.33 vs 0.52 s), 1423
@@ -127,9 +131,11 @@ _DENSE_BLOCK = 16
 
 
 class Mode(enum.Enum):
+    """A solve's mode; each value is its word in ``[solver] model_mode``."""
+
     LANCZOS = "lanczos"
-    DENSE_FULL = "dense_full"
-    SHIFT_INVERT_BOTTOM = "shift_invert_bottom"
+    DENSE_FULL = "dense"
+    SHIFT_INVERT_BOTTOM = "shift_invert"
 
 
 @dataclass(frozen=True)
@@ -489,6 +495,16 @@ def materialize_dense(op: HermitianOperator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
+    """Apply (A + _SHIFT I)^-1 by CG, preconditioned with the exact inverse
+    of the stiff multiplier part plus the mean of the potential, which is
+    diagonal in frequency.  Without the parts there is no preconditioner,
+    and CG on the stiff operator alone does not pay, so an operator that
+    lacks them raises ``ValueError``."""
+    if op.multiplier_part is None or op.potential_part is None:
+        raise ValueError(
+            f"{op.label}: shift-invert needs the operator's multiplier_part and "
+            f"potential_part for its preconditioner"
+        )
     n = op.grid.size
     shape = op.grid.shape
 
@@ -496,23 +512,16 @@ def _make_inverse_apply(op: HermitianOperator, settings: SolveSettings):
         arr = x.reshape(shape)
         return (op.apply_values(arr) + _SHIFT * arr).ravel()
 
+    diag = op.multiplier_part + _SHIFT + float(np.mean(op.potential_part))
+    diag = np.maximum(diag, 1e-8 * np.max(np.abs(diag)))
+    inverse_diag, _ = fourier_multiplier(1.0 / diag)
+
+    def precond(x: np.ndarray) -> np.ndarray:
+        return inverse_diag(x.reshape(shape)).ravel()
+
     dtype = np.float64 if op.real else np.complex128
     a_op = LinearOperator((n, n), matvec=shifted_matvec, dtype=dtype)
-
-    m_op = None
-    if op.multiplier_part is not None:
-        # Frequency-diagonal preconditioner: exact inverse of the stiff
-        # multiplier part plus the mean of the potential.
-        q_mean = float(np.mean(op.potential_part)) if op.potential_part is not None else 0.0
-        diag = op.multiplier_part + _SHIFT + q_mean
-        diag = np.maximum(diag, 1e-8 * np.max(np.abs(diag)))
-        inverse_diag, _ = fourier_multiplier(1.0 / diag)
-
-        def precond(x: np.ndarray) -> np.ndarray:
-            return inverse_diag(x.reshape(shape)).ravel()
-
-        m_op = LinearOperator((n, n), matvec=precond, dtype=dtype)
-
+    m_op = LinearOperator((n, n), matvec=precond, dtype=dtype)
     inner_tol = max(1e-13, settings.tol * 1e-4)
 
     def inverse_apply(values: np.ndarray) -> np.ndarray:
@@ -635,7 +644,8 @@ def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tupl
     ``DENSE_CHOICE_LIMIT`` unknowns; above it ``LANCZOS`` (on -A) when
     ||A|| < ``STIFFNESS_LIMIT`` times the Weyl estimate of mu_k, else
     ``SHIFT_INVERT_BOTTOM``.  An operator without parts, a sandwich, has
-    no estimate and runs shift-invert above the limit.
+    neither the estimate nor shift-invert's preconditioner, and runs
+    ``LANCZOS`` above the limit.
     """
     if mode is not None:
         return mode, "set in the config"
@@ -643,7 +653,7 @@ def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tupl
     if size <= DENSE_CHOICE_LIMIT:
         return Mode.DENSE_FULL, f"{size} unknowns <= {DENSE_CHOICE_LIMIT}"
     if op.multiplier_part is None or op.potential_part is None:
-        return Mode.SHIFT_INVERT_BOTTOM, (
+        return Mode.LANCZOS, (
             f"{size} unknowns > {DENSE_CHOICE_LIMIT}, no parts for a stiffness estimate"
         )
     scale = _operator_scale(op)
@@ -663,10 +673,11 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
 
     ``LANCZOS`` runs the top solve's Lanczos on -A, locking at the
     certification threshold; ``DENSE_FULL`` materializes the operator;
-    ``SHIFT_INVERT_BOTTOM`` runs Lanczos on (A + shift)^-1 with inner CG
-    solves.  Without an explicit mode, :func:`bottom_mode` picks one from
-    the grid size and the stiffness of ``op``.  Raises ``ValueError`` for
-    k above the grid size in every mode.
+    ``SHIFT_INVERT_BOTTOM`` runs Lanczos on (A + shift)^-1 with inner
+    preconditioned CG solves.  Without an explicit mode, :func:`bottom_mode`
+    picks one from the grid size and the stiffness of ``op``.  Raises
+    ``ValueError`` for k above the grid size in every mode, and for
+    ``SHIFT_INVERT_BOTTOM`` on an operator without parts.
     """
     mode, _ = bottom_mode(op, settings.k, settings.mode)
     return _extreme_pairs(op, settings, mode, "smallest")

@@ -134,10 +134,9 @@ class Grid:
         )
 
 
-def build_grid(
-    d: int, N: int, L: float, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> Grid:
-    """Construct a periodized grid; N must be even and at least 8."""
+def build_grid(d: int, N: int, L: float) -> Grid:
+    """Construct a periodized grid; N must be even and at least 8, and
+    N^d at most ``DEFAULT_NODE_BUDGET``."""
     if d < 1:
         raise GridError("dimension must be a positive integer")
     if N % 2 != 0:
@@ -146,11 +145,11 @@ def build_grid(
         raise GridError(f"n_per_axis must be at least 8, got {N}")
     if not 0 < L < np.inf:
         raise GridError(f"half_length must be positive and finite, got {L}")
-    # N >= 8, so N**d > max_nodes once d exceeds its bit length: reject
-    # such d before taking a power that can be arbitrarily large.
-    if d > max_nodes.bit_length() or N**d > max_nodes:
+    # N >= 8, so N**d exceeds the budget once d exceeds its bit length:
+    # reject such d before taking a power that can be arbitrarily large.
+    if d > DEFAULT_NODE_BUDGET.bit_length() or N**d > DEFAULT_NODE_BUDGET:
         raise GridError(
-            f"grid with {N}^{d} nodes exceeds the node budget {max_nodes}"
+            f"grid with {N}^{d} nodes exceeds the node budget {DEFAULT_NODE_BUDGET}"
         )
     return Grid(dimension=d, n_per_axis=N, half_length=float(L))
 
@@ -234,11 +233,10 @@ def load_state(path) -> StateVector:
         payload = fh.read()
     count, rest = divmod(len(payload), 16)
     # A valid N is at least 8, so N^d > 2^d: no valid header with d outside
-    # 1..count.bit_length() matches the payload, and checking d first keeps
-    # N^d small when the header is forged.
+    # 1..count.bit_length() matches the payload.
     if rest or not 1 <= d <= count.bit_length():
         raise GridError("state dump payload does not match the header")
-    grid = build_grid(d, n, L, max_nodes=n**d)
+    grid = build_grid(d, n, L)
     if count != grid.size:
         raise GridError("state dump payload does not match the header")
     # frombuffer views the read-only bytes; the copy is the caller's to write.

@@ -68,10 +68,12 @@ class HermitianOperator:
     the spectrum); certification scales its tolerance by it.
     ``multiplier_part``/``potential_part`` are optional structural hints
     (real samples on the frequency lattice / nodes); they never change
-    what ``apply_values`` does.  The shift-invert preconditioner reads
-    them, and so does :func:`~specgap.eigensolve.bottom_mode`, whose
-    Weyl estimate needs both.  Only :func:`build_multiplier_plus_potential`
-    sets them, and it sets both; sandwiches carry neither.
+    what ``apply_values`` does.  Shift-invert runs only on an operator
+    that carries both, because its preconditioner is built from them;
+    :func:`~specgap.eigensolve.bottom_mode`'s Weyl estimate reads them
+    too, and :func:`model_form` reads the model operator's.  Only
+    :func:`build_multiplier_plus_potential` sets them, and it sets both;
+    sandwiches carry neither, so their solves run dense or Lanczos.
     ``real`` is set by the builders when the multiplier samples are even
     on the lattice, so the operator maps real vectors to real vectors and
     solvers may work in float64.
@@ -234,30 +236,26 @@ def _principal_samples(profile: ProfileSpec, points: np.ndarray, radii: np.ndarr
     return _finite_or_raise(vals, what)
 
 
-def principal_frequency_samples(pair: ProfilePair, grid: Grid) -> np.ndarray:
-    return _principal_samples(
-        pair.a_profile, grid.frequency_points, grid.frequency_radii, "principal multiplier"
-    )
-
-
-def principal_position_samples(pair: ProfilePair, grid: Grid) -> np.ndarray:
-    return _principal_samples(
-        pair.v_profile, grid.position_points, grid.position_radii, "principal potential"
-    )
-
-
 def build_model_operator(pair: ProfilePair, grid: Grid) -> HermitianOperator:
     """The positive model operator op(V0^2 Psi) + 2 A0 V0 Phi.
 
     Its ascending eigenvalues are the limits of the scaled spectral gaps.
+    Its ``multiplier_part`` is V0^2 Psi on the frequency lattice and its
+    ``potential_part`` 2 A0 V0 Phi on the nodes.
     """
     if grid.dimension != pair.dimension:
         raise OperatorError("grid dimension does not match the profile pair")
     a0 = pair.a_profile.max_value
     v0 = pair.v_profile.max_value
-    mult = v0**2 * principal_frequency_samples(pair, grid)
-    pot = 2.0 * a0 * v0 * principal_position_samples(pair, grid)
-    return build_multiplier_plus_potential(grid, mult, pot, label="model-operator")
+    psi = _principal_samples(
+        pair.a_profile, grid.frequency_points, grid.frequency_radii, "principal multiplier"
+    )
+    phi = _principal_samples(
+        pair.v_profile, grid.position_points, grid.position_radii, "principal potential"
+    )
+    return build_multiplier_plus_potential(
+        grid, v0**2 * psi, 2.0 * a0 * v0 * phi, label="model-operator"
+    )
 
 
 def build_multiplier_plus_potential(
@@ -349,14 +347,11 @@ def model_form(pair: ProfilePair, u: StateVector, v: StateVector | None = None) 
     if u.grid != v.grid:
         raise OperatorError("grids do not match")
     grid = u.grid
-    a0 = pair.a_profile.max_value
-    v0 = pair.v_profile.max_value
-    psi = principal_frequency_samples(pair, grid)
-    phi = principal_position_samples(pair, grid)
+    model = build_model_operator(pair, grid)
     u_hat = to_frequency_values(grid, u.values)
     v_hat = u_hat if v is u else to_frequency_values(grid, v.values)
-    freq_part = v0**2 * grid.freq_cell_volume * np.sum(psi * u_hat * np.conj(v_hat))
-    pos_part = 2.0 * a0 * v0 * grid.cell_volume * np.sum(phi * u.values * np.conj(v.values))
+    freq_part = grid.freq_cell_volume * np.sum(model.multiplier_part * u_hat * np.conj(v_hat))
+    pos_part = grid.cell_volume * np.sum(model.potential_part * u.values * np.conj(v.values))
     return complex(freq_part + pos_part)
 
 

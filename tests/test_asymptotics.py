@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from specgap import (
 )
 from specgap import asymptotics, operators
 from specgap.asymptotics import ExtrapolationResult, model_spectrum
+from specgap.cli import main
 from specgap.reportio import render_report, write_report_files
 
 from conftest import constant_profile
@@ -407,8 +410,8 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "mode, recorded",
         [
-            (Mode.SHIFT_INVERT_BOTTOM, "shift_invert_bottom"),
-            (None, "dense_full"),
+            (Mode.SHIFT_INVERT_BOTTOM, "shift_invert"),
+            (None, "dense"),
             (Mode.LANCZOS, "lanczos"),
         ],
     )
@@ -575,3 +578,17 @@ class TestTensorProductOracle:
                 1.0 - np.array(values), 1.0 - np.array(exact), rtol=1e-9, atol=0.0
             )
             assert [len(c) for c in cluster_eigenvalues(values, tol)] == sizes
+
+    def test_shipped_3d_config_verifies_against_the_products(self, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "configs" / "gaussian_3d.ini"
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "records.csv").read_text(encoding="utf-8").splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        alphas = sorted({float(row["alpha"]) for row in rows}, reverse=True)
+        assert alphas == [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+        for row in rows:
+            levels = mehler_eigenvalues(float(row["alpha"]), 2)
+            exact = sorted(
+                (np.prod(lams) for lams in itertools.product(levels, repeat=3)), reverse=True
+            )[int(row["n"]) - 1]
+            assert abs(float(row["lambda"]) - exact) <= float(row["residual"]) + 1e-9, row

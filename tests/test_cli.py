@@ -135,6 +135,9 @@ class TestConfigRoundTrip:
             ({"grid_mode": "manual", "grid_n": 6}, "[grid] "),
             ({"rng_seed": -1}, "[solver] seed: rng_seed must be >= 0, got -1"),
             ({"radii": (2.0, 2.0)}, "[localization] radii: radii must be distinct"),
+            ({"symbol": ProfileConfig(kind="expression", expr="exp(-y^2)", principal="x1^2",
+                                      degree=2.0)},
+             "[symbol] expr: unknown identifier 'y'"),
         ],
     )
     def test_an_invalid_run_config_cannot_be_built(self, change, message):
@@ -143,9 +146,10 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             replace(parse_config(GAUSSIAN_MINI), **change)
 
-    def test_model_mode_accepts_lanczos(self):
-        cfg = parse_config("[solver]\nmodel_mode = lanczos\n")
-        assert sweep_settings(cfg).solver.mode is Mode.LANCZOS
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_every_mode_value_is_a_model_mode_word(self, mode):
+        cfg = parse_config(f"[solver]\nmodel_mode = {mode.value}\n")
+        assert sweep_settings(cfg).solver.mode is mode
         assert parse_config(emit_config(cfg)) == cfg
 
     def test_a_run_threads_key_is_ignored(self):
@@ -464,7 +468,8 @@ class TestValidateCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "[symbol] gaussian_power(2): pass"
 
-    @pytest.mark.parametrize("name", ["gaussian", "custom_expression", "mixed_degree"])
+    @pytest.mark.parametrize("name", ["gaussian", "custom_expression", "mixed_degree",
+                                      "gaussian_3d"])
     def test_every_shipped_config_passes(self, name, capsys):
         assert main(["validate", "--config", str(CONFIGS / f"{name}.ini")]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -490,7 +495,7 @@ class TestModelSpectrumCommand:
         )
         assert rc == 0
         printed = capsys.readouterr().out.splitlines()
-        assert printed[0] == "model solve: dense_full (512 unknowns <= 1024)"
+        assert printed[0] == "model solve: dense (512 unknowns <= 1024)"
         lines = (tmp_path / "model_spectrum.csv").read_text().splitlines()
         assert lines[0] == "# schema: specgap.model.v1"
         assert lines[1] == "n,mu,residual,N,L,mode"
@@ -538,9 +543,9 @@ class TestModelSpectrumAgreesWithVerify:
     @pytest.mark.parametrize(
         "text, mode",
         [
-            (GAUSSIAN_MINI, "dense_full"),
+            (GAUSSIAN_MINI, "dense"),
             (GAUSSIAN_MINI.replace("mode = manual\nn = 512\nhalf_length = 14", "mode = auto"),
-             "dense_full"),
+             "dense"),
             (GAUSSIAN_MINI + "\n[solver]\nmodel_mode = lanczos\n", "lanczos"),
         ],
         ids=["manual-grid", "auto-grid", "lanczos"],
@@ -560,6 +565,9 @@ class TestModelSpectrumAgreesWithVerify:
         ]
         assert len(rows) == 2
         assert {row["mode"] for row in rows} == {prov["model_mode"]} == {mode}
+        # the mode a report records is a word the config accepts
+        recorded = parse_config(f"[solver]\nmodel_mode = {prov['model_mode']}\n")
+        assert sweep_settings(recorded).solver.mode.value == mode
         assert printed[0] == f"model solve: {mode} ({prov['model_mode_reason']})"
         start = printed.index("grid reasoning:") + 1
         assert printed[start:printed.index(f"model spectrum on {prov['grid']}:")] == [

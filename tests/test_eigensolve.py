@@ -25,11 +25,7 @@ from specgap import (
 )
 from specgap import eigensolve
 from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense, weyl_estimate
-from specgap.operators import (
-    HermitianOperator,
-    principal_frequency_samples,
-    principal_position_samples,
-)
+from specgap.operators import HermitianOperator
 
 # frozen two-resolution regression value for the quartic-multiplier model
 # operator op(xi^4) + 2 x^2 on [-30, 30] (no analytic spectrum available)
@@ -194,18 +190,14 @@ class TestCompleteness:
         a = make_catalog_profile("gaussian_power", [2], 2)
         v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
         pair = make_pair(a, v)
-        grid = build_grid(2, n, half_length)
+        model = build_model_operator(pair, build_grid(2, n, half_length))
         op = build_multiplier_plus_potential(
-            grid,
-            -principal_frequency_samples(pair, grid),
-            -2.0 * principal_position_samples(pair, grid),
+            model.grid, -model.multiplier_part, -model.potential_part
         )
         tol = 1e-9
         pairs = largest_eigenpairs(op, SolveSettings(k=3, tol=tol, rng_seed=seed))
         values = [p.value for p in pairs]
-        dense = smallest_eigenpairs(
-            build_model_operator(pair, grid), SolveSettings(k=3, tol=tol, mode=Mode.DENSE_FULL)
-        )
+        dense = smallest_eigenpairs(model, SolveSettings(k=3, tol=tol, mode=Mode.DENSE_FULL))
         scale = op.upper_bound
         np.testing.assert_allclose(
             values, [-p.value for p in dense], rtol=0, atol=10 * tol * scale
@@ -464,14 +456,15 @@ class TestBottomSolves:
             return build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
 
         # (operator, explicit mode) -> choice, words of the reason; a
-        # sandwich carries no parts for a stiffness estimate
+        # sandwich carries no parts for a stiffness estimate or for
+        # shift-invert's preconditioner
         sandwich = build_scaled_operator(gaussian_pair, 0.1, build_grid(1, 2048, 20.0))
         table = [
             ((model(2, 1, 1024, 20.0), None), Mode.DENSE_FULL, "1024 unknowns <= 1024"),
             ((model(2, 2, 80, 10.0), None), Mode.LANCZOS, "< 500"),
             ((model(4, 2, 56, 8.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
             ((model(2, 1, 8192, 20.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
-            ((sandwich, None), Mode.SHIFT_INVERT_BOTTOM, "no parts"),
+            ((sandwich, None), Mode.LANCZOS, "no parts"),
             ((model(2, 2, 80, 10.0), Mode.DENSE_FULL), Mode.DENSE_FULL, "set in the config"),
             ((model(2, 1, 1024, 20.0), Mode.LANCZOS), Mode.LANCZOS, "set in the config"),
         ]
@@ -519,6 +512,12 @@ class TestBottomSolves:
                 [p.value for p in pairs], [p.value for p in dense], rtol=1e-11, atol=0
             )
             assert certify(op, pairs, 1e-9).passed
+
+    def test_shift_invert_needs_the_parts_of_its_preconditioner(self, gaussian_pair, grid_256):
+        sandwich = build_scaled_operator(gaussian_pair, 0.1, grid_256)
+        with pytest.raises(ValueError, match="needs the operator's multiplier_part and "
+                                             "potential_part for its preconditioner"):
+            smallest_eigenpairs(sandwich, SolveSettings(k=1, mode=Mode.SHIFT_INVERT_BOTTOM))
 
     def test_certification_failure_names_its_numbers(self, gaussian_pair):
         op = build_model_operator(gaussian_pair, build_grid(1, 256, 12.0))

@@ -57,8 +57,6 @@ class TestBuildGrid:
     def test_rejects_budget_overflow(self):
         with pytest.raises(GridError, match="budget"):
             build_grid(2, 4096, 10.0)
-        # same size fits with a raised budget
-        build_grid(2, 4096, 10.0, max_nodes=4096**2)
 
     def test_huge_dimension_rejected_before_the_node_count(self):
         # 8**(2**40) would be an integer of about 400 GB.
