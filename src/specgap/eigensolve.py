@@ -29,11 +29,25 @@ Three modes:
   are locked, a completeness probe runs one more cycle.  A value beyond
   the k-th locked one (a degenerate copy the earlier cycles could not
   see) is locked and the probe repeats; otherwise the solve is done.
-* ``DENSE_FULL`` -- materialize the operator in blocks of rows (one apply
-  to a stack of identity rows per block) into one Fortran-ordered matrix,
-  which LAPACK then overwrites; permitted only up to ``DENSE_SIZE_LIMIT``
-  unknowns.  The matrix is not symmetrized: ``eigh`` reads only its
-  lower triangle.
+* ``DENSE_FULL`` -- materialize the operator and hand it to ``eigh``;
+  permitted only up to ``DENSE_SIZE_LIMIT`` unknowns.  An operator whose
+  multiplier and potential parts are both even samples commutes with the
+  grid's point reflection j -> -j mod N on every axis, so its
+  eigenvectors can be taken even or odd.  Its n x n matrix is never
+  built: the even and the odd block are materialized apart, on the
+  symmetry-adapted columns e_i at the fixed nodes of the reflection
+  (2^d of them for even N; even block only) and
+  (e_i +- e_mirror(i))/sqrt(2) for the node pairs (Fassler & Stiefel,
+  *Group Theoretical Methods and Their Applications*, 1992).  Each block
+  has about n/2 unknowns, so the two eigh calls do about a quarter of
+  the work of one on the whole matrix.  Any other operator (a part that
+  is not even, or a sandwich, which carries no parts) runs the same
+  loop over one block, the whole space, on the identity columns.  A
+  block is built by applying the operator to a stack of columns per
+  call, into a Fortran-ordered matrix that LAPACK then overwrites; it is
+  not symmetrized, since ``eigh`` reads only its lower triangle.  The
+  min(k, block size) extreme eigenvectors of each block, lifted back to
+  the grid, span the wanted pairs.
 * ``SHIFT_INVERT_BOTTOM`` -- the same Lanczos core on (A + c I)^-1 with
   inner conjugate-gradient solves, matrix-free, preconditioned by the
   inverse of the operator's multiplier part; only operators that carry
@@ -43,10 +57,10 @@ Both spectrum ends and all three modes go through one routine with one
 k rule: any 1 <= k <= size is valid in every mode (Lanczos run over the
 whole complement of the locked span is exact), and a larger k is a
 ``ValueError``.  The locked Lanczos rows (of A, of -A or of the inverse)
-or eigh's vectors span the wanted pairs; one Rayleigh-Ritz step against
-the operator itself gives the values, vectors and residuals of the k
-extreme Ritz pairs over that span, and those are what the solve returns
-and certifies.
+or the dense blocks' eigenvectors span the wanted pairs; one
+Rayleigh-Ritz step against the operator itself gives the values,
+vectors and residuals of the k extreme Ritz pairs over that span, and
+those are what the solve returns and certifies.
 
 A ``real`` operator (even multiplier samples) runs in real arithmetic
 throughout: float64 start vectors, Krylov bases, dense matrices and CG
@@ -54,30 +68,35 @@ solves, and float64 eigenvectors.  Other operators run in complex128.
 
 :func:`bottom_mode` is the one place that picks the mode of a
 model-operator solve.  Up to ``DENSE_CHOICE_LIMIT`` (1024) unknowns it
-materializes (at 1024 unknowns eigh takes 0.11 s on a real operator,
-0.54 s on a complex one, and the materialization 20-26 ms).  Above that,
-plain Lanczos on -A converges at a rate set by the wanted gap against the
-spread of the spectrum (Parlett, *The Symmetric Eigenvalue Problem*,
-SIAM 1998), so the choice rests on the stiffness ||A|| / mu_k, with
-mu_k estimated by Weyl's law from the multiplier and potential samples
-(:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500),
-shift-invert from there on; an operator without the parts has neither
-the estimate nor the preconditioner, and runs Lanczos.  Measured on a
-2-core box (k=3, tol 1e-9, Gaussian pairs unless noted, median of 3
-solves, one BLAS thread), Lanczos beat shift-invert at ratios 63 (d=2,
-48^2, L=8: 0.05 vs 0.61 s),
-103 (80^2, L=10: 0.20 vs 1.52 s), 174 (128^2, L=10: 0.67 vs 3.29 s),
-219 (128^2, L=8: 0.72 vs 2.39 s), 951 (d=2 quartic symbol, 36^2, L=8:
-0.36 vs 0.53 s), 1283 (1-D, N=1280, L=20: 0.33 vs 0.52 s), 1423
-(quartic 40^2: 0.50 vs 0.58 s), 1804 (N=1536: 0.52 vs 0.68 s) and 2434
-(N=1792: 0.72 vs 0.83 s), and lost 1.4x at 3134 (N=2048: 1.04 vs
-0.74 s) and 4.6x at 5417 (quartic 56^2: 2.38 vs 0.52 s).  The limit
-stays below both crossovers.  From 1025 to 1792 unknowns dense beat
-both on these stiff operators (N=1280: 0.26 s, N=1536: 0.42 s, N=1792:
-0.60 s, quartic 36^2: 0.26 s, 40^2: 0.49 s), so shift-invert, which
-bottom_mode picks there, is the slowest of the three; from 2048 unknowns
-on shift-invert wins (N=2048: dense 0.97 s; quartic 56^2: 2.95 s; 1-D
-N=4096, one solve each: 7.91 vs 1.02 s).
+materializes.  At 1024 unknowns eigh takes 0.11 s on a whole real
+matrix and 0.39 s on a complex one, but 0.011 s and 0.014 s on the two
+parity blocks (513 and 511) of an even operator.  Materializing both
+blocks takes 16 ms, and the whole matrix, which only an operator
+without the symmetry builds, 23 ms.  Above that, plain Lanczos on -A
+converges at a rate set by the wanted gap against the spread of the
+spectrum (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998), so
+the choice rests on the stiffness ||A|| / mu_k, with mu_k estimated by
+Weyl's law from the multiplier and potential samples
+(:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500).
+From there on a stiff operator runs dense while its larger parity block
+has at most ``DENSE_CHOICE_LIMIT`` unknowns, and shift-invert beyond;
+an operator without the parts has neither the estimate nor the
+preconditioner, and runs Lanczos.  Measured on a 2-core box (k=3, tol
+1e-9, Gaussian pairs unless noted, median of 3 solves, one BLAS thread),
+Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.05 vs 0.61 s),
+103 (80^2, L=10: 0.20 vs 1.52 s), 174 (128^2, L=10: 0.67 vs 3.29 s) and
+219 (128^2, L=8: 0.72 vs 2.39 s), and lost 1.4x at 3134 (N=2048: 1.04
+vs 0.74 s) and 4.6x at 5417 (quartic 56^2: 2.38 vs 0.52 s).  On the
+stiff operators whose blocks fit, the split dense path beat both
+(dense / shift-invert / Lanczos, 1-D, L=20: N=1280 0.075 / 0.49 /
+0.25 s, N=1536 0.11 / 0.64 / 0.46 s, N=1792 0.20 / 0.66 / 0.60 s,
+N=2046 0.36 / 0.78 / 1.05 s; d=2 quartic symbol, L=8: 36^2 0.10 /
+0.44 / 0.24 s, 40^2 0.14 / 0.38 / 0.38 s).  It would still win at
+N=2048 (blocks 1025 and 1023: 0.26 vs 0.63 s for shift-invert) and
+loses on quartic 56^2 (blocks of 1570: 1.09 vs 0.45 s).  A mild
+operator keeps Lanczos even where its blocks fit: the d=2 Gaussian
+pair on 40^2, L=8 (ratio < 500) took 0.04 s in Lanczos against 0.19 s
+split dense.
 
 All randomness flows from the seed in :class:`SolveSettings`; identical
 settings produce bit-identical results within one build.
@@ -88,13 +107,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import StateVector, inner, norm
-from .operators import HermitianOperator, fourier_multiplier
+from .operators import HermitianOperator, _is_even, fourier_multiplier
 
 __all__ = [
     "Mode",
@@ -116,14 +136,15 @@ __all__ = [
 DENSE_SIZE_LIMIT = 4096
 # bottom_mode materializes up to this many unknowns ...
 DENSE_CHOICE_LIMIT = 1024
-# ... and above it runs plain Lanczos on -A while ||A|| < STIFFNESS_LIMIT * mu_k.
+# ... and above it runs plain Lanczos on -A while ||A|| < STIFFNESS_LIMIT * mu_k,
+# and a stiffer operator dense while no block of the dense path is larger.
 STIFFNESS_LIMIT = 500.0
 # Shift-invert runs Lanczos on (A + _SHIFT I)^-1; model operators are
 # positive, so the inverse has norm <= 1/_SHIFT.
 _SHIFT = 1.0
 # CG iteration cap of one shift-invert inner solve.
 INNER_MAX_ITERATIONS = 50000
-# materialize_dense applies the operator to this many identity rows per call:
+# materialize_dense applies the operator to this many columns per call:
 # one batched FFT instead of one call per column, whose argument handling
 # dominates a small transform.  More rows per block save little and raise
 # the peak memory of the block's FFT buffers.
@@ -466,28 +487,112 @@ def _rayleigh_ritz(op: HermitianOperator, basis: np.ndarray, k: int, which: str)
 # Dense reference path
 # ---------------------------------------------------------------------------
 
-def materialize_dense(op: HermitianOperator) -> np.ndarray:
-    """Apply the operator to every basis vector; only for small grids.
-    The matrix is float64 for a ``real`` operator, else complex128, and
-    Fortran-ordered, so LAPACK can work on it without a copy.  It is not
-    symmetrized: column j is exactly A e_j, and ``eigh`` reads only the
-    lower triangle.
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """The unit columns (e_nodes[c] + sign * e_mirrors[c]) * scale[c] that
+    span one block of the dense path, on a grid of ``n`` nodes (flat, C
+    order).  ``scale`` is 1/sqrt(2) on a node pair and 1/2 where a node is
+    its own mirror, whose column (sign +1) is then e_i exactly."""
 
-    The operator is applied to ``_DENSE_BLOCK`` identity rows per call, and
-    row j of the C-ordered result is A e_j; its transpose is the matrix."""
+    nodes: np.ndarray
+    mirrors: np.ndarray
+    sign: float
+    n: int
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return np.where(self.nodes == self.mirrors, 0.5, np.sqrt(0.5))
+
+    def columns(self, start: int, stop: int, dtype) -> np.ndarray:
+        """Columns ``start`` to ``stop - 1``, as flat rows."""
+        scale = self.scale[start:stop]
+        rows = np.zeros((len(scale), self.n), dtype=dtype)
+        at = np.arange(len(scale))
+        rows[at, self.nodes[start:stop]] = scale
+        rows[at, self.mirrors[start:stop]] += self.sign * scale
+        return rows
+
+    def lift(self, coeffs: np.ndarray) -> np.ndarray:
+        """The flat grid vectors, as rows, whose coordinates along the
+        columns are the columns of ``coeffs``.  The two values of a pair
+        are one value and its copy or its exact negative."""
+        rows = np.zeros((coeffs.shape[1], self.n), dtype=coeffs.dtype)
+        scaled = coeffs.T * self.scale
+        rows[:, self.nodes] = scaled
+        rows[:, self.mirrors] += self.sign * scaled
+        return rows
+
+    def restrict(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write the coordinates along the columns of the flat ``rows`` into
+        ``out``."""
+        combine = np.add if self.sign > 0 else np.subtract
+        combine(rows.take(self.nodes, axis=1), rows.take(self.mirrors, axis=1), out=out)
+        out *= self.scale
+
+
+def _whole_space(n: int) -> _Block:
+    flat = np.arange(n)
+    return _Block(flat, flat, 1.0, n)
+
+
+def _dense_blocks(op: HermitianOperator) -> list[_Block]:
+    """The blocks the dense path solves ``op`` in: the even and the odd
+    block when ``op`` commutes with the point reflection j -> -j mod N on
+    every axis, which holds when it carries both parts and both are even
+    samples; else the whole space."""
+    grid = op.grid
+    parts = (op.multiplier_part, op.potential_part)
+    if any(p is None or not _is_even(p) for p in parts):
+        return [_whole_space(grid.size)]
+    axes = tuple(range(grid.dimension))
+    flat = np.arange(grid.size)
+    mirror = np.roll(np.flip(flat.reshape(grid.shape), axes), 1, axes).ravel()
+    even, odd = flat[flat <= mirror], flat[flat < mirror]
+    return [_Block(even, mirror[even], 1.0, grid.size), _Block(odd, mirror[odd], -1.0, grid.size)]
+
+
+def materialize_dense(op: HermitianOperator, block: _Block | None = None) -> np.ndarray:
+    """The matrix of ``op`` on the span of ``block``'s columns, by default
+    the whole space; only for small grids.  The matrix is float64 for a
+    ``real`` operator, else complex128, and Fortran-ordered, so LAPACK can
+    work on it without a copy.  It is not symmetrized: column c is exactly
+    the block's restriction of A s_c, for the block's column s_c (A e_j on
+    the whole space), and ``eigh`` reads only the lower triangle.
+
+    The operator is applied to ``_DENSE_BLOCK`` columns per call, and row
+    c of the C-ordered result is the restriction of A s_c; its transpose
+    is the matrix."""
     n = op.grid.size
     if n > DENSE_SIZE_LIMIT:
         raise ValueError(
             f"dense materialization permitted only up to {DENSE_SIZE_LIMIT} unknowns, got {n}"
         )
+    if block is None:
+        block = _whole_space(n)
+    size = block.size
     shape = op.grid.shape
     dtype = np.float64 if op.real else np.complex128
-    rows = np.empty((n, n), dtype=dtype)
-    for start in range(0, n, _DENSE_BLOCK):
-        count = min(_DENSE_BLOCK, n - start)
-        eye = np.eye(count, n, start, dtype=dtype)  # rows e_start .. e_(start+count-1)
-        rows[start : start + count] = op.apply_values(eye.reshape(count, *shape)).reshape(count, n)
+    rows = np.empty((size, size), dtype=dtype)
+    for start in range(0, size, _DENSE_BLOCK):
+        count = min(_DENSE_BLOCK, size - start)
+        columns = block.columns(start, start + count, dtype)
+        applied = op.apply_values(columns.reshape(count, *shape)).reshape(count, n)
+        block.restrict(applied, out=rows[start : start + count])
     return rows.T
+
+
+def _dense_basis(op: HermitianOperator, block: _Block, k: int, which: str) -> np.ndarray:
+    """Flat rows spanning the min(k, block size) ``which`` eigenvectors of
+    ``op`` on ``block``; the block's matrix lives only for this call."""
+    count = min(k, block.size)
+    lo = block.size - count if which == "largest" else 0
+    _, vecs = sla.eigh(materialize_dense(op, block), subset_by_index=[lo, lo + count - 1],
+                       overwrite_a=True)
+    return block.lift(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +656,23 @@ def _extreme_pairs(op: HermitianOperator, settings: SolveSettings, mode: Mode,
     ``mode``, ordered from the extreme inward and certified.
 
     Any 1 <= k <= size is valid in every mode.  The mode builds a basis
-    that spans the wanted pairs (eigh's vectors, the locked Lanczos rows
-    of A or -A, or those of the shift-invert inverse); the Rayleigh-Ritz
-    step against ``op`` itself then gives the values, vectors and
-    residuals, and every residual must be within tol * max(1, |upper_bound|).
+    that spans the wanted pairs (eigh's vectors of each dense block, the
+    locked Lanczos rows of A or -A, or those of the shift-invert inverse);
+    the Rayleigh-Ritz step against ``op`` itself then gives the values,
+    vectors and residuals, and every residual must be within
+    tol * max(1, |upper_bound|).
     """
     k, size = settings.k, op.grid.size
     if k > size:  # SolveSettings holds k >= 1
         raise ValueError(f"{op.label}: requested {k} pairs from a {size}-dimensional operator")
     threshold = settings.tol * _operator_scale(op)
     if mode is Mode.DENSE_FULL:
-        lo = size - k if which == "largest" else 0
+        # The k wanted pairs are among the k extreme ones of each block.
         # eigh's values are accurate only to ~eps*|A| (1e-9 for a quartic
         # symbol at N=1024) and move with the BLAS path.  The Ritz values over
         # its vectors, from the applies the residuals need anyway, are off by
         # ~residual^2/gap plus the apply's rounding on a smooth vector.
-        _, vecs = sla.eigh(materialize_dense(op), subset_by_index=[lo, lo + k - 1],
-                           overwrite_a=True)
-        basis = vecs.T
+        basis = np.concatenate([_dense_basis(op, block, k, which) for block in _dense_blocks(op)])
     elif mode is Mode.LANCZOS:
         apply_values = (op.apply_values if which == "largest"
                         else lambda values: -op.apply_values(values))
@@ -641,17 +745,23 @@ def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tupl
     one-line reason.
 
     ``mode`` passes through when given.  Otherwise ``DENSE_FULL`` up to
-    ``DENSE_CHOICE_LIMIT`` unknowns; above it ``LANCZOS`` (on -A) when
-    ||A|| < ``STIFFNESS_LIMIT`` times the Weyl estimate of mu_k, else
-    ``SHIFT_INVERT_BOTTOM``.  An operator without parts, a sandwich, has
-    neither the estimate nor shift-invert's preconditioner, and runs
-    ``LANCZOS`` above the limit.
+    ``DENSE_CHOICE_LIMIT`` unknowns.  Above it ``LANCZOS`` (on -A) when
+    ||A|| < ``STIFFNESS_LIMIT`` times the Weyl estimate of mu_k; a stiffer
+    operator runs ``DENSE_FULL`` when each block of the dense path (the
+    two parity blocks of a reflection-invariant operator) has at most
+    ``DENSE_CHOICE_LIMIT`` unknowns, else ``SHIFT_INVERT_BOTTOM``.  An
+    operator without parts, a sandwich, has neither the estimate nor
+    shift-invert's preconditioner, and runs ``LANCZOS`` above the limit.
+    The reason names the parity blocks whenever the choice is dense.
     """
     if mode is not None:
         return mode, "set in the config"
     size = op.grid.size
+    # A grid over the materialization cap has no dense path to split.
+    blocks = [b.size for b in _dense_blocks(op)] if size <= DENSE_SIZE_LIMIT else [size]
+    split = f"; parity blocks {blocks[0]} + {blocks[1]}" if len(blocks) == 2 else ""
     if size <= DENSE_CHOICE_LIMIT:
-        return Mode.DENSE_FULL, f"{size} unknowns <= {DENSE_CHOICE_LIMIT}"
+        return Mode.DENSE_FULL, f"{size} unknowns <= {DENSE_CHOICE_LIMIT}{split}"
     if op.multiplier_part is None or op.potential_part is None:
         return Mode.LANCZOS, (
             f"{size} unknowns > {DENSE_CHOICE_LIMIT}, no parts for a stiffness estimate"
@@ -664,7 +774,11 @@ def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tupl
         f"|A| <= {scale:.4g}, Weyl mu_{k} ~ {mu:.4g}: ratio {ratio:.4g} "
         f"{'>=' if stiff else '<'} {STIFFNESS_LIMIT:g}"
     )
-    return (Mode.SHIFT_INVERT_BOTTOM if stiff else Mode.LANCZOS), reason
+    if not stiff:
+        return Mode.LANCZOS, reason
+    if max(blocks) <= DENSE_CHOICE_LIMIT:
+        return Mode.DENSE_FULL, f"{reason}{split} <= {DENSE_CHOICE_LIMIT} each"
+    return Mode.SHIFT_INVERT_BOTTOM, reason
 
 
 def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[EigenPair]:

@@ -1,9 +1,11 @@
 """Periodized uniform grids, the unitary discrete Fourier transform and
 discrete L^2 geometry.
 
-The box [-L, L]^d carries N uniform nodes per axis, x_j = -L + j*h with
-h = 2L/N.  Its dual lattice holds the frequencies xi_k = (pi/L) * k for
-k in {-N/2, ..., N/2 - 1}, stored in FFT order so that symbol sampling
+The box [-L, L]^d carries N uniform nodes per axis, x_j = (j - N/2) * h
+with h = 2L/N, computed so that x_(N-j) == -x_j bit for bit whatever h
+is: the node reflection j -> -j mod N is exactly x -> -x.  Its dual
+lattice holds the frequencies xi_k = (pi/L) * k for k in
+{-N/2, ..., N/2 - 1}, stored in FFT order so that symbol sampling
 always happens at signed coordinates.  The transform pair is normalized
 like the continuum transform with the (2*pi)^(-d/2) factor, so it is
 unitary between the h^d-weighted position inner product and the
@@ -89,7 +91,8 @@ class Grid:
 
     @cached_property
     def node_axis(self) -> np.ndarray:
-        return -self.half_length + self.spacing * np.arange(self.n_per_axis)
+        # -L + j*h is exactly odd only for a dyadic h; (j - N/2) is exact.
+        return self.spacing * (np.arange(self.n_per_axis) - self.n_per_axis / 2)
 
     @cached_property
     def freq_axis(self) -> np.ndarray:

@@ -422,7 +422,8 @@ class TestRunSweep:
         )
         assert report.provenance["model_mode"] == recorded
         reason = report.provenance["model_mode_reason"]
-        assert reason == ("256 unknowns <= 1024" if mode is None else "set in the config")
+        assert reason == ("256 unknowns <= 1024; parity blocks 129 + 127" if mode is None
+                          else "set in the config")
         assert f"model solve: {recorded} ({reason})" in render_report(report.to_dict())
 
     def test_solver_failure_flagged_not_raised(self, gaussian_pair):

@@ -495,7 +495,7 @@ class TestModelSpectrumCommand:
         )
         assert rc == 0
         printed = capsys.readouterr().out.splitlines()
-        assert printed[0] == "model solve: dense (512 unknowns <= 1024)"
+        assert printed[0] == "model solve: dense (512 unknowns <= 1024; parity blocks 257 + 255)"
         lines = (tmp_path / "model_spectrum.csv").read_text().splitlines()
         assert lines[0] == "# schema: specgap.model.v1"
         assert lines[1] == "n,mu,residual,N,L,mode"

@@ -1,9 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from specgap import (
+    Grid,
     InnerSolveStallError,
     Mode,
     NoConvergenceError,
@@ -443,10 +446,13 @@ class TestBottomSolves:
             smallest_eigenpairs(op, SolveSettings(k=33, tol=tol, mode=mode))
 
     def test_dense_size_cap_enforced(self, gaussian_pair):
+        # The cap counts unknowns, also where the parity blocks would be half.
         big = build_grid(1, 8192, 20.0)
         op = build_model_operator(gaussian_pair, big)
         assert big.size > DENSE_SIZE_LIMIT
-        with pytest.raises(ValueError, match="dense"):
+        assert len(eigensolve._dense_blocks(op)) == 2
+        with pytest.raises(ValueError, match="dense materialization permitted only up to "
+                                             "4096 unknowns, got 8192"):
             smallest_eigenpairs(op, SolveSettings(k=1, tol=1e-8, mode=Mode.DENSE_FULL))
 
     def test_bottom_mode_switches_above_dense_limit(self, gaussian_pair):
@@ -457,10 +463,23 @@ class TestBottomSolves:
 
         # (operator, explicit mode) -> choice, words of the reason; a
         # sandwich carries no parts for a stiffness estimate or for
-        # shift-invert's preconditioner
+        # shift-invert's preconditioner.  Above 1024 unknowns, stiff even
+        # models run dense while their larger parity block has at most 1024.
         sandwich = build_scaled_operator(gaussian_pair, 0.1, build_grid(1, 2048, 20.0))
         table = [
-            ((model(2, 1, 1024, 20.0), None), Mode.DENSE_FULL, "1024 unknowns <= 1024"),
+            ((model(2, 1, 1024, 20.0), None), Mode.DENSE_FULL,
+             "1024 unknowns <= 1024; parity blocks 513 + 511"),
+            ((model(2, 1, 1280, 20.0), None), Mode.DENSE_FULL,
+             ">= 500; parity blocks 641 + 639 <= 1024 each"),
+            ((model(2, 1, 1792, 20.0), None), Mode.DENSE_FULL,
+             ">= 500; parity blocks 897 + 895 <= 1024 each"),
+            ((model(2, 1, 2046, 20.0), None), Mode.DENSE_FULL,
+             ">= 500; parity blocks 1024 + 1022 <= 1024 each"),
+            ((model(4, 2, 40, 8.0), None), Mode.DENSE_FULL,
+             ">= 500; parity blocks 802 + 798 <= 1024 each"),
+            ((model(2, 2, 40, 8.0), None), Mode.LANCZOS, "< 500"),
+            ((model(2, 2, 48, 8.0), None), Mode.LANCZOS, "< 500"),
+            ((model(2, 1, 2048, 20.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
             ((model(2, 2, 80, 10.0), None), Mode.LANCZOS, "< 500"),
             ((model(4, 2, 56, 8.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
             ((model(2, 1, 8192, 20.0), None), Mode.SHIFT_INVERT_BOTTOM, ">= 500"),
@@ -545,6 +564,108 @@ class TestBottomSolves:
         assert stall.iterations == 2
         assert str(stall) == (f"inner CG stalled at relative residual "
                               f"{stall.achieved_residual:.3e} after 2 iterations")
+
+
+def mirrored(a):
+    """``a`` plus its point reflection j -> -j mod N: exactly even samples."""
+    axes = tuple(range(a.ndim))
+    return a + np.roll(np.flip(a, axes), 1, axes)
+
+
+def parity_deviation(values):
+    """min over s = +-1 of max |v(-j) - s v(j)| / max |v|."""
+    axes = tuple(range(values.ndim))
+    reflected = np.roll(np.flip(values, axes), 1, axes)
+    return min(np.max(np.abs(reflected - s * values)) for s in (1, -1)) / np.max(np.abs(values))
+
+
+class TestParityBlocks:
+    """The dense path of an operator whose parts are both even solves its
+    even and odd blocks apart; anything else runs on the whole space."""
+
+    # (d, N): even and odd N (the Grid dataclass takes odd N; build_grid does not)
+    GRIDS = [(1, 16), (1, 15), (2, 8), (2, 7), (3, 4), (3, 5)]
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_split_matches_the_full_matrix_for_every_k(self, d, n):
+        grid = Grid(d, n, 3.0)
+        rng = np.random.default_rng(10 * d + n)
+        op = build_multiplier_plus_potential(
+            grid, mirrored(rng.random(grid.shape)), mirrored(rng.random(grid.shape))
+        )
+        blocks = eigensolve._dense_blocks(op)
+        fixed = (2 - n % 2) ** d  # nodes that are their own mirror
+        pairs = (grid.size - fixed) // 2
+        assert [b.size for b in blocks] == [fixed + pairs, pairs]
+        matrix = materialize_dense(op)
+        for block in blocks:
+            # Each block is the full matrix on the block's orthonormal columns.
+            columns = block.lift(np.eye(block.size)).T
+            np.testing.assert_allclose(columns.T @ columns, np.eye(block.size), atol=1e-15)
+            dense_block = materialize_dense(op, block)
+            assert dense_block.flags.f_contiguous
+            np.testing.assert_allclose(dense_block, columns.T @ matrix @ columns, atol=1e-14)
+        full = np.linalg.eigvalsh(matrix)
+        tol = 1e-10
+        # Past the odd block's size the smaller block runs out of pairs.
+        for k in sorted({1, 3, pairs, pairs + 1, grid.size}):
+            settings = SolveSettings(k=k, tol=tol, mode=Mode.DENSE_FULL)
+            bottom = smallest_eigenpairs(op, settings)
+            top = largest_eigenpairs(op, settings)
+            np.testing.assert_allclose([p.value for p in bottom], full[:k], rtol=0, atol=1e-13)
+            np.testing.assert_allclose([p.value for p in top], full[::-1][:k], rtol=0, atol=1e-13)
+            assert certify(op, bottom, tol).passed and certify(op, top, tol).passed
+
+    @pytest.mark.parametrize("d, n, half_length", [(1, 1024, 20.0), (1, 1792, 20.0),
+                                                   (2, 48, 8.0), (3, 12, 5.0)])
+    def test_model_eigenvectors_have_parity(self, d, n, half_length):
+        # Each block's eigenvectors lift to exactly even or odd grid
+        # functions; the Rayleigh-Ritz step over both blocks mixes them
+        # only by rounding.
+        a = make_catalog_profile("gaussian_power", [2], d)
+        v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
+        op = build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
+        assert len(eigensolve._dense_blocks(op)) == 2
+        pairs = smallest_eigenpairs(op, SolveSettings(k=6, tol=1e-8, mode=Mode.DENSE_FULL))
+        assert max(parity_deviation(p.vector.values) for p in pairs) <= 1e-12
+
+    def test_an_operator_without_the_symmetry_runs_the_whole_space(self, gaussian_pair):
+        # The whole-space path: eigh on materialize_dense(op), then Rayleigh-Ritz
+        # over its vectors, bit for bit.
+        grid = build_grid(2, 12, 5.0)
+        rng = np.random.default_rng(8)
+        even = mirrored(rng.random(grid.shape))
+        ops = [
+            build_multiplier_plus_potential(grid, rng.random(grid.shape), even),  # complex
+            build_multiplier_plus_potential(grid, even, rng.random(grid.shape)),  # real
+            build_scaled_operator(gaussian_pair, 0.1, build_grid(1, 64, 6.0)),  # no parts
+        ]
+        for op in ops:
+            assert len(eigensolve._dense_blocks(op)) == 1
+            for which, solve in (("smallest", smallest_eigenpairs),
+                                 ("largest", largest_eigenpairs)):
+                pairs = solve(op, SolveSettings(k=3, tol=1e-9, mode=Mode.DENSE_FULL))
+                lo = op.grid.size - 3 if which == "largest" else 0
+                _, vecs = sla.eigh(materialize_dense(op), subset_by_index=[lo, lo + 2])
+                values, vectors, residuals = eigensolve._rayleigh_ritz(op, vecs.T, 3, which)
+                weight = np.sqrt(op.grid.cell_volume)
+                assert [p.value for p in pairs] == list(values)
+                assert [p.residual for p in pairs] == residuals
+                for p, vec in zip(pairs, vectors):
+                    assert np.array_equal(p.vector.values, vec / weight)
+
+    def test_no_full_matrix_is_built(self, gaussian_pair, grid_1024):
+        # The full matrix of 1024 unknowns takes 8 MiB; its two blocks of
+        # 513 and 511 take a quarter each.
+        op = build_model_operator(gaussian_pair, grid_1024)
+        tracemalloc.start()
+        try:
+            pairs = smallest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, mode=Mode.DENSE_FULL))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 3
+        assert peak < grid_1024.size**2 * 8
 
 
 class TestRealArithmetic:

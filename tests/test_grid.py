@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from specgap import (
+    Grid,
     GridError,
     ProfileRole,
     SolveSettings,
     StateVector,
     SweepSettings,
     build_grid,
+    build_model_operator,
     inner,
     load_state,
     make_catalog_profile,
@@ -21,7 +23,7 @@ from specgap import (
     to_frequency_values,
     to_position_values,
 )
-from specgap.operators import normalized_pair
+from specgap.operators import _is_even, normalized_pair
 
 
 class TestBuildGrid:
@@ -44,6 +46,20 @@ class TestBuildGrid:
     def test_spacing_times_n_is_exactly_two_l(self):
         g = build_grid(1, 1024, 12.8)
         assert g.spacing * g.n_per_axis == 2 * 12.8
+
+    @pytest.mark.parametrize("n, length", [(1792, 20.0), (48, 8.0), (1024, 20.0), (9, 3.0),
+                                           (15, 0.7), (1025, 20.0)])
+    def test_nodes_are_exactly_odd_under_the_reflection(self, n, length):
+        # x[-j mod N] == -x[j] for j = 1 .. N-1, bit for bit, also where h is
+        # not dyadic (1792 and 48 nodes) and N is odd (Grid itself allows
+        # it); x[0] = -L is its own mirror on the periodic box.
+        x = Grid(1, n, length).node_axis
+        assert np.array_equal(x[1:][::-1], -x[1:])
+        assert x[0] == pytest.approx(-length, rel=1e-15)
+        # So an even profile gives exactly even potential samples.
+        pair = make_pair(make_catalog_profile("gaussian_power", [2], 1),
+                         make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V))
+        assert _is_even(build_model_operator(pair, Grid(1, n, length)).potential_part)
 
     @pytest.mark.parametrize(
         "d,n,length",
