@@ -2,8 +2,8 @@
 
 Three modes:
 
-* ``LANCZOS`` -- Lanczos with full reorthogonalization, restarted
-  with deflation of converged pairs until the requested extreme
+* ``LANCZOS`` -- Lanczos with full reorthogonalization and thick
+  restarts, with deflation of converged pairs until the requested extreme
   eigenpairs are certified.  It serves both ends of the spectrum: the
   largest pairs of A, and the smallest as the largest of -A.  Grid
   sizes here are modest, so full (not selective) reorthogonalization is
@@ -13,22 +13,36 @@ Three modes:
   array) in one pass, and in a second only when the first cut its norm
   below 1/sqrt(2) of its norm on entry (the Daniel-Gragg-Kaufman-Stewart
   test).  Every cycle starts from a random vector outside the locked
-  span and has no length cap.  One test ends it and decides what
-  it locks: once the Ritz residual estimates beta_m*|s_m,i| of the
-  wanted pairs are below a tenth of the lock tolerance (or on breakdown,
-  or over the whole complement) it locks all of them; cut by the step
-  budget, it locks nothing.  With full reorthogonalization the estimates
-  are the residuals up to rounding (Parlett 1998); the certification
-  below is the one explicit residual check.  The test solves the
-  tridiagonal Ritz problem, so it runs on a schedule, not at every step:
-  the estimates fall about geometrically, and a failed test puts the next
-  one half way to the step where the rate since the test before reaches
-  the target, at most one step further off than the last gap (Saad,
-  *Numerical Methods for Large Eigenvalue Problems*, SIAM 2011, ch. 6).
-  The last step of a budget-cut cycle is always tested.  Once k pairs
-  are locked, a completeness probe runs one more cycle.  A value beyond
-  the k-th locked one (a degenerate copy the earlier cycles could not
-  see) is locked and the probe repeats; otherwise the solve is done.
+  span.  Its basis holds at most a cap of rows that depends only on the
+  grid size and the wanted count: about 2^17 / size, where one more row
+  of reorthogonalization costs about one apply (20 rows at 80^2, 128 at
+  N = 1024; a grid of at most 362 unknowns never restarts).  A full basis
+  is restarted in Krylov-Schur fashion (Wu & Simon, SIAM J. Matrix Anal.
+  Appl. 22, 2000; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001): leading
+  wanted pairs that have converged are locked, the other wanted Ritz
+  vectors and a quarter of the remaining rows' worth of unwanted ones are
+  kept with the residual vector, and the kept vectors are rotated into a
+  Lanczos chain, so the projected matrix stays tridiagonal.  Where the
+  rate at which the estimates fall across restarts would not reach the
+  target within the whole complement of the locked span, or within half
+  the remaining budget, the cap doubles instead; at the complement the
+  cycle is plain Lanczos, exact over the complement.  One test ends a
+  cycle and decides what it locks: once the Ritz residual estimates
+  beta_m*|s_m,i| of the wanted pairs are below a tenth of the lock
+  tolerance (or on breakdown, or over the whole complement) it locks all
+  of them; cut by the step budget, it locks only what its restarts
+  locked.  With full reorthogonalization the estimates are the residuals
+  up to rounding (Parlett 1998); the certification below is the one
+  explicit residual check.  The test solves the tridiagonal Ritz problem,
+  so it runs on a schedule, not at every step: the estimates fall about
+  geometrically, and a failed test puts the next one half way to the step
+  where the rate since the test before reaches the target, at most one
+  step further off than the last gap (Saad, *Numerical Methods for Large
+  Eigenvalue Problems*, SIAM 2011, ch. 6).  A full basis and the last
+  step of a budget-cut cycle are always tested.  Once k pairs are locked,
+  a completeness probe runs one more cycle.  A value beyond the k-th
+  locked one (a degenerate copy the earlier cycles could not see) is
+  locked and the probe repeats; otherwise the solve is done.
 * ``DENSE_FULL`` -- materialize the operator and hand it to ``eigh``;
   permitted only up to ``DENSE_SIZE_LIMIT`` unknowns.  An operator whose
   multiplier and potential parts are both even samples commutes with the
@@ -82,21 +96,20 @@ From there on a stiff operator runs dense while its larger parity block
 has at most ``DENSE_CHOICE_LIMIT`` unknowns, and shift-invert beyond;
 an operator without the parts has neither the estimate nor the
 preconditioner, and runs Lanczos.  Measured on a 2-core box (k=3, tol
-1e-9, Gaussian pairs unless noted, median of 3 solves, one BLAS thread),
-Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.05 vs 0.61 s),
-103 (80^2, L=10: 0.20 vs 1.52 s), 174 (128^2, L=10: 0.67 vs 3.29 s) and
-219 (128^2, L=8: 0.72 vs 2.39 s), and lost 1.4x at 3134 (N=2048: 1.04
-vs 0.74 s) and 4.6x at 5417 (quartic 56^2: 2.38 vs 0.52 s).  On the
-stiff operators whose blocks fit, the split dense path beat both
-(dense / shift-invert / Lanczos, 1-D, L=20: N=1280 0.075 / 0.49 /
-0.25 s, N=1536 0.11 / 0.64 / 0.46 s, N=1792 0.20 / 0.66 / 0.60 s,
-N=2046 0.36 / 0.78 / 1.05 s; d=2 quartic symbol, L=8: 36^2 0.10 /
-0.44 / 0.24 s, 40^2 0.14 / 0.38 / 0.38 s).  It would still win at
-N=2048 (blocks 1025 and 1023: 0.26 vs 0.63 s for shift-invert) and
-loses on quartic 56^2 (blocks of 1570: 1.09 vs 0.45 s).  A mild
-operator keeps Lanczos even where its blocks fit: the d=2 Gaussian
-pair on 40^2, L=8 (ratio < 500) took 0.04 s in Lanczos against 0.19 s
-split dense.
+1e-9, Gaussian pairs unless noted, median of 5 solves, one BLAS thread),
+Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.033 vs
+0.78 s), 103 (80^2, L=10: 0.16 vs 1.11 s), 174 (128^2, L=10: 0.39 vs
+2.89 s), 219 (128^2, L=8: 0.62 vs 2.21 s) and 3134 (N=2048: 0.31 vs
+0.88 s), and tied at 5417 (quartic 56^2: 0.99 vs 0.89 s; 0.73 vs 0.48 s
+in a second run of 7).  On the stiff operators whose blocks fit, the
+split dense path beat both (dense / shift-invert / Lanczos, 1-D, L=20:
+N=1280 0.058 / 0.67 / 0.15 s, N=1536 0.11 / 0.58 / 0.17 s, N=1792
+0.19 / 0.64 / 0.31 s, N=2046 0.26 / 0.55 / 0.33 s; d=2 quartic symbol,
+L=8: 36^2 0.084 / 0.47 / 0.19 s, 40^2 0.12 / 0.46 / 0.25 s).  It would
+still win at N=2048 (blocks 1025 and 1023: 0.32 s) and ties on quartic
+56^2 (blocks of 1570: 0.94 s).  A mild operator keeps Lanczos even where
+its blocks fit: the d=2 Gaussian pair on 40^2, L=8 (ratio < 500) took
+0.035 s in Lanczos against 0.14 s split dense.
 
 All randomness flows from the seed in :class:`SolveSettings`; identical
 settings produce bit-identical results within one build.
@@ -241,7 +254,7 @@ class InnerSolveStallError(NoConvergenceError):
 
 
 # ---------------------------------------------------------------------------
-# Lanczos core (full reorthogonalization, deflated restarts)
+# Lanczos core (full reorthogonalization, thick restarts, deflation)
 # ---------------------------------------------------------------------------
 
 # A cycle stops and locks its wanted Ritz pairs once every residual estimate
@@ -258,6 +271,32 @@ _DGKS = 1 / np.sqrt(2)
 # of the way to the step where the rate since the test before reaches the
 # target (see _test_gap).
 _TEST_AHEAD = 0.5
+# A cycle's basis holds at most _cycle_cap rows; see there for this product of
+# rows and grid size.
+_CAP_AREA = 2**17
+# A restart keeps the wanted Ritz pairs and this fraction of the other rows
+# as unwanted ones.  Measured against a third and a half, a quarter gave the
+# fastest solves on the d=2 Gaussian models at 48^2 and 80^2 and on 1-D
+# Gaussian models with 2048 and 4096 nodes.
+_KEEP = 0.25
+
+
+def _cycle_cap(size: int, want: int) -> int:
+    """The basis rows that a cycle for ``want`` pairs on ``size`` unknowns
+    holds before it restarts.
+
+    One step reorthogonalizes against every row, at a cost of about rows *
+    size, while an apply costs about size * log(size) plus a fixed call
+    overhead that dominates small grids.  One more row costs about as much
+    as one apply where rows * size reaches ``_CAP_AREA``: measured on a
+    2-core box with one BLAS thread, one classical Gram-Schmidt pass costs
+    as much as one model apply at rows * size = 0.75e5 to 1.2e5 for
+    N = 256 to 4096 in 1-D and for 48^2 and 80^2, and at 1.7e5 and 2.3e5
+    for 20^3 and 128^2.  So the cap is 20 rows at 80^2, 56 at 48^2 and
+    128 at N = 1024, and a grid of at most 362 unknowns never restarts.
+    At least 2 * want + 10 rows leave a restart room for the wanted pairs
+    and some unwanted ones."""
+    return max(2 * want + 10, _CAP_AREA // size)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray):
@@ -288,18 +327,20 @@ def _project_out(w: np.ndarray, rows: np.ndarray) -> float:
 
 
 class _Rows:
-    """Locked vectors followed by the current cycle's Lanczos basis, as
-    the rows of one 2-D array that grows when a cycle outruns it."""
+    """Locked vectors followed by the current cycle's basis and its residual
+    row, as the rows of one 2-D array with at most one row per grid node."""
 
-    def __init__(self, capacity: int, size: int, dtype):
-        self.array = np.empty((capacity, size), dtype=dtype)
+    def __init__(self, size: int, dtype):
+        self.array = np.empty((0, size), dtype=dtype)
         self.locked = 0
 
-    def reserve(self, count: int) -> None:
+    def reserve(self, cap: int, used: int) -> None:
+        """Make room for a basis of ``cap`` rows and its residual row after
+        the locked ones; a larger array keeps the first ``used`` rows."""
+        count = min(self.locked + cap + 1, self.array.shape[1])
         if count > len(self.array):
-            grown = np.empty((max(count, int(1.5 * len(self.array))), self.array.shape[1]),
-                             dtype=self.array.dtype)
-            grown[: len(self.array)] = self.array
+            grown = np.empty((count, self.array.shape[1]), dtype=self.array.dtype)
+            grown[:used] = self.array[:used]
             self.array = grown
 
     def lock(self, y: np.ndarray) -> None:
@@ -310,7 +351,6 @@ class _Rows:
     def start(self, rng: np.random.Generator) -> None:
         """Make a random vector minus its locked components the first basis
         row.  Real rows get a real start, which keeps the iteration real."""
-        self.reserve(self.locked + 1)
         size = self.array.shape[1]
         for _ in range(20):
             v = rng.standard_normal(size)
@@ -333,6 +373,24 @@ def _leading_ritz(alphas: list[float], betas: list[float], count: int):
     return theta[::-1], s_mat[:, ::-1]
 
 
+def _chain(theta: np.ndarray, coupling: np.ndarray):
+    """Rotate Ritz pairs into a Lanczos chain that ends at the residual row.
+
+    The kept Ritz vectors y_i satisfy A y_i = theta_i y_i + coupling_i r
+    for the residual row r: an arrow, not a tridiagonal matrix.  The
+    Householder reduction of the arrow with r first fixes r (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., 2013, sec. 8.3.1), so the
+    rotated vectors, taken last to first, form a chain in which only the
+    last one couples to r.  Returns the rotation ``u`` (the new vectors
+    are y @ u) and the chain's diagonal and off-diagonal, whose last entry
+    couples to r; the projected matrix stays tridiagonal across a restart."""
+    arrow = np.diag(np.concatenate(([0.0], theta)))
+    arrow[0, 1:] = arrow[1:, 0] = coupling
+    h, q = sla.hessenberg(arrow, calc_q=True)
+    off = np.diag(h, -1)
+    return q[1:, :0:-1], np.diag(h)[:0:-1].tolist(), np.append(off[:0:-1], off[0]).tolist()
+
+
 def _test_gap(last_step: int, last_worst: float, step: int, worst: float,
               stop_tol: float) -> int:
     """Steps from a failed Ritz test at ``step``, whose worst estimate is
@@ -353,31 +411,110 @@ def _test_gap(last_step: int, last_worst: float, step: int, worst: float,
     return max(1, min(int(_TEST_AHEAD * math.log(worst / stop_tol) / rate), gap + 1))
 
 
-def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
-                   stop_tol: float):
-    """Run Lanczos from the first basis row, reorthogonalizing each new
-    vector against the locked rows and the basis so far.
+def _stalls(first, step: int, best: float, stop_tol: float, cap: int, limit: int) -> bool:
+    """Whether a cycle whose basis of ``cap`` rows is full at ``step``
+    should grow it rather than restart.
+
+    It should when, at the rate its worst estimate fell from its first
+    restart, ``first`` = (step, worst), to the ``best`` estimate of its
+    full bases since, it would reach ``stop_tol`` only after ``limit``
+    steps.  The rate is read only over at least ``cap`` steps, since the
+    estimates do not fall steadily, and never with ``stop_tol`` 0."""
+    if first is None or step - first[0] < cap or stop_tol <= 0:
+        return False
+    rate = math.log(first[1] / best) / (step - first[0])
+    return rate <= 0 or step + math.log(best / stop_tol) / rate > limit
+
+
+def _restart(rows: _Rows, m: int, alphas: list[float], betas: list[float], want: int,
+             stop_tol: float):
+    """Thick-restart a full basis: the ``m`` rows after the locked ones,
+    whose tridiagonal matrix has diagonal ``alphas`` and off-diagonal
+    ``betas`` (the last entry couples row m to the residual row after it).
+
+    Locks the leading wanted Ritz pairs whose estimates meet ``stop_tol``
+    and keeps the next wanted ones and ``_KEEP`` of the other rows as
+    unwanted ones, rotated into a chain by :func:`_chain`, with the
+    residual row moved up behind them.  Returns the locked values and the
+    chain's diagonal and off-diagonal."""
+    keep = want + int(_KEEP * (m - want))
+    theta, s_mat = _leading_ritz(alphas, betas, keep)
+    coupling = betas[-1] * s_mat[-1]
+    # The first unmet estimate; the Ritz test before found one.
+    done = int(np.argmin(np.abs(coupling[:want]) < stop_tol))
+    u, alphas, betas = _chain(theta[done:], coupling[done:])
+    arr, base = rows.array, rows.locked
+    turn = np.concatenate([s_mat[:, :done], s_mat[:, done:] @ u], axis=1)
+    arr[base : base + keep] = turn.T @ arr[base : base + m]
+    arr[base + keep] = arr[base + m]
+    rows.locked += done
+    return theta[:done].tolist(), alphas, betas
+
+
+@dataclass
+class _Cycle:
+    """What a Lanczos cycle leaves: the leading Ritz values ``theta`` and
+    their tridiagonal eigenvectors ``s_mat`` over the ``m`` basis rows after
+    the locked ones, their residual ``estimates``, whether they are final
+    (``converged``), the values it ``locked`` at restarts, and its
+    ``steps`` (applies), ``restarts`` and largest ``cap``."""
+
+    theta: np.ndarray
+    s_mat: np.ndarray
+    m: int
+    estimates: np.ndarray
+    converged: bool
+    locked: list[float]
+    steps: int
+    restarts: int
+    cap: int
+
+
+def _lanczos_cycle(apply_values, shape, rows: _Rows, rng: np.random.Generator,
+                   max_steps: int, want: int, stop_tol: float) -> _Cycle:
+    """Run Lanczos from a random start outside the locked rows,
+    reorthogonalizing each new vector against the locked rows and the basis
+    so far, with thick restarts (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    2000; Stewart's Krylov-Schur form, SIAM J. Matrix Anal. Appl. 23, 2001).
+
+    The basis holds at most ``_cycle_cap(size, want)`` rows after the
+    locked ones, and its residual row follows it.  A full basis is tested
+    and, unless the test passes, restarted by :func:`_restart`, which may
+    lock leading pairs; the projected matrix stays tridiagonal, so a Ritz
+    test costs O(rows) at any basis size, not a dense eigensolve.  Where
+    :func:`_stalls` finds that restarts would need more steps than the
+    whole complement of the locked rows, or than half of ``max_steps``,
+    the cap doubles instead, up to the complement, where the cycle no
+    longer restarts.
 
     Stops after ``max_steps`` steps, on breakdown (an invariant subspace),
-    or once the ``want`` leading Ritz pairs have residual estimates
-    beta_m*|s_m,i| below ``stop_tol``.  Breakdown is checked at every
-    step, the estimates only at the steps :func:`_test_gap` schedules
-    (from step ``want`` on, and always at step ``max_steps``), so a
-    cycle stops only at a step whose test passed; ``stop_tol`` 0 tests
-    every step.  Returns ``(theta, s_mat, m, estimates, converged)``:
-    the leading Ritz values and tridiagonal eigenvectors, the cycle
-    length, the final residual estimates, and whether the leading pairs
-    are final (estimates met or breakdown).
+    once the basis spans the whole complement of the locked rows, or once
+    the leading wanted Ritz pairs have residual estimates beta_m*|s_m,i|
+    below ``stop_tol``.  The estimates are tested at the steps
+    :func:`_test_gap` schedules (from step ``want`` on), at every full
+    basis and at step ``max_steps``, so a cycle stops only at a step whose
+    test passed; ``stop_tol`` 0 tests every step.  The residual row
+    follows the basis unless the cycle stopped on convergence.
     """
+    size = rows.array.shape[1]
+    cap = _cycle_cap(size, want)
+    rows.reserve(cap, rows.locked)
+    rows.start(rng)
     arr, base = rows.array, rows.locked
+    limit = min(size - base, max_steps // 2)
     alphas: list[float] = []
     betas: list[float] = []
+    locked: list[float] = []
     scale = 1.0
     converged = False
+    steps = restarts = 0
     next_test, tested = want, (0, 0.0)  # (step, worst estimate) of the last Ritz test
-    for j in range(max_steps):
+    first, best = None, math.inf  # (step, worst) at the first restart; least worst since
+    while True:
+        j = len(alphas)
         q = arr[base + j]
         av = apply_values(q.reshape(shape)).ravel()
+        steps += 1
         alpha = float(np.real(_vdot(q, av)))
         alphas.append(alpha)
         w = av - alpha * q
@@ -386,26 +523,39 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, max_steps: int, want: int,
         beta = _project_out(w, arr[: base + j + 1])
         scale = max(scale, abs(alpha), beta)
         m = j + 1
-        if beta <= 1e-14 * scale:
-            converged = True  # invariant subspace exhausted
+        if beta <= 1e-14 * scale or m == size - base:
+            converged = True  # an invariant subspace, or the whole complement
             break
         betas.append(beta)
-        if m >= next_test or m == max_steps >= want:
-            theta, s_mat = _leading_ritz(alphas, betas, want)
+        if steps >= next_test or steps == max_steps or m == cap:
+            theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
             worst = beta * float(np.max(np.abs(s_mat[-1])))
-            next_test = m + _test_gap(*tested, m, worst, stop_tol)
-            tested = (m, worst)
+            next_test = steps + _test_gap(*tested, steps, worst, stop_tol)
+            tested = (steps, worst)
             if worst < stop_tol:
                 converged = True
                 break
-        if m == max_steps:
-            break
-        rows.reserve(base + m + 1)
-        arr = rows.array
         arr[base + m] = w / beta
-    if tested[0] != m:  # breakdown, or a cycle shorter than want
+        if steps == max_steps:
+            break
+        if m < cap:
+            continue
+        best = min(best, worst)
+        used = base + m + 1
+        if _stalls(first, steps, best, stop_tol, cap, limit):
+            cap *= 2  # grow the basis instead of restarting it
+        else:
+            first = first or (steps, worst)
+            values, alphas, betas = _restart(rows, m, alphas, betas, want, stop_tol)
+            locked += values
+            base, want = rows.locked, want - len(values)
+            restarts += 1
+        rows.reserve(cap, used)
+        arr = rows.array
+    if tested[0] != steps:  # breakdown, or a cycle shorter than want
         theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
-    return theta, s_mat, m, beta * np.abs(s_mat[-1]), converged
+    return _Cycle(theta, s_mat, m, beta * np.abs(s_mat[-1]), converged, locked, steps,
+                  restarts, cap)
 
 
 def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSettings,
@@ -414,20 +564,24 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
     the k largest eigenvectors of the Hermitian operator ``apply_values``
     on the grid of ``op`` (``op`` itself, -``op`` or an inverse of it).
 
-    Every cycle, main or probe, runs for up to min(size - locked,
-    max_iterations - steps) steps.  One that converged (estimates below
-    ``_CONVERGED * lock_tol``, or breakdown) or spans the whole complement
-    locks all of its Ritz pairs; one cut by the step budget locks nothing,
-    and the solve raises.  Once k pairs are locked, a probe cycle must
-    find nothing beyond the k-th value plus ``lock_tol``; what it does
-    find beyond is locked and probed past in turn, so a degenerate copy
-    that the earlier cycles could not see is not lost.
+    Every cycle, main or probe, may take the rest of the budget of
+    ``max_iterations`` applies, with a basis capped by
+    :func:`_cycle_cap`.  One that converged (estimates below
+    ``_CONVERGED * lock_tol``, breakdown, or the whole complement spanned)
+    locks its wanted Ritz pairs; one cut by the step budget locks only
+    what its restarts locked, and the solve raises, naming the steps, the
+    restarts and the largest cap.  Once k pairs are locked, a probe cycle
+    must find nothing beyond the k-th value plus ``lock_tol``; what it
+    does find beyond is locked and probed past in turn, so a degenerate
+    copy that the earlier cycles could not see is not lost.
     """
     shape, size, k = op.grid.shape, op.grid.size, settings.k
     rng = np.random.default_rng(settings.rng_seed)
-    rows = _Rows(k + 81, size, np.float64 if op.real else np.complex128)  # grows on demand
+    rows = _Rows(size, np.float64 if op.real else np.complex128)
+    # Room for the k pairs too, so that the probe cycles reuse the array.
+    rows.reserve(k + _cycle_cap(size, k), 0)
     locked_vals: list[float] = []
-    steps = 0
+    steps = restarts = cap = 0
     estimates = ()
 
     while True:
@@ -437,22 +591,25 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
         if steps >= settings.max_iterations:
             note = "; completeness probe unfinished" if probe else ""
             raise NoConvergenceError(
-                f"{op.label}: no convergence after {steps} Lanczos steps "
-                f"({min(len(locked_vals), k)}/{k} pairs certified{note})",
+                f"{op.label}: no convergence after {steps} Lanczos steps (restarts: "
+                f"{restarts}, basis cap: {cap} rows; "
+                f"{min(len(locked_vals), k)}/{k} pairs certified{note})",
                 best_residuals=estimates,
             )
-        rows.start(rng)
         want = 1 if probe else k - len(locked_vals)
-        length = min(size - rows.locked, settings.max_iterations - steps)
-        theta, s_mat, m, estimates, converged = _lanczos_cycle(
-            apply_values, shape, rows, length, want, _CONVERGED * lock_tol
-        )
-        steps += m
-        if not (converged or m == size - rows.locked):
+        cycle = _lanczos_cycle(apply_values, shape, rows, rng, settings.max_iterations - steps,
+                               want, _CONVERGED * lock_tol)
+        steps += cycle.steps
+        restarts += cycle.restarts
+        cap = max(cap, min(cycle.cap, size))
+        locked_vals.extend(cycle.locked)
+        estimates = cycle.estimates
+        if not cycle.converged:
             continue  # cut by the step budget
-        if probe and theta[0] <= sorted(locked_vals, reverse=True)[k - 1] + lock_tol:
+        if probe and cycle.theta[0] <= sorted(locked_vals, reverse=True)[k - 1] + lock_tol:
             break
-        for y, value in zip(s_mat.T @ rows.array[rows.locked : rows.locked + m], theta):
+        basis = rows.array[rows.locked : rows.locked + cycle.m]
+        for y, value in zip(cycle.s_mat.T @ basis, cycle.theta):
             rows.lock(y / _norm2(y))
             locked_vals.append(float(value))
 

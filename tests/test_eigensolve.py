@@ -47,6 +47,21 @@ def counting(op):
     return dataclasses.replace(op, apply_values=apply_values), calls
 
 
+def gaussian_model(d, n, half_length):
+    """The model operator of the Gaussian pair on a d-dimensional grid."""
+    a = make_catalog_profile("gaussian_power", [2], d)
+    v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
+    return build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
+
+
+def quartic_model(d, n, half_length):
+    """The model operator of the gaussian_power(4) symbol and the Gaussian
+    weight: op(|xi|^4) + 2 |x|^2."""
+    a = make_catalog_profile("gaussian_power", [4], d)
+    v = make_catalog_profile("gaussian_power", [2], d, role=ProfileRole.WEIGHT_V)
+    return build_model_operator(make_pair(a, v), build_grid(d, n, half_length))
+
+
 def random_mult_pot_operator(grid, rng):
     """Random nonnegative multiplier+potential operator (positive, bounded)."""
     m = rng.random(grid.shape) * 3.0
@@ -119,7 +134,8 @@ class TestLanczosTop:
             largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, max_iterations=17))
         assert str(exc_info.value) == (
             "scaled-sandwich(alpha=0.1): no convergence after 17 Lanczos steps "
-            "(3/3 pairs certified; completeness probe unfinished)"
+            "(restarts: 0, basis cap: 256 rows; 3/3 pairs certified; "
+            "completeness probe unfinished)"
         )
         assert exc_info.value.best_residuals
 
@@ -137,7 +153,7 @@ class TestLanczosTop:
             largest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, max_iterations=15))
         assert str(exc_info.value) == (
             "scaled-sandwich(alpha=0.1): no convergence after 15 Lanczos steps "
-            "(0/3 pairs certified)"
+            "(restarts: 0, basis cap: 256 rows; 0/3 pairs certified)"
         )
         residuals = exc_info.value.best_residuals
         assert len(residuals) == 3
@@ -245,20 +261,49 @@ class TestReorthogonalization:
 
     def test_a_long_cycle_keeps_its_basis_orthonormal(self):
         # 300 steps of Lanczos on the negated 48^2 Gaussian model operator,
-        # never stopped by its estimates.
-        a = make_catalog_profile("gaussian_power", [2], 2)
-        v = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
-        op = build_model_operator(make_pair(a, v), build_grid(2, 48, 8.0))
+        # never stopped by its estimates, across several restarts.
+        op = gaussian_model(2, 48, 8.0)
         assert op.real
-        rows = eigensolve._Rows(301, op.grid.size, np.float64)
-        rows.start(np.random.default_rng(1))
-        *_, m, _, converged = eigensolve._lanczos_cycle(
-            lambda values: -op.apply_values(values), op.grid.shape, rows, 300, 3, 0.0
+        rows = eigensolve._Rows(op.grid.size, np.float64)
+        cycle = eigensolve._lanczos_cycle(
+            lambda values: -op.apply_values(values), op.grid.shape, rows,
+            np.random.default_rng(1), 300, 3, 0.0
         )
-        assert (m, converged) == (300, False)
-        basis = rows.array[:m]
+        assert (cycle.steps, cycle.converged) == (300, False)
+        assert cycle.restarts >= 2 and cycle.cap == 56
+        basis = rows.array[: cycle.m + 1]  # the basis and its residual row
         gram = basis @ basis.T
-        assert np.max(np.abs(gram - np.eye(m))) <= 1e-13
+        assert np.max(np.abs(gram - np.eye(cycle.m + 1))) <= 1e-13
+
+    @pytest.mark.parametrize("steps", [57, 70, 100])
+    def test_a_restarted_basis_keeps_the_krylov_relation(self, steps, monkeypatch):
+        # A Q^T = Q^T T + beta r e_m^T for the basis rows Q, their residual
+        # row r and the tridiagonal matrix T that the last Ritz test solved,
+        # after one restart (at 56 steps) and after two (at 96).
+        op = gaussian_model(2, 48, 8.0)
+        solved = []
+        leading_ritz = eigensolve._leading_ritz
+
+        def recorded_ritz(alphas, betas, count):
+            solved.append((list(alphas), list(betas)))
+            return leading_ritz(alphas, betas, count)
+
+        monkeypatch.setattr(eigensolve, "_leading_ritz", recorded_ritz)
+        rows = eigensolve._Rows(op.grid.size, np.float64)
+        cycle = eigensolve._lanczos_cycle(
+            lambda values: -op.apply_values(values), op.grid.shape, rows,
+            np.random.default_rng(1), steps, 3, 0.0
+        )
+        assert cycle.restarts == (1 if steps < 96 else 2)
+        alphas, betas = solved[-1]
+        m = cycle.m
+        assert len(alphas) == len(betas) == m
+        t_mat = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+        q_rows, residual = rows.array[:m], rows.array[m]
+        applied = -op.apply_values(q_rows.reshape(m, *op.grid.shape)).reshape(m, -1)
+        gap = applied - t_mat @ q_rows
+        gap[-1] -= betas[-1] * residual
+        assert np.linalg.norm(gap, 2) <= 1e-12 * op.upper_bound
 
 
 class TestRitzTestSchedule:
@@ -271,10 +316,8 @@ class TestRitzTestSchedule:
     def operators():
         a1 = make_catalog_profile("gaussian_power", [2], 1)
         v1 = make_catalog_profile("gaussian_power", [2], 1, role=ProfileRole.WEIGHT_V)
-        a2 = make_catalog_profile("gaussian_power", [2], 2)
-        v2 = make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V)
-        model_1d = build_model_operator(make_pair(a1, v1), build_grid(1, 256, 12.0))
-        model_2d = build_model_operator(make_pair(a2, v2), build_grid(2, 48, 8.0))
+        model_1d = gaussian_model(1, 256, 12.0)
+        model_2d = gaussian_model(2, 48, 8.0)
         scaled = build_scaled_operator(make_pair(a1, v1), 0.1, build_grid(1, 512, 14.0))
         return {
             "1-D model": (model_1d, lambda values: -model_1d.apply_values(values)),
@@ -285,28 +328,30 @@ class TestRitzTestSchedule:
     @staticmethod
     def cycle(op, apply_values, max_steps):
         # The stop tolerance of a k=3, tol=1e-9 solve, from a fixed start.
-        rows = eigensolve._Rows(4, op.grid.size, np.float64)
-        rows.start(np.random.default_rng(1))
+        rows = eigensolve._Rows(op.grid.size, np.float64)
         stop_tol = eigensolve._CONVERGED * 1e-9 * max(1.0, abs(op.upper_bound))
         return eigensolve._lanczos_cycle(
-            apply_values, op.grid.shape, rows, max_steps, 3, stop_tol
+            apply_values, op.grid.shape, rows, np.random.default_rng(1), max_steps, 3, stop_tol
         )
 
     @pytest.mark.parametrize("case", ["1-D model", "48^2 model", "scaled sandwich"])
     def test_a_cycle_stops_at_its_first_passing_step(self, case):
         op, apply_values = self.operators()[case]
-        theta, s_mat, m, estimates, converged = self.cycle(op, apply_values, op.grid.size)
-        assert converged and 10 < m < op.grid.size
-        *_, short_m, _, short_converged = self.cycle(op, apply_values, m - 1)
-        assert (short_m, short_converged) == (m - 1, False)
-        again = self.cycle(op, apply_values, m)
-        assert (again[2], again[4]) == (m, True)
-        for got, want in zip(again[:2] + again[3:4], (theta, s_mat, estimates)):
-            np.testing.assert_array_equal(got, want)
+        full = self.cycle(op, apply_values, op.grid.size)
+        steps = full.steps
+        assert full.converged and 10 < steps < op.grid.size
+        # The 48^2 cycle restarts once on the way.
+        assert full.restarts == (1 if case == "48^2 model" else 0)
+        short = self.cycle(op, apply_values, steps - 1)
+        assert (short.steps, short.converged) == (steps - 1, False)
+        again = self.cycle(op, apply_values, steps)
+        assert (again.steps, again.converged) == (steps, True)
+        for name in ("theta", "s_mat", "estimates"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(full, name))
 
     def test_the_48x48_model_solve_tests_at_most_every_other_step(self, monkeypatch):
         op, _ = self.operators()["48^2 model"]
-        counts = {"ritz": 0, "steps": 0}
+        counts = {"ritz": 0, "steps": 0, "restarts": 0}
         leading_ritz, lanczos_cycle = eigensolve._leading_ritz, eigensolve._lanczos_cycle
 
         def counted_ritz(*args):
@@ -315,7 +360,8 @@ class TestRitzTestSchedule:
 
         def counted_cycle(*args):
             out = lanczos_cycle(*args)
-            counts["steps"] += out[2]
+            counts["steps"] += out.steps
+            counts["restarts"] += out.restarts
             return out
 
         monkeypatch.setattr(eigensolve, "_leading_ritz", counted_ritz)
@@ -324,7 +370,7 @@ class TestRitzTestSchedule:
         np.testing.assert_allclose(
             [p.value for p in pairs], np.sqrt(2.0) * np.array([2, 4, 4]), rtol=1e-6
         )
-        assert counts["steps"] > 100
+        assert counts["steps"] > 100 and counts["restarts"] >= 1
         assert counts["ritz"] <= counts["steps"] / 2
 
     @pytest.mark.parametrize(
@@ -340,6 +386,102 @@ class TestRitzTestSchedule:
     )
     def test_the_gap_to_the_next_test(self, last_step, last_worst, worst, stop_tol, gap):
         assert eigensolve._test_gap(last_step, last_worst, 20, worst, stop_tol) == gap
+
+
+class TestThickRestart:
+    """A cycle's basis holds at most ``_cycle_cap(size, want)`` rows; where
+    restarts would not converge in time, the cap grows instead."""
+
+    def test_the_cap_depends_on_the_grid_size_and_want(self):
+        cap = eigensolve._cycle_cap
+        assert [cap(80 * 80, 3), cap(48 * 48, 3), cap(1024, 3), cap(20**3, 4)] == [20, 56, 128, 18]
+        assert cap(256, 16) >= 256 and cap(362, 1) >= 362 and cap(363, 1) < 363
+        assert cap(80 * 80, 16) == 42
+
+    def test_a_48x48_model_solve_holds_at_most_locked_plus_cap_plus_one_rows(self, monkeypatch):
+        # The pairs the solve locks, one capped basis and its residual row;
+        # the parent's array started at k + 81 rows and grew by half.
+        op = gaussian_model(2, 48, 8.0)
+        cap = eigensolve._cycle_cap(op.grid.size, 3)
+        assert cap == eigensolve._cycle_cap(op.grid.size, 1) == 56
+        held = []
+        reserve = eigensolve._Rows.reserve
+
+        def recorded_reserve(rows, cap, used):
+            reserve(rows, cap, used)
+            held.append(rows)
+
+        monkeypatch.setattr(eigensolve._Rows, "reserve", recorded_reserve)
+        pairs = smallest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, mode=Mode.LANCZOS))
+        np.testing.assert_allclose(
+            [p.value for p in pairs], np.sqrt(2.0) * np.array([2, 4, 4]), rtol=1e-9
+        )
+        (rows,) = set(held)
+        assert len(rows.array) <= rows.locked + cap + 1
+
+    @pytest.mark.parametrize(
+        "first, step, best, stop_tol, cap, limit, stalls",
+        [
+            (None, 56, 1e3, 1e-8, 56, 2304, False),  # no restart yet
+            ((56, 1e3), 100, 1.0, 1e-8, 56, 2304, False),  # under cap steps since
+            ((56, 1e3), 112, 1e3, 1e-8, 56, 2304, True),  # no fall at all
+            ((56, 1e3), 112, 1e2, 0.0, 56, 2304, False),  # no target
+            # ln(1e2/1e-8) / (ln(10) / 56) = 560 more steps
+            ((56, 1e3), 112, 1e2, 1e-8, 56, 672, False),
+            ((56, 1e3), 112, 1e2, 1e-8, 56, 671, True),
+        ],
+    )
+    def test_a_restart_stalls_when_its_rate_would_overrun_the_limit(
+        self, first, step, best, stop_tol, cap, limit, stalls
+    ):
+        assert eigensolve._stalls(first, step, best, stop_tol, cap, limit) is stalls
+
+    def test_a_stalled_cycle_grows_its_cap_to_the_complement(self):
+        # The quartic symbol on 1024 nodes: plain Lanczos converges only
+        # over nearly the whole space, so restarts at 128 rows stall.
+        op = quartic_model(1, 1024, 12.0)
+        rows = eigensolve._Rows(op.grid.size, np.float64)
+        stop_tol = eigensolve._CONVERGED * 1e-9 * op.upper_bound
+        cycle = eigensolve._lanczos_cycle(
+            lambda values: -op.apply_values(values), op.grid.shape, rows,
+            np.random.default_rng(1), 6000, 16, stop_tol
+        )
+        assert cycle.converged and cycle.restarts >= 1
+        assert cycle.cap >= 1024 - len(cycle.locked)
+        assert cycle.steps < 1400
+
+    def test_an_exhausted_budget_names_steps_restarts_and_cap(self):
+        # The main cycle certifies 3 pairs in 84 steps with one restart at 56
+        # rows; the probe cycle runs out of the remaining 16 steps.
+        op = gaussian_model(2, 48, 8.0)
+        with pytest.raises(NoConvergenceError) as exc_info:
+            smallest_eigenpairs(op, SolveSettings(k=3, tol=1e-9, max_iterations=100,
+                                                  mode=Mode.LANCZOS))
+        assert str(exc_info.value) == (
+            "model-operator: no convergence after 100 Lanczos steps (restarts: 1, "
+            "basis cap: 56 rows; 3/3 pairs certified; completeness probe unfinished)"
+        )
+        assert len(exc_info.value.best_residuals) == 1
+
+    @pytest.mark.parametrize(
+        "power, d, n, half_length, k",
+        [(2, 1, 2048, 20.0, 3), (4, 1, 256, 12.0, 16), (4, 2, 40, 8.0, 3)],
+        ids=["gaussian-2048", "quartic-256", "quartic-40x40"],
+    )
+    def test_stiff_lanczos_solves_certify_within_the_default_budget(
+        self, power, d, n, half_length, k
+    ):
+        # Forced plain Lanczos on stiff model operators; a fixed 20-row cap
+        # runs the quartic 1-D case out of its budget.
+        op = (gaussian_model if power == 2 else quartic_model)(d, n, half_length)
+        tol = 1e-9
+        pairs = smallest_eigenpairs(op, SolveSettings(k=k, tol=tol, mode=Mode.LANCZOS))
+        dense = smallest_eigenpairs(op, SolveSettings(k=k, tol=tol, mode=Mode.DENSE_FULL))
+        np.testing.assert_allclose(
+            [p.value for p in pairs], [p.value for p in dense],
+            rtol=0, atol=10 * tol * max(1.0, op.upper_bound),
+        )
+        assert certify(op, pairs, tol).passed
 
 
 class TestBottomSolves:
