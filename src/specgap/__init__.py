@@ -29,6 +29,8 @@ from .grid import (  # noqa: F401
     norm,
     save_state,
     load_state,
+    save_states,
+    load_states,
 )
 from .operators import (  # noqa: F401
     HermitianOperator,

@@ -167,7 +167,7 @@ def _run_configured_sweep(args):
     report.config["source"] = emit_config(cfg)
     paths = write_report_files(report, args.out)
     print(render_report(report.to_dict()))
-    print(f"wrote {paths['records']}, {paths['report']}, {paths['plot']}")
+    print("wrote " + ", ".join(str(path) for path in paths.values()))
     return report
 
 

@@ -19,16 +19,19 @@ FFTs; :func:`to_frequency_values` and :func:`to_position_values` serve
 where frequency-side values are read (forms, localization).
 
 A :class:`StateVector` holds node values only: :func:`inner`,
-:func:`norm`, :func:`save_state` and operator applies read its values as
+:func:`norm`, :func:`save_states` and operator applies read its values as
 samples on the nodes.  Frequency-side values stay plain arrays; their
 inner product carries the (pi/L)^d weight in place of h^d.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +46,9 @@ __all__ = [
     "to_position_values",
     "inner",
     "norm",
+    "write_text_atomic",
+    "save_states",
+    "load_states",
     "save_state",
     "load_state",
     "DEFAULT_NODE_BUDGET",
@@ -208,23 +214,64 @@ def to_position_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Binary state dumps: magic "SGV1", then little-endian int64 d, int64 N,
-# float64 L, then N^d little-endian complex128 values (re, im float64
-# pairs) in C order.
+# Files.  Every file specgap writes goes through write_text_atomic.  State
+# dumps: magic "SGV1", then little-endian int64 d, int64 N, float64 L, then
+# m >= 1 states one after another, each N^d little-endian complex128 values
+# (re, im float64 pairs) in C order.  One state is the case m = 1.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SGV1"
 _HEADER = struct.Struct("<qqd")
 
 
+def write_text_atomic(path, data: str | bytes) -> None:
+    """Put ``data`` (text is written as UTF-8) at ``path`` through a temp
+    file and ``os.replace``, so a reader finds the old file or the new one,
+    never part of one.  A path that already holds exactly these bytes is
+    left alone: on some file systems replacing a file costs tens of
+    milliseconds, whatever its size, while reading it back costs almost
+    nothing."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return
+    except OSError:
+        pass  # no readable file there: write one
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def save_states(states, path) -> None:
+    """Write one or more states of one grid as a single dump, in order."""
+    states = list(states)
+    if not states:
+        raise GridError("a state dump holds at least one state")
+    grid = states[0].grid
+    for u in states[1:]:
+        _check_same_grid(states[0], u)
+    chunks = [_MAGIC + _HEADER.pack(grid.dimension, grid.n_per_axis, grid.half_length)]
+    chunks += [u.values.astype("<c16").tobytes() for u in states]
+    write_text_atomic(path, b"".join(chunks))
+
+
 def save_state(u: StateVector, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(u.grid.dimension, u.grid.n_per_axis, u.grid.half_length))
-        fh.write(u.values.astype("<c16").tobytes())
+    save_states([u], path)
 
 
-def load_state(path) -> StateVector:
+def load_states(path) -> list[StateVector]:
+    """The states of a dump written by :func:`save_states`, in order."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -240,7 +287,20 @@ def load_state(path) -> StateVector:
     if rest or not 1 <= d <= count.bit_length():
         raise GridError("state dump payload does not match the header")
     grid = build_grid(d, n, L)
-    if count != grid.size:
-        raise GridError("state dump payload does not match the header")
-    # frombuffer views the read-only bytes; the copy is the caller's to write.
-    return StateVector(grid, np.frombuffer(payload, "<c16").reshape(grid.shape).copy())
+    m, extra = divmod(count, grid.size)
+    if extra or not m:
+        raise GridError(
+            f"state dump payload of {count} values is not a whole number of "
+            f"{grid.size}-value states"
+        )
+    # frombuffer views the read-only bytes; each copy is the caller's to write.
+    values = np.frombuffer(payload, "<c16").reshape((m,) + grid.shape)
+    return [StateVector(grid, v.copy()) for v in values]
+
+
+def load_state(path) -> StateVector:
+    """The state of a dump that holds exactly one."""
+    states = load_states(path)
+    if len(states) != 1:
+        raise GridError(f"state dump holds {len(states)} states, not one")
+    return states[0]

@@ -1,8 +1,25 @@
-"""Structured outputs: records CSV, JSON report, plot script, dumps.
+"""Structured outputs of a study: records CSV, JSON report, plot script
+and eigenfunction stack.
 
-All files are written atomically (temp file + rename) by a single
-writer.  The records CSV schema is versioned; its first line is a
-comment ``# schema: specgap.records.v1`` and the column order is fixed:
+:func:`write_report_files` puts these files in the output directory:
+
+    records.csv         one row per (alpha, n), schema below
+    report.json         the whole report (schema specgap.report.v1)
+    plot_gaps.py        a fixed script that plots records.csv against the
+                        model eigenvalues mu it reads from report.json
+    eigenfunctions.sgv  only when the sweep keeps eigenfunctions: one state
+                        dump (see :mod:`specgap.grid`) holding the state of
+                        each record that has one, in records.csv row order
+
+Every file goes through one writer, :func:`write_text_atomic`: temp file
+plus rename, so a reader finds the old file or the new one, never part of
+one.  The writer skips a file that already holds exactly the new bytes
+(sizes first, then contents), so rerunning a study into the same directory
+replaces only the files whose content changed; replacing a file can cost
+tens of milliseconds whatever its size.
+
+The records CSV schema is versioned; its first line is a comment
+``# schema: specgap.records.v1`` and the column order is fixed:
 
     alpha, n, lambda, scaled_gap, residual, k_form, s_form,
     pos_mass_out_R<r>..., frq_mass_out_R<r>...
@@ -16,12 +33,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 from pathlib import Path
 
 from .asymptotics import StudyReport
-from .grid import save_state
+from .grid import save_states, write_text_atomic
 
 __all__ = [
     "RECORDS_SCHEMA",
@@ -29,29 +44,13 @@ __all__ = [
     "write_text_atomic",
     "records_csv_text",
     "model_csv_text",
-    "plot_script_text",
+    "PLOT_SCRIPT",
     "write_report_files",
     "render_report",
 ]
 
 RECORDS_SCHEMA = "specgap.records.v1"
 MODEL_SCHEMA = "specgap.model.v1"
-
-
-def write_text_atomic(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def records_csv_text(report: StudyReport) -> str:
@@ -97,26 +96,30 @@ def model_csv_text(model_rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def plot_script_text(report: StudyReport) -> str:
-    mus = [mu for mu, _ in report.model_eigenvalues]
-    return f'''"""Plot scaled spectral gaps against the model eigenvalues.
+# The script depends on no run: it reads the run's files when it plots, so
+# a rerun never has to replace it.
+PLOT_SCRIPT = '''"""Plot scaled spectral gaps against the model eigenvalues.
 
-Generated alongside records.csv; run with any Python that has
-matplotlib and pandas installed.
+Written alongside records.csv and report.json; run it in their directory
+with any Python that has matplotlib and pandas installed.
 """
+import json
+
 import pandas as pd
 import matplotlib.pyplot as plt
 
-MODEL_EIGENVALUES = {mus!r}
-
+with open("report.json", encoding="utf-8") as fh:
+    model_eigenvalues = json.load(fh)["model_eigenvalues"]
 df = pd.read_csv("records.csv", comment="#")
 fig, ax = plt.subplots(figsize=(6, 4))
 for n, group in df.groupby("n"):
     group = group.sort_values("alpha")
-    ax.plot(group["alpha"], group["scaled_gap"], "o-", label=f"n={{n}}")
-for i, mu in enumerate(MODEL_EIGENVALUES, start=1):
-    ax.axhline(mu, color="gray", linewidth=0.8, linestyle="--")
-    ax.annotate(f"mu({{i}})", xy=(df["alpha"].max(), mu), fontsize=8, color="gray")
+    ax.plot(group["alpha"], group["scaled_gap"], "o-", label=f"n={n}")
+for row in model_eigenvalues:
+    if row["mu"] is None:  # report.json writes a non-finite mu as null
+        continue
+    ax.axhline(row["mu"], color="gray", linewidth=0.8, linestyle="--")
+    ax.annotate(f"mu({row['n']})", xy=(df["alpha"].max(), row["mu"]), fontsize=8, color="gray")
 ax.set_xscale("log")
 ax.set_xlabel("alpha")
 ax.set_ylabel("scaled spectral gap")
@@ -128,8 +131,10 @@ print("wrote scaled_gaps.png")
 
 
 def write_report_files(report: StudyReport, out_dir) -> dict[str, Path]:
-    """Write records.csv, report.json and plot_gaps.py; optionally dump
-    kept eigenfunctions.  Returns the paths written."""
+    """Write records.csv, report.json, plot_gaps.py and, when records keep
+    eigenfunctions, eigenfunctions.sgv; a file that already holds its new
+    content is left alone.  Returns the paths, keyed records, report, plot
+    and eigenfunctions."""
     out = Path(out_dir)
     paths = {
         "records": out / "records.csv",
@@ -138,12 +143,11 @@ def write_report_files(report: StudyReport, out_dir) -> dict[str, Path]:
     }
     write_text_atomic(paths["records"], records_csv_text(report))
     write_text_atomic(paths["report"], json.dumps(report.to_dict(), indent=2) + "\n")
-    write_text_atomic(paths["plot"], plot_script_text(report))
-    for rec in report.records:
-        if rec.vector is not None:
-            dump = out / f"eigenfunction_a{rec.alpha!r}_n{rec.n}.sgv"
-            save_state(rec.vector, dump)
-            paths[dump.name] = dump
+    write_text_atomic(paths["plot"], PLOT_SCRIPT)
+    kept = [rec.vector for rec in report.records if rec.vector is not None]
+    if kept:
+        paths["eigenfunctions"] = out / "eigenfunctions.sgv"
+        save_states(kept, paths["eigenfunctions"])
     return paths
 
 

@@ -22,7 +22,7 @@ from specgap import (
     expression_profile,
     extrapolate_limit,
     largest_eigenpairs,
-    load_state,
+    load_states,
     localization_metrics,
     make_catalog_profile,
     make_pair,
@@ -447,11 +447,39 @@ class TestRunSweep:
             SweepSettings(grid=build_grid(1, 256, 12.0), keep_vectors=True),
         )
         paths = write_report_files(report, tmp_path)
-        dumps = sorted(tmp_path.glob("eigenfunction_*.sgv"))
-        assert len(dumps) == 3
-        for record in report.records:
-            dump = paths[f"eigenfunction_a{record.alpha!r}_n{record.n}.sgv"]
-            np.testing.assert_array_equal(load_state(dump).values, record.vector.values)
+        states = load_states(paths["eigenfunctions"])
+        assert [r.alpha for r in report.records] == [0.2, 0.1000001, 0.1]
+        assert len(states) == 3
+        for vec, record in zip(states, report.records):
+            np.testing.assert_array_equal(vec.values, record.vector.values)
+        for a, b in itertools.combinations(states, 2):
+            assert not np.array_equal(a.values, b.values)
+
+    def test_rewrite_replaces_only_changed_files(self, gaussian_pair, tmp_path):
+        report = run_sweep(
+            gaussian_pair, [0.2, 0.1, 0.05], 1,
+            SweepSettings(grid=build_grid(1, 256, 12.0), keep_vectors=True),
+        )
+
+        def stamps():
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+
+        paths = write_report_files(report, tmp_path)
+        first = stamps()
+        assert sorted(first) == sorted(p.name for p in paths.values()) == [
+            "eigenfunctions.sgv", "plot_gaps.py", "records.csv", "report.json",
+        ]
+        write_report_files(report, tmp_path)
+        assert stamps() == first
+
+        shorter = dataclasses.replace(report, records=report.records[:-1])
+        write_report_files(shorter, tmp_path)
+        second = stamps()
+        assert sorted(second) == sorted(first)  # no temp file left behind
+        assert second["plot_gaps.py"] == first["plot_gaps.py"]
+        for name in ("records.csv", "report.json", "eigenfunctions.sgv"):
+            assert second[name][0] != first[name][0]
+        assert len(load_states(paths["eigenfunctions"])) == 2
 
     def test_pair_with_non_unit_maxima_rescales_exactly(self, gaussian_pair, grid_256):
         # 3 * Gaussian symbol and 2 * Gaussian weight: A0 * V0^2 = 12

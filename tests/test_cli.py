@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import specgap
-from specgap import Mode, SolveSettings, SweepSettings, load_state, suggest_grid
+from specgap import Mode, SolveSettings, SweepSettings, load_states, run_sweep, suggest_grid
 from specgap import config
 from specgap.cli import main
 from specgap.config import (
@@ -590,7 +591,16 @@ class TestSweepAndVerify:
         assert len(records) == 2 + 3  # comment + header + one row per (alpha, n)
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["schema"] == "specgap.report.v1"
-        assert (tmp_path / "out" / "plot_gaps.py").exists()
+        # the plot script is valid Python that takes mu from report.json
+        plot = (tmp_path / "out" / "plot_gaps.py").read_text()
+        ast.parse(plot)
+        assert 'open("report.json"' in plot
+        # no kept eigenfunctions: no stack, and the wrote line names none
+        assert not list((tmp_path / "out").glob("*.sgv"))
+        out = tmp_path / "out"
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {out / 'records.csv'}, {out / 'report.json'}, {out / 'plot_gaps.py'}"
+        )
 
     def test_final_row_scaled_gap_close_to_model_value(self, tmp_path):
         rc = main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI),
@@ -711,15 +721,28 @@ class TestSweepAndVerify:
         assert "radii must be distinct to 6 significant digits" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_eigenfunction_dumps_loadable(self, tmp_path):
+    def test_eigenfunction_dumps_loadable(self, tmp_path, capsys):
         text = GAUSSIAN_MINI + "\n[output]\nemit_eigenfunctions = true\n"
         out = tmp_path / "out"
         rc = main(["sweep", "--config", write(tmp_path, text), "--out", str(out)])
         assert rc == 0
-        dumps = sorted(out.glob("eigenfunction_*.sgv"))
-        assert len(dumps) == 3
-        vec = load_state(dumps[0])
-        assert vec.grid.n_per_axis == 512
+        stack = out / "eigenfunctions.sgv"
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {out / 'records.csv'}, {out / 'report.json'}, {out / 'plot_gaps.py'}, {stack}"
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "eigenfunctions.sgv", "plot_gaps.py", "records.csv", "report.json",
+        ]
+        # the same seeded sweep in process: one state per records.csv row, in order
+        cfg = parse_config(text)
+        report = run_sweep(build_profiles(cfg), cfg.alphas, cfg.eigen_count, sweep_settings(cfg))
+        rows = list(csv.DictReader((out / "records.csv").read_text().splitlines()[1:]))
+        states = load_states(stack)
+        assert len(states) == len(rows) == len(report.records) == 3
+        for row, record, vec in zip(rows, report.records, states):
+            assert (float(row["alpha"]), int(row["n"])) == (record.alpha, record.n)
+            assert vec.grid.n_per_axis == 512
+            np.testing.assert_array_equal(vec.values, record.vector.values)
 
     def test_seed_override_recorded_and_echoed(self, tmp_path):
         out = tmp_path / "out"
@@ -773,6 +796,17 @@ class TestReportCommand:
         with pytest.raises(OSError, match="replace refused"):
             write_text_atomic(tmp_path / "report.json", "{}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_skips_only_identical_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_text_atomic(path, "ab\n")
+        inode = path.stat().st_ino
+        write_text_atomic(path, b"ab\n")  # text goes out as UTF-8: the same bytes
+        assert path.stat().st_ino == inode
+        write_text_atomic(path, "ba\n")  # same size, other bytes
+        assert path.read_text() == "ba\n"
+        assert path.stat().st_ino != inode
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_report_exits_2(self, tmp_path):
         rc = main(["report", "--out", str(tmp_path / "void")])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from specgap import (
     build_model_operator,
     inner,
     load_state,
+    load_states,
     make_catalog_profile,
     make_pair,
     norm,
     random_state,
     run_sweep,
     save_state,
+    save_states,
     state,
     suggest_grid,
     to_frequency_values,
@@ -243,6 +247,83 @@ class TestSerialization:
         path.write_bytes(b"SGV1" + b"\x00" * 10)
         with pytest.raises(GridError, match="truncated"):
             load_state(path)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_stack_round_trip_exact(self, tmp_path, m, kind):
+        g = build_grid(2, 16, 3.0)
+        rng = np.random.default_rng(m)
+        if kind == "complex":
+            states = [random_state(g, rng) for _ in range(m)]
+            states[-1].values[0, :2] = [complex(-0.0, 1.0), complex(1.0, np.inf)]
+        else:
+            states = [StateVector(g, rng.standard_normal(g.shape)) for _ in range(m)]
+            states[-1].values[0, :2] = [-0.0, -np.inf]
+        path = tmp_path / "stack.sgv"
+        save_states(states, path)
+        assert path.stat().st_size == 28 + 16 * m * g.size
+        back = load_states(path)
+        assert len(back) == m
+        for u, v in zip(states, back):
+            assert v.grid == g
+            assert v.values.dtype == np.complex128
+            np.testing.assert_array_equal(v.values.real, u.values.real)
+            np.testing.assert_array_equal(v.values.imag, np.imag(u.values))
+        last = back[-1].values[0]
+        assert np.signbit(last[0].real)
+        assert np.isinf(last[1].real if kind == "real" else last[1].imag)
+        if m == 1:  # a one-state dump is what save_state writes
+            raw = path.read_bytes()
+            save_state(states[0], path)
+            assert path.read_bytes() == raw
+            np.testing.assert_array_equal(load_state(path).values, back[0].values)
+        else:  # the states are separate arrays
+            back[0].values[...] = 0
+            np.testing.assert_array_equal(back[1].values, states[1].values)
+
+    def test_stack_payload_of_partial_state_rejected(self, tmp_path):
+        g = build_grid(1, 8, 2.5)
+        path = tmp_path / "stack.sgv"
+        save_states([state(g, np.ones(8)), state(g, np.zeros(8))], path)
+        # drop one whole complex value: 15 values are not a whole number of 8-value states
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(GridError, match="not a whole number of 8-value states"):
+            load_states(path)
+        path.write_bytes(path.read_bytes()[:28])  # a header and no state
+        with pytest.raises(GridError, match="payload"):
+            load_states(path)
+
+    def test_load_state_rejects_a_stack_of_three(self, tmp_path):
+        g = build_grid(1, 8, 2.5)
+        path = tmp_path / "stack.sgv"
+        save_states([state(g, np.ones(8))] * 3, path)
+        with pytest.raises(GridError, match="holds 3 states"):
+            load_state(path)
+
+    def test_stack_needs_states_of_one_grid(self, tmp_path):
+        path = tmp_path / "stack.sgv"
+        with pytest.raises(GridError, match="at least one"):
+            save_states([], path)
+        a = state(build_grid(1, 8, 2.5), np.ones(8))
+        b = state(build_grid(1, 8, 3.0), np.ones(8))
+        with pytest.raises(GridError, match="different grids"):
+            save_states([a, b], path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dump_replaced_atomically(self, tmp_path, monkeypatch):
+        g = build_grid(1, 8, 2.5)
+        path = tmp_path / "vec.sgv"
+        save_state(state(g, np.ones(8)), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace refused"):
+            save_state(state(g, np.zeros(8)), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSuggestGrid:
