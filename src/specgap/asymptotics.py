@@ -318,7 +318,7 @@ def localization_metrics(
     ``pair``, which scales the empirical constants ``c_hat_*``.  Per unit
     squared norm of psi, ``k_form`` is :func:`symbol_flatness_form` of
     W_alpha*psi and ``s_form`` is :func:`weight_flatness_form` of psi;
-    their sum is checked against alpha^-sigma * (1 - lambda).  Radii may
+    their sum is checked against :func:`scaled_gap` of lambda.  Radii may
     arrive in any order; the output is sorted ascending.
     """
     if not pair.a_profile.max_value == pair.v_profile.max_value == 1.0:
@@ -337,7 +337,7 @@ def localization_metrics(
     k_form = symbol_flatness_form(pair, alpha, theta, symbols=symbols).real / total
     s_form = weight_flatness_form(pair, alpha, psi, symbols=symbols).real / total
 
-    target = float(alpha ** (-pair.sigma) * (1.0 - eigpair.value))
+    target = scaled_gap(eigpair.value, alpha, pair)
     identity_rel = abs(k_form + s_form - target) / max(abs(target), 1e-300)
 
     gamma = pair.a_profile.degree
@@ -463,7 +463,7 @@ def model_spectrum(
     Returns the grid, the grid reasoning, the mode, the reason for the
     mode, the pairs, ascending, and those samples, one
     :class:`~specgap.operators.ScaledSymbols` per alpha in the order of
-    ``alphas``, which :func:`localization_metrics` reads.
+    ``alphas``; the sweep builds its operators and localization from them.
     """
     if settings.grid is not None:
         grid, grid_reasoning = settings.grid, ("grid supplied explicitly",)
@@ -511,7 +511,7 @@ def run_sweep(
 
     def solve_one(sym: ScaledSymbols) -> list[SweepRecord]:
         alpha = sym.alpha
-        op = build_scaled_operator(norm_pair, alpha, grid)
+        op = build_scaled_operator(norm_pair, alpha, grid, symbols=sym)
         try:
             pairs = largest_eigenpairs(op, solve_settings)
         except NoConvergenceError as exc:

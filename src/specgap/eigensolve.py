@@ -82,34 +82,37 @@ solves, and float64 eigenvectors.  Other operators run in complex128.
 
 :func:`bottom_mode` is the one place that picks the mode of a
 model-operator solve.  Up to ``DENSE_CHOICE_LIMIT`` (1024) unknowns it
-materializes.  At 1024 unknowns eigh takes 0.11 s on a whole real
-matrix and 0.39 s on a complex one, but 0.011 s and 0.014 s on the two
-parity blocks (513 and 511) of an even operator.  Materializing both
-blocks takes 16 ms, and the whole matrix, which only an operator
-without the symmetry builds, 23 ms.  Above that, plain Lanczos on -A
-converges at a rate set by the wanted gap against the spread of the
-spectrum (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998), so
-the choice rests on the stiffness ||A|| / mu_k, with mu_k estimated by
-Weyl's law from the multiplier and potential samples
-(:func:`weyl_estimate`).  Lanczos runs below ``STIFFNESS_LIMIT`` (500).
-From there on a stiff operator runs dense while its larger parity block
-has at most ``DENSE_CHOICE_LIMIT`` unknowns, and shift-invert beyond;
-an operator without the parts has neither the estimate nor the
-preconditioner, and runs Lanczos.  Measured on a 2-core box (k=3, tol
-1e-9, Gaussian pairs unless noted, median of 5 solves, one BLAS thread),
-Lanczos beat shift-invert at ratios 63 (d=2, 48^2, L=8: 0.033 vs
-0.78 s), 103 (80^2, L=10: 0.16 vs 1.11 s), 174 (128^2, L=10: 0.39 vs
-2.89 s), 219 (128^2, L=8: 0.62 vs 2.21 s) and 3134 (N=2048: 0.31 vs
-0.88 s), and tied at 5417 (quartic 56^2: 0.99 vs 0.89 s; 0.73 vs 0.48 s
-in a second run of 7).  On the stiff operators whose blocks fit, the
-split dense path beat both (dense / shift-invert / Lanczos, 1-D, L=20:
-N=1280 0.058 / 0.67 / 0.15 s, N=1536 0.11 / 0.58 / 0.17 s, N=1792
-0.19 / 0.64 / 0.31 s, N=2046 0.26 / 0.55 / 0.33 s; d=2 quartic symbol,
-L=8: 36^2 0.084 / 0.47 / 0.19 s, 40^2 0.12 / 0.46 / 0.25 s).  It would
-still win at N=2048 (blocks 1025 and 1023: 0.32 s) and ties on quartic
-56^2 (blocks of 1570: 0.94 s).  A mild operator keeps Lanczos even where
-its blocks fit: the d=2 Gaussian pair on 40^2, L=8 (ratio < 500) took
-0.035 s in Lanczos against 0.14 s split dense.
+materializes.  Above that, plain Lanczos on -A converges at a rate set
+by the wanted gap against the spread of the spectrum (Parlett, *The
+Symmetric Eigenvalue Problem*, SIAM 1998), so the choice rests on the
+stiffness ratio ||A|| / mu_k, with mu_k estimated by Weyl's law from the
+multiplier and potential samples (:func:`weyl_estimate`).  Lanczos runs
+below ``STIFFNESS_LIMIT`` (500).  From there on a stiff operator runs
+dense while its larger parity block has at most ``DENSE_CHOICE_LIMIT``
+unknowns, and shift-invert beyond; an operator without the parts has
+neither the estimate nor the preconditioner, and runs Lanczos.
+
+The rule is a heuristic, and on the grids that
+:func:`~specgap.asymptotics.suggest_grid` picks it often misses.  Model
+solves of symbol ``gaussian_power(p)`` with the Gaussian weight
+``gaussian_power(2)``, tol 1e-9, one BLAS thread on a 2-core x86 box, in
+seconds ("split dense" is the dense path in parity blocks, forced):
+
+    d, p, k      grid, ratio -> mode picked        Lanczos  shift-invert  split dense
+    1, 4, 32     2048, L=167, 548 -> shift-invert   4.50     3.87          0.258
+    1, 2, 16     2048, L=42, 206 -> Lanczos         0.416    -             0.229
+    1, 1, 3      2048, L=13, 126 -> Lanczos         0.047    -             0.215
+    2, 4, 1      128^2, L=13, 4.3e4 -> shift-invert 2.37     1.02          -
+    2, 4, 3      128^2, L=19, 4712 -> shift-invert  1.96     3.50          -
+    2, 4, 6      128^2, L=25, 1111 -> shift-invert  2.31     5.73          -
+    3, 4, 4      128^3, L=22, 4962 -> shift-invert  693      > 846 CPU-s   -
+
+It picks a slower mode on five of these seven grids: split dense is 15x
+faster on the first row and 1.8x on the second; Lanczos is 1.8x and
+2.5x faster on the d=2 rows with k=3 and k=6, and at least 1.2x in
+d=3.  A rule on size alone (dense while each parity block fits, else
+Lanczos) would lose instead: 2.3x on the d=2 row with k=1 and 4.6x on
+the p=1 row.
 
 All randomness flows from the seed in :class:`SolveSettings`; identical
 settings produce bit-identical results within one build.
@@ -910,6 +913,8 @@ def bottom_mode(op: HermitianOperator, k: int, mode: Mode | None = None) -> tupl
     operator without parts, a sandwich, has neither the estimate nor
     shift-invert's preconditioner, and runs ``LANCZOS`` above the limit.
     The reason names the parity blocks whenever the choice is dense.
+    The limits are heuristic: the module docstring lists auto grids
+    where this rule picks a slower mode.
     """
     if mode is not None:
         return mode, "set in the config"

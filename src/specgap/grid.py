@@ -12,11 +12,13 @@ unitary between the h^d-weighted position inner product and the
 (pi/L)^d-weighted frequency inner product, and sampled exp(-x^2/2) maps
 to sampled exp(-xi^2/2) up to grid truncation.
 
-The transform is the FFT times the phase (-1)^(j1+...+jd) and the scale
+The transform is the FFT of the node values shifted by N/2 per axis
+(``ifftshift`` moves the node x = 0 to index 0) times the scale
 (h/sqrt(2 pi))^d.  Inside a Fourier multiplier op(m) = inverse * m *
-transform both cancel, so operators apply plain (real, when they can)
-FFTs; :func:`to_frequency_values` and :func:`to_position_values` serve
-where frequency-side values are read (forms, localization).
+transform the shift and the scales cancel, so operators apply plain
+(real, when they can) FFTs; :func:`to_frequency_values` and
+:func:`to_position_values` serve where frequency-side values are read
+(forms, localization).
 
 A :class:`StateVector` holds node values only: :func:`inner`,
 :func:`norm`, :func:`save_states` and operator applies read its values as
@@ -34,6 +36,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 
 __all__ = [
     "GridError",
@@ -124,18 +127,6 @@ class Grid:
     def frequency_radii(self) -> np.ndarray:
         return np.sqrt(np.sum(np.square(self.frequency_points), axis=-1))
 
-    @cached_property
-    def _phase(self) -> np.ndarray:
-        # (-1)^(j_1 + ... + j_d); turns the FFT into the transform centered
-        # at x = -L (nodes) with signed frequencies.
-        axis_phase = (-1.0) ** np.arange(self.n_per_axis)
-        out = np.ones(())
-        for axis in range(self.dimension):
-            shape = [1] * self.dimension
-            shape[axis] = self.n_per_axis
-            out = out * axis_phase.reshape(shape)
-        return out
-
     def describe(self) -> str:
         return (
             f"d={self.dimension} N={self.n_per_axis} L={self.half_length:g} "
@@ -204,13 +195,13 @@ def norm(u: StateVector) -> float:
 def to_frequency_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Unitary transform of node values to the frequency lattice (FFT order)."""
     scale = (grid.spacing / np.sqrt(2.0 * np.pi)) ** grid.dimension
-    return scale * grid._phase * np.fft.fftn(values)
+    return scale * sfft.fftn(sfft.ifftshift(values))
 
 
 def to_position_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_frequency_values`."""
     scale = (np.sqrt(2.0 * np.pi) / grid.spacing) ** grid.dimension
-    return scale * np.fft.ifftn(grid._phase * values)
+    return scale * sfft.fftshift(sfft.ifftn(values))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Three operator shapes are built here, all acting on grid functions:
 * plain multiplier-plus-potential operators for oracle tests.
 
 Every apply goes through :func:`fourier_multiplier`.  Inside op(m) the
-transform's phase (-1)^(j1+...+jd) and its (h/sqrt(2 pi))^(+-d) scales
+transform's centering shift and its (h/sqrt(2 pi))^(+-d) scales
 cancel, so op(m) is just ifftn(m * fftn(v)), taken over the trailing
 grid axes: every apply accepts one grid function or a stack of them,
 shape (..., *grid.shape), and maps each alike.  When the samples m are
@@ -158,6 +158,19 @@ def make_scaled_symbols(pair: ProfilePair, alpha: float, grid: Grid) -> ScaledSy
     return ScaledSymbols(grid=grid, alpha=float(alpha), weight_values=w, multiplier_values=b)
 
 
+def _symbols_at(pair: ProfilePair, alpha: float, grid: Grid,
+                symbols: ScaledSymbols | None) -> ScaledSymbols:
+    """``symbols``, or a fresh sample at ``alpha`` on ``grid``; passed
+    samples must be of that grid and that alpha."""
+    if symbols is None:
+        return make_scaled_symbols(pair, alpha, grid)
+    if symbols.grid != grid:
+        raise OperatorError("symbols sampled on another grid")
+    if symbols.alpha != alpha:
+        raise OperatorError(f"symbols sampled at alpha={symbols.alpha:g}, not at alpha={alpha:g}")
+    return symbols
+
+
 def _is_even(m: np.ndarray) -> bool:
     """m[k] == m[-k mod N] on every axis (the mirror of FFT order)."""
     axes = tuple(range(m.ndim))
@@ -207,15 +220,17 @@ def _sandwich(grid: Grid, weight: np.ndarray, multiplier: np.ndarray, label: str
     )
 
 
-def build_scaled_operator(pair: ProfilePair, alpha: float, grid: Grid) -> HermitianOperator:
+def build_scaled_operator(pair: ProfilePair, alpha: float, grid: Grid,
+                          symbols: ScaledSymbols | None = None) -> HermitianOperator:
     """The scaled sandwich W_alpha op(b_alpha) W_alpha.
 
     Unitarily equivalent to the original family at the same alpha; after
     the scaling both the weight and the multiplier flatten at rate
     alpha^sigma, so eigenfunctions stay on O(1) scales and one grid
-    serves a whole alpha ladder.
+    serves a whole alpha ladder.  Pass the ``symbols`` of this alpha and
+    grid to build from them instead of resampling.
     """
-    sym = make_scaled_symbols(pair, alpha, grid)
+    sym = _symbols_at(pair, alpha, grid, symbols)
     return _sandwich(
         grid, sym.weight_values, sym.multiplier_values, f"scaled-sandwich(alpha={alpha:g})"
     )
@@ -290,16 +305,10 @@ def build_multiplier_plus_potential(
 # Quadratic forms
 # ---------------------------------------------------------------------------
 
-def _symbols_at(pair: ProfilePair, alpha: float, u: StateVector, v: StateVector,
-                symbols: ScaledSymbols | None) -> ScaledSymbols:
-    """``symbols``, or a fresh sample at ``alpha``; either must sit on the
-    grid of u and v and at ``alpha`` itself."""
-    sym = symbols or make_scaled_symbols(pair, alpha, u.grid)
-    if sym.grid != u.grid or u.grid != v.grid:
+def _common_grid(u: StateVector, v: StateVector) -> Grid:
+    if u.grid != v.grid:
         raise OperatorError("grids do not match")
-    if sym.alpha != alpha:
-        raise OperatorError(f"symbols sampled at alpha={sym.alpha:g}, not at alpha={alpha:g}")
-    return sym
+    return u.grid
 
 
 def symbol_flatness_form(
@@ -317,7 +326,7 @@ def symbol_flatness_form(
     resampling.
     """
     v = u if v is None else v
-    sym = _symbols_at(pair, alpha, u, v, symbols)
+    sym = _symbols_at(pair, alpha, _common_grid(u, v), symbols)
     u_hat = to_frequency_values(u.grid, u.values)
     v_hat = u_hat if v is u else to_frequency_values(v.grid, v.values)
     prod = np.abs(u_hat) ** 2 if v is u else u_hat * np.conj(v_hat)
@@ -335,7 +344,7 @@ def weight_flatness_form(
     """Position-side flatness form:
     alpha^-sigma * sum (1 - W_alpha^2) * u * conj(v) * h^d."""
     v = u if v is None else v
-    sym = _symbols_at(pair, alpha, u, v, symbols)
+    sym = _symbols_at(pair, alpha, _common_grid(u, v), symbols)
     prod = np.abs(u.values) ** 2 if v is u else u.values * np.conj(v.values)
     acc = np.sum((1.0 - sym.weight_values**2) * prod)
     return complex(alpha ** (-pair.sigma) * u.grid.cell_volume * acc)
@@ -344,9 +353,7 @@ def weight_flatness_form(
 def model_form(pair: ProfilePair, u: StateVector, v: StateVector | None = None) -> complex:
     """Quadratic form of the model operator; equals <model u, v> exactly."""
     v = u if v is None else v
-    if u.grid != v.grid:
-        raise OperatorError("grids do not match")
-    grid = u.grid
+    grid = _common_grid(u, v)
     model = build_model_operator(pair, grid)
     u_hat = to_frequency_values(grid, u.values)
     v_hat = u_hat if v is u else to_frequency_values(grid, v.values)
@@ -358,8 +365,6 @@ def model_form(pair: ProfilePair, u: StateVector, v: StateVector | None = None) 
 def residual_form(pair: ProfilePair, alpha: float, u: StateVector) -> float:
     """Defect of the first-order approximation:
     <B u, u> - ||u||^2 + alpha^sigma * model_form(u)."""
-    if alpha <= 0:
-        raise OperatorError("alpha must be positive")
     op = build_scaled_operator(pair, alpha, u.grid)
     quad = np.real(inner(op.apply(u), u))
     return float(quad - norm(u) ** 2 + alpha**pair.sigma * np.real(model_form(pair, u)))

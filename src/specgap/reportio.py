@@ -9,7 +9,8 @@ and eigenfunction stack.
                         model eigenvalues mu it reads from report.json
     eigenfunctions.sgv  only when the sweep keeps eigenfunctions: one state
                         dump (see :mod:`specgap.grid`) holding the state of
-                        each record that has one, in records.csv row order
+                        each record that has one, in records.csv row order;
+                        otherwise an earlier run's stack is removed
 
 Every file goes through one writer, :func:`write_text_atomic`: temp file
 plus rename, so a reader finds the old file or the new one, never part of
@@ -133,8 +134,9 @@ print("wrote scaled_gaps.png")
 def write_report_files(report: StudyReport, out_dir) -> dict[str, Path]:
     """Write records.csv, report.json, plot_gaps.py and, when records keep
     eigenfunctions, eigenfunctions.sgv; a file that already holds its new
-    content is left alone.  Returns the paths, keyed records, report, plot
-    and eigenfunctions."""
+    content is left alone, and a stack that this report does not write is
+    removed.  Returns the paths, keyed records, report, plot and
+    eigenfunctions."""
     out = Path(out_dir)
     paths = {
         "records": out / "records.csv",
@@ -144,10 +146,13 @@ def write_report_files(report: StudyReport, out_dir) -> dict[str, Path]:
     write_text_atomic(paths["records"], records_csv_text(report))
     write_text_atomic(paths["report"], json.dumps(report.to_dict(), indent=2) + "\n")
     write_text_atomic(paths["plot"], PLOT_SCRIPT)
+    stack = out / "eigenfunctions.sgv"
     kept = [rec.vector for rec in report.records if rec.vector is not None]
     if kept:
-        paths["eigenfunctions"] = out / "eigenfunctions.sgv"
-        save_states(kept, paths["eigenfunctions"])
+        paths["eigenfunctions"] = stack
+        save_states(kept, stack)
+    else:
+        stack.unlink(missing_ok=True)  # an earlier run's, which no row matches
     return paths
 
 

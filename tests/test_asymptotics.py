@@ -351,20 +351,39 @@ class TestRunSweep:
     def test_first_index_passes(self, mini_report):
         assert mini_report.verdicts[0].status is VerdictStatus.PASS
 
-    def test_each_alpha_samples_its_sandwich_twice(self, gaussian_pair, grid_256, monkeypatch):
-        # once in the pre-solve check, whose samples feed localization, and
-        # once in build_scaled_operator
-        calls = []
+    def test_each_alpha_is_sampled_once_and_built_through_the_module_global(
+        self, gaussian_pair, grid_256, monkeypatch
+    ):
+        # The pre-solve check's samples feed both the operator and
+        # localization.  The benchmark counts scaled applies by wrapping the
+        # global build_scaled_operator of specgap.asymptotics and the
+        # apply_values of what it returns, so the sweep must build there.
+        samples, builds, applies = [], [], []
         sample = operators._sandwich_samples
+        build = asymptotics.build_scaled_operator
 
-        def counted(pair, alpha, grid, scaled):
-            calls.append(alpha)
+        def counted_sample(pair, alpha, grid, scaled):
+            samples.append(alpha)
             return sample(pair, alpha, grid, scaled)
 
-        monkeypatch.setattr(operators, "_sandwich_samples", counted)
+        def counted_build(pair, alpha, *args, **kwargs):
+            builds.append(alpha)
+            op = build(pair, alpha, *args, **kwargs)
+            apply_values = op.apply_values
+
+            def counted_apply(values):
+                applies.append(alpha)
+                return apply_values(values)
+
+            return dataclasses.replace(op, apply_values=counted_apply)
+
+        monkeypatch.setattr(operators, "_sandwich_samples", counted_sample)
+        monkeypatch.setattr(asymptotics, "build_scaled_operator", counted_build)
         alphas = [0.2, 0.1, 0.05, 0.025]
         run_sweep(gaussian_pair, alphas, 3, SweepSettings(grid=grid_256))
-        assert sorted(calls, reverse=True) == [a for a in alphas for _ in range(2)]
+        assert samples == alphas
+        assert builds == alphas
+        assert sorted(set(applies), reverse=True) == alphas
 
     def test_report_carries_provenance_and_config(self, mini_report, gaussian_pair):
         assert mini_report.provenance["rng_seed"] == 74082
@@ -607,6 +626,18 @@ class TestTensorProductOracle:
                 1.0 - np.array(values), 1.0 - np.array(exact), rtol=1e-9, atol=0.0
             )
             assert [len(c) for c in cluster_eigenvalues(values, tol)] == sizes
+
+    def test_d2_sweep_passes_with_the_model_sums(self):
+        # Model levels are sums of the 1-D sqrt(2)*(2n - 1): 2*sqrt(2) and
+        # the doubled 4*sqrt(2).
+        pair = make_pair(
+            make_catalog_profile("gaussian_power", [2], 2),
+            make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V),
+        )
+        report = run_sweep(pair, LADDER, 3, SweepSettings(grid=build_grid(2, 32, 6.0)))
+        mus = [mu for mu, _ in report.model_eigenvalues]
+        np.testing.assert_allclose(mus, np.sqrt(2.0) * np.array([2, 4, 4]), rtol=0, atol=1e-9)
+        assert [v.status for v in report.verdicts] == [VerdictStatus.PASS] * 3
 
     def test_shipped_3d_config_verifies_against_the_products(self, tmp_path):
         config = Path(__file__).resolve().parent.parent / "configs" / "gaussian_3d.ini"

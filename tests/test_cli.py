@@ -744,6 +744,30 @@ class TestSweepAndVerify:
             assert vec.grid.n_per_axis == 512
             np.testing.assert_array_equal(vec.values, record.vector.values)
 
+    def test_a_sweep_without_eigenfunctions_removes_a_stale_stack(self, tmp_path, capsys):
+        emit = GAUSSIAN_MINI + "\n[output]\nemit_eigenfunctions = true\n"
+        out = tmp_path / "out"
+        stack = out / "eigenfunctions.sgv"
+        assert main(["sweep", "--config", write(tmp_path, emit), "--out", str(out)]) == 0
+        assert stack.exists()
+        plain = write(tmp_path, GAUSSIAN_MINI, "plain.ini")
+        assert main(["sweep", "--config", plain, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "plot_gaps.py", "records.csv", "report.json",
+        ]
+        # emitting again writes a stack that matches the new records.csv
+        emit_two = emit.replace("eigen_count = 1", "eigen_count = 2")
+        assert main(["sweep", "--config", write(tmp_path, emit_two), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f", {stack}")
+        cfg = parse_config(emit_two)
+        report = run_sweep(build_profiles(cfg), cfg.alphas, cfg.eigen_count, sweep_settings(cfg))
+        rows = list(csv.DictReader((out / "records.csv").read_text().splitlines()[1:]))
+        states = load_states(stack)
+        assert len(states) == len(rows) == len(report.records) == 6
+        for row, record, vec in zip(rows, report.records, states):
+            assert (float(row["alpha"]), int(row["n"])) == (record.alpha, record.n)
+            np.testing.assert_array_equal(vec.values, record.vector.values)
+
     def test_seed_override_recorded_and_echoed(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["sweep", "--config", write(tmp_path, GAUSSIAN_MINI),

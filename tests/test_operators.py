@@ -189,12 +189,21 @@ class TestInputChecks:
                 p, 0.1, u, symbols=make_scaled_symbols(p, 0.2, g)), "not at alpha=0.1"),
             (lambda p, g, u, w: weight_flatness_form(
                 p, 0.1, u, symbols=make_scaled_symbols(p, 0.2, g)), "not at alpha=0.1"),
+            (lambda p, g, u, w: symbol_flatness_form(
+                p, 0.1, u, symbols=make_scaled_symbols(p, 0.1, w.grid)), "another grid"),
+            (lambda p, g, u, w: weight_flatness_form(
+                p, 0.1, u, symbols=make_scaled_symbols(p, 0.1, w.grid)), "another grid"),
+            (lambda p, g, u, w: build_scaled_operator(
+                p, 0.1, g, symbols=make_scaled_symbols(p, 0.2, g)), "not at alpha=0.1"),
+            (lambda p, g, u, w: build_scaled_operator(
+                p, 0.1, g, symbols=make_scaled_symbols(p, 0.1, w.grid)), "another grid"),
             (lambda p, g, u, w: model_form(p, u, w), "grids do not match"),
             (lambda p, g, u, w: residual_form(p, -0.1, u), "alpha must be positive"),
         ],
         ids=["apply", "sandwich-alpha", "model-dimension", "multiplier-shape",
              "potential-shape", "symbol-form", "weight-form", "symbol-form-alpha",
-             "weight-form-alpha", "model-form", "residual-alpha"],
+             "weight-form-alpha", "symbol-form-symbols-grid", "weight-form-symbols-grid",
+             "sandwich-symbols-alpha", "sandwich-symbols-grid", "model-form", "residual-alpha"],
     )
     def test_rejected(self, gaussian_pair, grid_256, call, match):
         u = oscillator_ground_state(grid_256)
