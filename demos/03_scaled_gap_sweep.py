@@ -54,7 +54,7 @@ print("\nextrapolated alpha -> 0 limits (fit gap = limit + c1 * alpha^sigma + c2
 for n, extr in sorted(report.extrapolations.items()):
     print(
         f"  n={n}: limit = {extr.limit:.8f} (target {mus[n-1]:.8f}), "
-        f"rate = {extr.rate:.3f}, fit residual = {extr.fit_residual:.1e}"
+        f"fit residual = {extr.fit_residual:.1e}"
     )
 
 print("\nverdicts:")

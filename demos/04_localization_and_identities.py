@@ -84,6 +84,6 @@ op = build_scaled_operator(pair, alpha, grid)
 top = largest_eigenpairs(op, SolveSettings(k=1, tol=1e-10))[0]
 sym = make_scaled_symbols(pair, alpha, grid)
 m = localization_metrics(pair, sym, top, radii, mu=np.sqrt(2.0))
-for r, c_pos, c_frq in zip(m.radii, m.c_hat_pos, m.c_hat_freq):
+for r, c_pos, c_frq in zip(sorted(radii), m.c_hat_pos, m.c_hat_freq):
     print(f"   R = {r:g}: position C-hat = {c_pos:.3e}, frequency C-hat = {c_frq:.3e}")
 print("   (the bounds only promise these stay bounded; the decay here is far faster)")

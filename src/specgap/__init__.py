@@ -51,13 +51,10 @@ from .eigensolve import (  # noqa: F401
     Mode,
     SolveSettings,
     EigenPair,
-    CertReport,
     NoConvergenceError,
     InnerSolveStallError,
     largest_eigenpairs,
     smallest_eigenpairs,
-    certify,
-    cluster_eigenvalues,
 )
 from .asymptotics import (  # noqa: F401
     LocalizationMetrics,

@@ -79,19 +79,21 @@ class LocalizationMetrics:
     """How concentrated an eigenfunction is, in both domains.
 
     Masses are fractions of the squared norm outside the centered ball
-    of each radius; ``k_form``/``s_form`` are the frequency/position
-    flatness forms whose sum equals the scaled gap exactly in the
-    discrete model.  ``c_hat_*`` are the empirical constants
-    outside_mass * R^degree / mu implied by the localization bounds (the
-    true constants are existential, so only these ladders are reported).
+    of each localization radius, in ascending radius order;
+    ``k_form``/``s_form`` are the frequency/position flatness forms
+    whose sum equals the scaled gap exactly in the discrete model, and
+    ``identity_rel_gap`` is the relative defect of that sum.
+    ``c_hat_*`` are the empirical constants outside_mass * R^degree / mu
+    implied by the localization bounds (the true constants are
+    existential, so only these ladders are reported).  The forms and
+    ``c_hat_*`` are in the units of the pair whose mu they use; the
+    masses and the defect have none.
     """
 
-    radii: tuple[float, ...]
     position_mass_outside: tuple[float, ...]
     frequency_mass_outside: tuple[float, ...]
     k_form: float
     s_form: float
-    identity_target: float
     identity_rel_gap: float
     c_hat_pos: tuple[float, ...]
     c_hat_freq: tuple[float, ...]
@@ -104,7 +106,6 @@ class SweepRecord:
     lam: float
     scaled_gap: float
     residual: float
-    grid_id: str
     converged: bool = True
     note: str = ""
     localization: LocalizationMetrics | None = None
@@ -114,7 +115,6 @@ class SweepRecord:
 @dataclass(frozen=True)
 class ExtrapolationResult:
     limit: float
-    rate: float
     fit_residual: float
     degenerate: bool = False
     note: str = ""
@@ -129,8 +129,6 @@ class Verdict:
     extrap_rel_err: float
     monotone_ok: bool
     one_sided_ok: bool
-    rel_final: float
-    rel_extrap: float
     reasons: tuple[str, ...] = ()
 
 
@@ -250,14 +248,13 @@ def extrapolate_limit(
 
     The model is the series gap(alpha) = limit + c1 * alpha^sigma +
     c2 * alpha^(2*sigma), fitted by least squares (an exact interpolation
-    on three points); ``rate`` reports sigma.  This assumes the
-    corrections to the scaled-gap law come in integer powers of
-    alpha^sigma.  The paper gives no rate for its o(alpha^sigma)
-    remainder; the assumption holds for the catalog profiles, whose
-    expansions go in powers of |xi|^gamma and |x|^beta, so that after
-    scaling the corrections come in powers of alpha^sigma.  Where the
-    alpha^(2*sigma) term is large, a free rate drifts away from sigma and
-    biases the limit.
+    on three points).  This assumes the corrections to the scaled-gap
+    law come in integer powers of alpha^sigma.  The paper gives no rate
+    for its o(alpha^sigma) remainder; the assumption holds for the
+    catalog profiles, whose expansions go in powers of |xi|^gamma and
+    |x|^beta, so that after scaling the corrections come in powers of
+    alpha^sigma.  Where the alpha^(2*sigma) term is large, a free rate
+    drifts away from sigma and biases the limit.
 
     The alphas must pass :func:`alpha_ladder`.  Non-monotone ladders
     cannot carry the model; they are flagged degenerate and the last gap
@@ -274,13 +271,12 @@ def extrapolate_limit(
     scale = float(np.max(np.abs(g))) or 1.0
     diffs = np.diff(g)
     if np.all(np.abs(diffs) <= 1e-14 * scale):
-        return ExtrapolationResult(limit=float(np.mean(g)), rate=float("nan"),
-                                   fit_residual=0.0, note="constant ladder")
+        return ExtrapolationResult(limit=float(np.mean(g)), fit_residual=0.0,
+                                   note="constant ladder")
     tol_m = 1e-12 * scale
     if not (np.all(diffs >= -tol_m) or np.all(diffs <= tol_m)):
         return ExtrapolationResult(
             limit=float(g[-1]),
-            rate=float("nan"),
             fit_residual=float("nan"),
             degenerate=True,
             note="non-monotone ladder; falling back to the last point",
@@ -290,7 +286,6 @@ def extrapolate_limit(
     coef, *_ = np.linalg.lstsq(design, g, rcond=None)
     return ExtrapolationResult(
         limit=float(coef[0]),
-        rate=float(sigma),
         fit_residual=float(np.sqrt(np.mean((design @ coef - g) ** 2))),
         note="fixed-rate fit limit + c1*alpha^sigma + c2*alpha^(2*sigma)",
     )
@@ -318,8 +313,10 @@ def localization_metrics(
     ``pair``, which scales the empirical constants ``c_hat_*``.  Per unit
     squared norm of psi, ``k_form`` is :func:`symbol_flatness_form` of
     W_alpha*psi and ``s_form`` is :func:`weight_flatness_form` of psi;
-    their sum is checked against :func:`scaled_gap` of lambda.  Radii may
-    arrive in any order; the output is sorted ascending.
+    their sum is checked against :func:`scaled_gap` of lambda.  All of
+    them are in the units of ``pair``, which :func:`run_sweep` converts
+    to those of the pair it was given.  Radii may arrive in any order;
+    the masses follow them sorted ascending.
     """
     if not pair.a_profile.max_value == pair.v_profile.max_value == 1.0:
         raise ValueError("localization_metrics needs a pair with unit maxima")
@@ -346,12 +343,10 @@ def localization_metrics(
     c_hat_freq = tuple(out * r**gamma / mu for out, r in zip(frq_out, radii_sorted))
 
     return LocalizationMetrics(
-        radii=radii_sorted,
         position_mass_outside=pos_out,
         frequency_mass_outside=frq_out,
         k_form=k_form,
         s_form=s_form,
-        identity_target=target,
         identity_rel_gap=identity_rel,
         c_hat_pos=c_hat_pos,
         c_hat_freq=c_hat_freq,
@@ -493,9 +488,11 @@ def run_sweep(
     Solver non-convergence at an individual (alpha, n) produces a
     flagged record and an inconclusive verdict for the affected index,
     not a crash.  Maxima are normalized to 1 internally (the sandwich
-    scales linearly, so eigenvalues rescale exactly); the report records
-    the rescaling and, from :func:`model_spectrum`, the grid reasoning,
-    the model-solve mode that ran and why :func:`bottom_mode` picked it.
+    scales linearly, so eigenvalues rescale exactly), and every number of
+    a record, its localization included, is converted back to the units
+    of ``pair``.  The report records the rescaling and, from
+    :func:`model_spectrum`, the grid reasoning, the model-solve mode that
+    ran and why :func:`bottom_mode` picked it.
     """
     settings = settings or SweepSettings()
     alphas = alpha_ladder(alphas)
@@ -504,7 +501,6 @@ def run_sweep(
     grid, grid_reasoning, model_mode, model_mode_reason, model_pairs, symbols = model_spectrum(
         norm_pair, alphas, k, settings
     )
-    grid_id = grid.describe()
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]
 
     solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS)
@@ -522,7 +518,6 @@ def run_sweep(
                     lam=float("nan"),
                     scaled_gap=float("nan"),
                     residual=float("nan"),
-                    grid_id=grid_id,
                     converged=False,
                     note=str(exc),
                 )
@@ -534,6 +529,14 @@ def run_sweep(
             loc = localization_metrics(
                 norm_pair, sym, eig, settings.radii, mu=model_pairs[n - 1].value
             )
+            # Back to the units of ``pair``, whose mu is scale times as large.
+            loc = replace(
+                loc,
+                k_form=scale * loc.k_form,
+                s_form=scale * loc.s_form,
+                c_hat_pos=tuple(c / scale for c in loc.c_hat_pos),
+                c_hat_freq=tuple(c / scale for c in loc.c_hat_freq),
+            )
             records.append(
                 SweepRecord(
                     alpha=alpha,
@@ -541,7 +544,6 @@ def run_sweep(
                     lam=lam,
                     scaled_gap=scaled_gap(lam, alpha, pair),
                     residual=scale * eig.residual,
-                    grid_id=grid_id,
                     converged=True,
                     localization=loc,
                     vector=eig.vector if settings.keep_vectors else None,
@@ -580,7 +582,7 @@ def run_sweep(
             "package_version": _pkg_version,
             "rng_seed": settings.solver.rng_seed,
             "solver_tol": settings.solver.tol,
-            "grid": grid_id,
+            "grid": grid.describe(),
             "grid_reasoning": list(grid_reasoning),
             "max_rescaling": scale,
             "model_mode": model_mode.value,
@@ -613,9 +615,7 @@ def verify_limit_law(report: StudyReport) -> list[Verdict]:
 
     def unjudged(n: int, status: VerdictStatus, mu: float, reason: str) -> None:
         nan = float("nan")
-        verdicts.append(
-            Verdict(n, status, mu, nan, nan, False, False, rel_final, rel_extrap, (reason,))
-        )
+        verdicts.append(Verdict(n, status, mu, nan, nan, False, False, (reason,)))
 
     k = max((r.n for r in report.records), default=0)
     for n in range(1, k + 1):
@@ -701,8 +701,6 @@ def verify_limit_law(report: StudyReport) -> list[Verdict]:
                 extrap_rel_err=extrap_rel,
                 monotone_ok=mono_ok,
                 one_sided_ok=one_sided_ok,
-                rel_final=rel_final,
-                rel_extrap=rel_extrap,
                 reasons=tuple(reasons),
             )
         )

@@ -129,21 +129,18 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .grid import StateVector, inner, norm
+from .grid import StateVector
 from .operators import HermitianOperator, _is_even, fourier_multiplier
 
 __all__ = [
     "Mode",
     "SolveSettings",
     "EigenPair",
-    "CertReport",
     "NoConvergenceError",
     "InnerSolveStallError",
     "largest_eigenpairs",
     "smallest_eigenpairs",
     "bottom_mode",
-    "certify",
-    "cluster_eigenvalues",
     "weyl_estimate",
     "DENSE_SIZE_LIMIT",
 ]
@@ -213,20 +210,6 @@ class EigenPair:
     value: float
     vector: StateVector
     residual: float
-
-
-@dataclass(frozen=True)
-class CertReport:
-    norms_ok: bool
-    residuals_ok: bool
-    orthogonality_ok: bool
-    max_norm_deviation: float
-    max_residual: float
-    max_gram_offdiagonal: float
-
-    @property
-    def passed(self) -> bool:
-        return self.norms_ok and self.residuals_ok and self.orthogonality_ok
 
 
 class NoConvergenceError(RuntimeError):
@@ -957,50 +940,3 @@ def smallest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[
     """
     mode, _ = bottom_mode(op, settings.k, settings.mode)
     return _extreme_pairs(op, settings, mode, "smallest")
-
-
-def certify(op: HermitianOperator, pairs: list[EigenPair], tol: float) -> CertReport:
-    """Recompute norms, residuals and pairwise orthogonality from scratch.
-
-    ``tol`` has the same scale-relative meaning as in
-    :class:`SolveSettings`, so pairs returned by a solve at a given
-    tolerance certify at that tolerance.
-    """
-    norm_dev = 0.0
-    max_res = 0.0
-    for pair in pairs:
-        norm_dev = max(norm_dev, abs(norm(pair.vector) - 1.0))
-        applied = op.apply(pair.vector)
-        res_vec = applied.values - pair.value * pair.vector.values
-        max_res = max(
-            max_res, float(np.sqrt(op.grid.cell_volume) * np.linalg.norm(res_vec.ravel()))
-        )
-    gram_off = 0.0
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            gram_off = max(gram_off, abs(inner(pairs[i].vector, pairs[j].vector)))
-    threshold = tol * _operator_scale(op)
-    return CertReport(
-        norms_ok=norm_dev <= 1e-10,
-        residuals_ok=max_res <= threshold,
-        orthogonality_ok=gram_off <= 1e-8,
-        max_norm_deviation=norm_dev,
-        max_residual=max_res,
-        max_gram_offdiagonal=gram_off,
-    )
-
-
-def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
-    """Group indices of eigenvalues that agree within 1e3*tol.
-
-    Degenerate levels (guaranteed by symmetry in d >= 2) are only defined
-    up to rotation inside a cluster, so comparisons should use cluster
-    sums or traces, not individual vectors.
-    """
-    clusters: list[list[int]] = []
-    for i, val in enumerate(values):
-        if clusters and abs(val - values[clusters[-1][-1]]) <= 1e3 * tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters

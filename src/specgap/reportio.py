@@ -26,7 +26,9 @@ The records CSV schema is versioned; its first line is a comment
     pos_mass_out_R<r>..., frq_mass_out_R<r>...
 
 with one mass column per localization radius (ascending), rows ordered
-ladder-first (alpha descending, then n ascending).
+ladder-first (alpha descending, then n ascending).  lambda, scaled_gap,
+residual, k_form and s_form are in the units of the configured pair, so
+k_form + s_form is that row's scaled_gap; the masses are fractions.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def render_report(report_dict: dict) -> str:
         lines.append("extrapolations:")
         for n, e in sorted(extr.items(), key=lambda kv: int(kv[0])):
             lines.append(
-                f"  n={n}: limit={_num(e['limit'], '.8g')} rate={_num(e['rate'], '.3g')} "
+                f"  n={n}: limit={_num(e['limit'], '.8g')} "
                 f"fit_residual={_num(e['fit_residual'], '.2e')}"
                 + ("  [degenerate]" if e.get("degenerate") else "")
             )

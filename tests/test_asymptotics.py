@@ -18,7 +18,6 @@ from specgap import (
     VerdictStatus,
     build_grid,
     build_scaled_operator,
-    cluster_eigenvalues,
     expression_profile,
     extrapolate_limit,
     largest_eigenpairs,
@@ -36,6 +35,7 @@ from specgap.asymptotics import ExtrapolationResult, model_spectrum
 from specgap.cli import main
 from specgap.reportio import render_report, write_report_files
 
+from certification import cluster_eigenvalues
 from conftest import constant_profile
 from test_acceptance import LADDER
 
@@ -64,7 +64,7 @@ class TestExtrapolation:
         result = extrapolate_limit([0.2, 0.1, 0.05, 0.025], [1.0, 3.0, 2.0, 2.5], sigma=1.0)
         assert result.degenerate
         assert result.limit == 2.5  # last point
-        assert np.isnan(result.rate) and np.isnan(result.fit_residual)
+        assert np.isnan(result.fit_residual)
 
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestExtrapolation:
         result = extrapolate_limit([0.2, 0.1, 0.05], [4.0, 4.0, 4.0], sigma=1.0)
         assert result.limit == 4.0
         assert not result.degenerate
-        assert np.isnan(result.rate) and result.fit_residual == 0.0
+        assert result.fit_residual == 0.0
 
     def test_sigma_is_required(self):
         with pytest.raises(TypeError):
@@ -99,7 +99,6 @@ class TestExtrapolation:
         gaps = [2 - 1.5 * a**sigma + 2 * a ** (2 * sigma) for a in alphas]
         result = extrapolate_limit(alphas, gaps, sigma=sigma)
         assert abs(result.limit - 2.0) <= 1e-10
-        assert result.rate == sigma
         assert result.fit_residual <= 1e-12
         assert not result.degenerate
         assert "alpha^sigma" in result.note
@@ -148,7 +147,10 @@ class TestLocalization:
             gaussian_pair, sym, top, radii=(8.0, 2.0, 4.0), mu=np.sqrt(2.0)
         )
         assert sorted_m == shuffled
-        assert sorted_m.radii == (2.0, 4.0, 8.0)
+        # the masses follow the radii ascending, so they fall
+        assert sorted(sorted_m.position_mass_outside, reverse=True) == list(
+            sorted_m.position_mass_outside
+        )
 
     def test_masses_decay_and_identity_holds(self, gaussian_pair, grid_512):
         alpha = 0.05
@@ -205,7 +207,6 @@ def synthetic_report(gaps_by_n, mus, alphas, residual=1e-12, sigma=1.0,
                     lam=1.0 - alpha**sigma * gap,
                     scaled_gap=gap,
                     residual=residual,
-                    grid_id="synthetic",
                     converged=converged,
                 )
             )
@@ -291,13 +292,13 @@ class TestVerdicts:
         assert report.verdicts[1].status is VerdictStatus.INCONCLUSIVE
         assert report.verdicts[1].reasons == ("model eigenvalue unavailable",)
         # n = 2's ladder is not monotone, so its fit is degenerate (NaN
-        # rate), and its verdict errors are NaN: all become null.
+        # fit residual), and its verdict errors are NaN: all become null.
         assert report.extrapolations[2].degenerate
         payload = json.loads(json.dumps(report.to_dict(), allow_nan=False))
-        assert payload["extrapolations"]["2"]["rate"] is None
+        assert payload["extrapolations"]["2"]["fit_residual"] is None
         assert payload["verdicts"][1]["final_rel_err"] is None
         rendered = render_report(payload)
-        assert "rate=n/a" in rendered and "final_err=n/a" in rendered
+        assert "fit_residual=n/a" in rendered and "final_err=n/a" in rendered
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +347,7 @@ class TestRunSweep:
         for r in mini_report.records:
             loc = r.localization
             combined = loc.k_form + loc.s_form
-            assert abs(combined - loc.identity_target) <= 1e-10 * abs(loc.identity_target)
+            assert abs(combined - r.scaled_gap) <= 1e-10 * abs(r.scaled_gap)
 
     def test_first_index_passes(self, mini_report):
         assert mini_report.verdicts[0].status is VerdictStatus.PASS
@@ -400,21 +401,21 @@ class TestRunSweep:
         assert list(payload["model_eigenvalues"][0]) == ["n", "mu", "residual"]
         record = payload["records"][0]
         assert list(record) == [
-            "alpha", "n", "lambda", "scaled_gap", "residual", "grid_id", "converged",
-            "note", "localization",
+            "alpha", "n", "lambda", "scaled_gap", "residual", "converged", "note",
+            "localization",
         ]
         assert list(record["localization"]) == [
-            "radii", "position_mass_outside", "frequency_mass_outside", "k_form",
-            "s_form", "identity_target", "identity_rel_gap", "c_hat_pos", "c_hat_freq",
+            "position_mass_outside", "frequency_mass_outside", "k_form", "s_form",
+            "identity_rel_gap", "c_hat_pos", "c_hat_freq",
         ]
         assert list(payload["extrapolations"]) == ["1", "2"]
         assert list(payload["extrapolations"]["1"]) == [
-            "limit", "rate", "fit_residual", "degenerate", "note",
+            "limit", "fit_residual", "degenerate", "note",
         ]
         verdict = payload["verdicts"][0]
         assert list(verdict) == [
             "n", "status", "mu", "final_rel_err", "extrap_rel_err", "monotone_ok",
-            "one_sided_ok", "rel_final", "rel_extrap", "reasons",
+            "one_sided_ok", "reasons",
         ]
         assert verdict["status"] == "PASS"
 
@@ -501,33 +502,42 @@ class TestRunSweep:
         assert len(load_states(paths["eigenfunctions"])) == 2
 
     def test_pair_with_non_unit_maxima_rescales_exactly(self, gaussian_pair, grid_256):
-        # 3 * Gaussian symbol and 2 * Gaussian weight: A0 * V0^2 = 12
+        # A record is in the units of the pair it was asked about: lambda,
+        # the gap and the forms scale with A0 * V0^2, c_hat (through mu)
+        # inversely, and the masses not at all.
         a, v = gaussian_pair.a_profile, gaussian_pair.v_profile
-        big = make_pair(
-            dataclasses.replace(a, evaluate=lambda p: 3.0 * a.evaluate(p),
-                                principal=lambda p: 3.0 * a.principal(p), max_value=3.0),
-            dataclasses.replace(v, evaluate=lambda p: 2.0 * v.evaluate(p),
-                                principal=lambda p: 2.0 * v.principal(p), max_value=2.0),
-        )
+
+        def times(spec, c):
+            return dataclasses.replace(spec, evaluate=lambda p: c * spec.evaluate(p),
+                                       principal=lambda p: c * spec.principal(p), max_value=c)
+
         settings = SweepSettings(solver=SolveSettings(tol=1e-9), grid=grid_256)
         unit = run_sweep(gaussian_pair, [0.2, 0.1, 0.05], 2, settings)
-        scaled = run_sweep(big, [0.2, 0.1, 0.05], 2, settings)
-        assert scaled.provenance["max_rescaling"] == 12
-        mus = [mu for mu, _ in scaled.model_eigenvalues]
         unit_mus = [mu for mu, _ in unit.model_eigenvalues]
-        np.testing.assert_allclose(mus, 12.0 * np.array(unit_mus), rtol=1e-12, atol=0.0)
-        for r, u in zip(scaled.records, unit.records):
-            assert (r.alpha, r.n) == (u.alpha, u.n)
-            np.testing.assert_allclose([r.lam, r.scaled_gap], [12.0 * u.lam, 12.0 * u.scaled_gap],
-                                       rtol=1e-12, atol=0.0)
-            loc, unit_loc = r.localization, u.localization
-            for name in ("k_form", "s_form", "identity_target"):
-                assert getattr(loc, name) == pytest.approx(getattr(unit_loc, name), rel=1e-12)
-            for name in ("position_mass_outside", "frequency_mass_outside",
-                         "c_hat_pos", "c_hat_freq"):
-                np.testing.assert_allclose(getattr(loc, name), getattr(unit_loc, name),
-                                           rtol=0.0, atol=1e-12)
-            assert loc.identity_rel_gap <= 1e-10
+        for a0, v0 in [(3.0, 2.0), (0.1, 0.3)]:  # A0 * V0^2 = 12 and 0.009
+            big = make_pair(times(a, a0), times(v, v0))
+            scale = a0 * v0**2
+            scaled = run_sweep(big, [0.2, 0.1, 0.05], 2, settings)
+            assert scaled.provenance["max_rescaling"] == scale
+            mus = [mu for mu, _ in scaled.model_eigenvalues]
+            np.testing.assert_allclose(mus, scale * np.array(unit_mus), rtol=1e-12, atol=0.0)
+            for r, u in zip(scaled.records, unit.records):
+                assert (r.alpha, r.n) == (u.alpha, u.n)
+                np.testing.assert_allclose([r.lam, r.scaled_gap],
+                                           [scale * u.lam, scale * u.scaled_gap],
+                                           rtol=1e-12, atol=0.0)
+                loc, unit_loc = r.localization, u.localization
+                assert abs(loc.k_form + loc.s_form - r.scaled_gap) <= 1e-12 * r.scaled_gap
+                for name in ("k_form", "s_form"):
+                    assert getattr(loc, name) == pytest.approx(
+                        scale * getattr(unit_loc, name), rel=1e-12)
+                for name in ("position_mass_outside", "frequency_mass_outside"):
+                    np.testing.assert_allclose(getattr(loc, name), getattr(unit_loc, name),
+                                               rtol=0.0, atol=1e-12)
+                for name in ("c_hat_pos", "c_hat_freq"):
+                    np.testing.assert_allclose(scale * np.array(getattr(loc, name)),
+                                               getattr(unit_loc, name), rtol=0.0, atol=1e-12)
+                assert loc.identity_rel_gap <= 1e-10
 
     @pytest.mark.parametrize(
         "field, value",
@@ -652,3 +662,26 @@ class TestTensorProductOracle:
                 (np.prod(lams) for lams in itertools.product(levels, repeat=3)), reverse=True
             )[int(row["n"]) - 1]
             assert abs(float(row["lambda"]) - exact) <= float(row["residual"]) + 1e-9, row
+
+    def test_shipped_anisotropic_2d_config_verifies_against_the_products(self, tmp_path):
+        # Weight exp(-(x1^2 + 2 x2^2)): an axis with coefficient q has the
+        # 1-D levels lambda_n(alpha * sqrt(q)) and mu = sqrt(2q) * (2n - 1).
+        config = Path(__file__).resolve().parent.parent / "configs" / "aniso_gaussian_2d.ini"
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        mus = [row["mu"] for row in report["model_eigenvalues"]]
+        exact_mus = sorted(np.sqrt(2.0) * (2 * n1 - 1) + 2.0 * (2 * n2 - 1)
+                           for n1 in (1, 2, 3) for n2 in (1, 2, 3))[:3]
+        np.testing.assert_allclose(mus, exact_mus, rtol=0, atol=1e-10)
+        assert [len(c) for c in cluster_eigenvalues(mus, 1e-9)] == [1, 1, 1]
+        assert [v["status"] for v in report["verdicts"]] == ["PASS"] * 3
+        lines = (tmp_path / "records.csv").read_text(encoding="utf-8").splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        alphas = sorted({float(row["alpha"]) for row in rows}, reverse=True)
+        assert alphas == [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+        for row in rows:
+            alpha = float(row["alpha"])
+            axes = [mehler_eigenvalues(alpha * np.sqrt(q), 3) for q in (1.0, 2.0)]
+            exact = sorted((l1 * l2 for l1, l2 in itertools.product(*axes)),
+                           reverse=True)[int(row["n"]) - 1]
+            assert abs(float(row["lambda"]) - exact) <= 1e-12, row

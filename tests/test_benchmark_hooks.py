@@ -7,7 +7,9 @@ names but cannot find is skipped without an error, so a refactor of what
 those modules import would zero its metrics silently; the first test
 pins the set of names that are missing.  A study whose input a new rule
 rejects would turn a benchmark run into a failed operation; the second
-test keeps every study inside the rules."""
+test keeps every study inside the rules.  A change to the model-mode
+policy changes what each workload measures; the third test pins the mode
+every study's model solve runs in."""
 
 import importlib
 import importlib.util
@@ -15,7 +17,8 @@ from pathlib import Path
 
 from specgap.asymptotics import suggest_grid
 from specgap.config import build_profiles, parse_config, sweep_settings
-from specgap.operators import make_scaled_symbols, normalized_pair
+from specgap.eigensolve import Mode, bottom_mode
+from specgap.operators import build_model_operator, make_scaled_symbols, normalized_pair
 from specgap.profiles import validate_profile
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -36,16 +39,53 @@ def test_every_traced_global_exists_except_the_stale_cli_hook():
     assert missing == {("specgap.cli", "suggest_grid")}
 
 
-def test_every_benchmark_study_is_an_input_the_rules_accept(workloads):
+def benchmark_studies(workloads):
+    """Every benchmark study, full size and shrunk, with its parsed config,
+    pair, normalized pair, settings and study grid."""
     for workload in workloads.WORKLOADS:
         for shrink in (False, True):
             for study in workloads.studies(workload, shrink):
                 cfg = parse_config(study.ini)
                 pair = build_profiles(cfg)
-                for spec in (pair.a_profile, pair.v_profile):
-                    assert validate_profile(spec).passed, (study.name, spec.label)
                 norm_pair, _ = normalized_pair(pair)
-                grid = sweep_settings(cfg).grid or suggest_grid(norm_pair, cfg.eigen_count)[0]
-                for alpha in cfg.alphas:
-                    low = make_scaled_symbols(norm_pair, alpha, grid).weight_values.min()
-                    assert low > -norm_pair.v_profile.max_value, (study.name, alpha)
+                settings = sweep_settings(cfg)
+                grid = settings.grid or suggest_grid(norm_pair, cfg.eigen_count)[0]
+                yield study, cfg, pair, norm_pair, settings, grid
+
+
+def test_every_benchmark_study_is_an_input_the_rules_accept(workloads):
+    for study, cfg, pair, norm_pair, _, grid in benchmark_studies(workloads):
+        for spec in (pair.a_profile, pair.v_profile):
+            assert validate_profile(spec).passed, (study.name, spec.label)
+        for alpha in cfg.alphas:
+            low = make_scaled_symbols(norm_pair, alpha, grid).weight_values.min()
+            assert low > -norm_pair.v_profile.max_value, (study.name, alpha)
+
+
+_DENSE_1024 = (Mode.DENSE_FULL, "1024 unknowns <= 1024; parity blocks 513 + 511")
+_DENSE_256 = (Mode.DENSE_FULL, "256 unknowns <= 1024; parity blocks 129 + 127")
+MODEL_MODES = {
+    "gaussian": _DENSE_1024,
+    "custom_expression": _DENSE_1024,
+    "mixed_degree": _DENSE_1024,
+    "gaussian_auto": _DENSE_256,
+    "gaussian_2d_dense": (Mode.LANCZOS, "|A| <= 433.7, Weyl mu_3 ~ 6.92: ratio 62.67 < 500"),
+    "gaussian_2d_iterative": (Mode.LANCZOS,
+                              "|A| <= 715.8, Weyl mu_3 ~ 6.959: ratio 102.9 < 500"),
+    "gaussian-small": _DENSE_256,
+    "custom_expression-small": _DENSE_256,
+    "mixed_degree-small": _DENSE_256,
+    "gaussian_2d_dense-small": (Mode.DENSE_FULL,
+                                "1024 unknowns <= 1024; parity blocks 514 + 510"),
+    "gaussian_2d_iterative-small": (Mode.SHIFT_INVERT_BOTTOM, "set in the config"),
+}
+
+
+def test_every_benchmark_study_runs_its_pinned_model_mode(workloads):
+    # bottom_mode reads the operator's samples and parts; it solves nothing.
+    modes = {
+        study.name: bottom_mode(build_model_operator(norm_pair, grid), cfg.eigen_count,
+                                settings.solver.mode)
+        for study, cfg, _, norm_pair, settings, grid in benchmark_studies(workloads)
+    }
+    assert modes == MODEL_MODES

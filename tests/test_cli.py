@@ -696,12 +696,13 @@ class TestSweepAndVerify:
         assert main(["sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
         lines = (out / "records.csv").read_text().splitlines()
         rows = list(csv.DictReader(lines[1:]))
-        records = json.loads((out / "report.json").read_text())["records"]
+        payload = json.loads((out / "report.json").read_text())
+        records, radii = payload["records"], sorted(payload["config"]["radii"])
         assert len(rows) == len(records) == 3
         for row, record in zip(rows, records):
             loc = record["localization"]
             for r in (8, 2, 4):
-                i = loc["radii"].index(r)
+                i = radii.index(r)
                 assert float(row[f"pos_mass_out_R{r}"]) == pytest.approx(
                     loc["position_mass_outside"][i], rel=1e-6)
                 assert float(row[f"frq_mass_out_R{r}"]) == pytest.approx(

@@ -16,8 +16,6 @@ from specgap import (
     build_model_operator,
     build_multiplier_plus_potential,
     build_scaled_operator,
-    certify,
-    cluster_eigenvalues,
     inner,
     largest_eigenpairs,
     make_catalog_profile,
@@ -29,6 +27,8 @@ from specgap import (
 from specgap import eigensolve
 from specgap.eigensolve import DENSE_SIZE_LIMIT, bottom_mode, materialize_dense, weyl_estimate
 from specgap.operators import HermitianOperator
+
+from certification import certify, cluster_eigenvalues
 
 # frozen two-resolution regression value for the quartic-multiplier model
 # operator op(xi^4) + 2 x^2 on [-30, 30] (no analytic spectrum available)
