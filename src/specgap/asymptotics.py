@@ -485,6 +485,13 @@ def run_sweep(
     c2*alpha^(2*sigma), which assumes the corrections come in integer
     powers of alpha^sigma (see ``extrapolate_limit``).
 
+    Every top solve starts from the k model eigenvectors, which the
+    sweep puts on each sandwich as its ``guess``: they span nearly an
+    invariant subspace of every B_alpha on the study grid, the trial
+    space of the paper's upper bound.  The guess only starts the first
+    Lanczos cycle; the random completeness probe alone vouches that no
+    pair beyond the k found is missed.
+
     Solver non-convergence at an individual (alpha, n) produces a
     flagged record and an inconclusive verdict for the affected index,
     not a crash.  Maxima are normalized to 1 internally (the sandwich
@@ -504,10 +511,11 @@ def run_sweep(
     model_eigenvalues = [(scale * p.value, scale * p.residual) for p in model_pairs]
 
     solve_settings = replace(settings.solver, k=k, mode=Mode.LANCZOS)
+    guess = np.stack([p.vector.values.ravel() for p in model_pairs])
 
     def solve_one(sym: ScaledSymbols) -> list[SweepRecord]:
         alpha = sym.alpha
-        op = build_scaled_operator(norm_pair, alpha, grid, symbols=sym)
+        op = replace(build_scaled_operator(norm_pair, alpha, grid, symbols=sym), guess=guess)
         try:
             pairs = largest_eigenpairs(op, solve_settings)
         except NoConvergenceError as exc:

@@ -12,12 +12,18 @@ Three modes:
   and the cycle basis at once (classical Gram-Schmidt over one 2-D
   array) in one pass, and in a second only when the first cut its norm
   below 1/sqrt(2) of its norm on entry (the Daniel-Gragg-Kaufman-Stewart
-  test).  Every cycle starts from a random vector outside the locked
-  span.  Its basis holds at most a cap of rows that depends only on the
-  grid size and the wanted count: about 2^17 / size, where one more row
-  of reorthogonalization costs about one apply (20 rows at 80^2, 128 at
+  test).  An operator that carries a ``guess`` (flat rows spanning an
+  estimate of the wanted eigenvectors) first runs one block Lanczos
+  cycle on it (Golub & Underwood 1977; Saad 2011, ch. 6): one stacked
+  apply per block step, a dense projected matrix within the cycle cap
+  below, no restart; it locks the k pairs once all their estimates meet
+  the target, else the leading ones that do.  Every other cycle starts
+  from a random vector outside the locked span.  A cycle's basis holds
+  at most a cap of rows that depends only on the grid size and the
+  wanted count: about 2^17 / size, where one more row of
+  reorthogonalization costs about one apply (20 rows at 80^2, 128 at
   N = 1024; a grid of at most 362 unknowns never restarts).  A full basis
-  is restarted in Krylov-Schur fashion (Wu & Simon, SIAM J. Matrix Anal.
+  of a random-start cycle is restarted in Krylov-Schur fashion (Wu & Simon, SIAM J. Matrix Anal.
   Appl. 22, 2000; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001): leading
   wanted pairs that have converged are locked, the other wanted Ritz
   vectors and a quarter of the remaining rows' worth of unwanted ones are
@@ -40,9 +46,12 @@ Three modes:
   step further off than the last gap (Saad, *Numerical Methods for Large
   Eigenvalue Problems*, SIAM 2011, ch. 6).  A full basis and the last
   step of a budget-cut cycle are always tested.  Once k pairs are locked,
-  a completeness probe runs one more cycle.  A value beyond the k-th
-  locked one (a degenerate copy the earlier cycles could not see) is
-  locked and the probe repeats; otherwise the solve is done.
+  a completeness probe runs one more cycle, from a random start.  A value
+  beyond the k-th locked one (a degenerate copy the earlier cycles could
+  not see, or a level the guess missed) is locked and the probe repeats;
+  otherwise the solve is done.  The guess only starts the first cycle:
+  the random probe alone vouches for completeness, and a poor guess costs
+  applies, never a pair.
 * ``DENSE_FULL`` -- materialize the operator and hand it to ``eigh``;
   permitted only up to ``DENSE_SIZE_LIMIT`` unknowns.  An operator whose
   multiplier and potential parts are both even samples commutes with the
@@ -312,6 +321,25 @@ def _project_out(w: np.ndarray, rows: np.ndarray) -> float:
     return nw
 
 
+def _project_block(w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_project_out` for each row of the 2-D stack ``w``, in place:
+    one classical Gram-Schmidt pass over the whole stack, and a second for
+    each row that the first cut below ``_DGKS`` of its norm on entry.
+    Returns the norms left and the coefficients removed: row i lost
+    ``coeffs[i] @ rows``."""
+    entry = np.linalg.norm(w, axis=1)
+    coeffs = w @ rows.conj().T
+    w -= coeffs @ rows
+    norms = np.linalg.norm(w, axis=1)
+    again = np.flatnonzero(norms < _DGKS * entry)
+    if again.size:
+        extra = w[again] @ rows.conj().T
+        w[again] -= extra @ rows
+        coeffs[again] += extra
+        norms[again] = np.linalg.norm(w[again], axis=1)
+    return norms, coeffs
+
+
 class _Rows:
     """Locked vectors followed by the current cycle's basis and its residual
     row, as the rows of one 2-D array with at most one row per grid node."""
@@ -440,7 +468,8 @@ def _restart(rows: _Rows, m: int, alphas: list[float], betas: list[float], want:
 @dataclass
 class _Cycle:
     """What a Lanczos cycle leaves: the leading Ritz values ``theta`` and
-    their tridiagonal eigenvectors ``s_mat`` over the ``m`` basis rows after
+    their eigenvectors ``s_mat`` of the projected matrix (tridiagonal, or
+    dense for a block cycle) over the ``m`` basis rows after
     the locked ones, their residual ``estimates``, whether they are final
     (``converged``), the values it ``locked`` at restarts, and its
     ``steps`` (applies), ``restarts`` and largest ``cap``."""
@@ -544,13 +573,118 @@ def _lanczos_cycle(apply_values, shape, rows: _Rows, rng: np.random.Generator,
                   restarts, cap)
 
 
+def _guess_rows(guess: np.ndarray, dtype) -> np.ndarray:
+    """The rows of ``guess`` as a new ``dtype`` array; float64 rows take
+    the real and then the imaginary part of each complex row."""
+    rows = np.asarray(guess).reshape(len(guess), -1)
+    if np.iscomplexobj(rows) and dtype == np.float64:
+        rows = np.stack([rows.real, rows.imag], axis=1).reshape(-1, rows.shape[1])
+    return rows.astype(dtype)
+
+
+def _block_cycle(apply_values, shape, rows: _Rows, guess: np.ndarray, max_steps: int,
+                 want: int, stop_tol: float) -> _Cycle:
+    """Run block Lanczos (Golub & Underwood, in *Mathematical Software
+    III*, 1977; Saad 2011, ch. 6) from the rows of ``guess``, with full
+    reorthogonalization and no restart, for the ``want`` largest pairs.
+
+    The guess rows, orthonormalized outside the locked rows (dependent
+    ones dropped; at most half the cap of them), form the first block.
+    Each step applies the operator to the newest block in one stacked
+    call, counted as one step per row, and removes from the result its
+    components along the locked rows and the basis with
+    :func:`_project_block`; those over the newest block fill its diagonal
+    block of the projected matrix.  The rest is orthonormalized row by row
+    against the rows it has produced so far (a second pass over every row
+    where that cut one below ``_DGKS`` of its norm); its coefficients
+    couple the next block to the newest one, and a row that falls to 1e-14
+    of the largest entry seen deflates.  The Ritz test solves the dense
+    projected matrix of the ``m <= _cycle_cap(size, want)`` basis rows and
+    estimates the residual of each wanted pair as the norm of the coupling
+    times its last block of coefficients.
+
+    Stops once every estimate is below ``stop_tol`` or the whole block
+    deflated (``converged``), when the next block would take the basis
+    over its cap, or when the next block does not fit in ``max_steps``.
+    The residual rows are not kept, and nothing is locked here."""
+    size = rows.array.shape[1]
+    cap = _cycle_cap(size, want)
+    guess = guess[: cap // 2]
+    rows.reserve(cap + len(guess) - 1, rows.locked)
+    arr, base = rows.array, rows.locked
+    width = 0
+    for row in guess:
+        entry = _norm2(row)
+        left, _ = _project_block(row[None], arr[: base + width])
+        if left[0] > 1e-8 * entry:
+            arr[base + width] = row / left[0]
+            width += 1
+    t_mat = np.zeros((cap, cap), dtype=arr.dtype)
+    theta, s_mat, estimates = np.empty(0), np.empty((0, 0)), np.empty(0)
+    start = m = steps = 0
+    scale = 1.0
+    converged = False
+    while width and steps + width <= max_steps:
+        top = start + width
+        new = base + top
+        applied = apply_values(arr[base + start : new].reshape(width, *shape)).reshape(width, size)
+        steps += width
+        norms, coeffs = _project_block(applied, arr[:new])
+        t_mat[start:top, start:top] = coeffs[:, base + start :].T
+        scale = max(scale, float(np.max(np.abs(np.diag(t_mat)[start:top]))), float(np.max(norms)))
+        # Row i of what is left is coupling[:, i] @ the new rows.
+        coupling = np.zeros((width, width), dtype=arr.dtype)
+        fresh = 0
+        for i, w in enumerate(applied):
+            left = norms[i]
+            if fresh:
+                coupling[:fresh, i] = arr[new : new + fresh].conj() @ w
+                w -= coupling[:fresh, i] @ arr[new : new + fresh]
+                left = _norm2(w)
+                if left < _DGKS * norms[i]:
+                    again, extra = _project_block(w[None], arr[: new + fresh])
+                    coupling[:fresh, i] += extra[0, new:]
+                    left = again[0]
+            if left > 1e-14 * scale and new + fresh < len(arr):
+                arr[new + fresh] = w / left
+                coupling[fresh, i] = left
+                fresh += 1
+        m = top
+        count = min(m, want)
+        theta, s_mat = sla.eigh(t_mat[:m, :m], subset_by_index=[m - count, m - 1])
+        theta, s_mat = theta[::-1], s_mat[:, ::-1]
+        estimates = np.linalg.norm(coupling[:fresh] @ s_mat[start:top], axis=0)
+        if not fresh or (count == want and np.max(estimates) < stop_tol):
+            converged = True
+            break
+        if top + fresh > cap:
+            break
+        t_mat[top : top + fresh, start:top] = coupling[:fresh]
+        start, width = top, fresh
+    return _Cycle(theta, s_mat, m, estimates, converged, [], steps, 0, cap)
+
+
+def _lock(rows: _Rows, theta: np.ndarray, s_mat: np.ndarray, m: int,
+          values: list[float]) -> None:
+    """Lock the Ritz pairs (``theta``, the columns of ``s_mat``) over the
+    ``m`` basis rows after the locked ones, appending their values."""
+    basis = rows.array[rows.locked : rows.locked + m]
+    for y, value in zip(s_mat.T @ basis, theta):
+        rows.lock(y / _norm2(y))
+        values.append(float(value))
+
+
 def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSettings,
                      lock_tol: float):
     """Return the locked rows, at least ``settings.k`` of them, that span
     the k largest eigenvectors of the Hermitian operator ``apply_values``
     on the grid of ``op`` (``op`` itself, -``op`` or an inverse of it).
 
-    Every cycle, main or probe, may take the rest of the budget of
+    When ``op`` carries a ``guess``, :func:`_block_cycle` runs on it first,
+    with the whole budget, and the leading pairs whose estimates meet
+    ``_CONVERGED * lock_tol`` are locked (all k when it converged); the
+    random-start cycles below then take what is left.  Every cycle, main
+    or probe, may take the rest of the budget of
     ``max_iterations`` applies, with a basis capped by
     :func:`_cycle_cap`.  One that converged (estimates below
     ``_CONVERGED * lock_tol``, breakdown, or the whole complement spanned)
@@ -569,6 +703,14 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
     locked_vals: list[float] = []
     steps = restarts = cap = 0
     estimates = ()
+    stop_tol = _CONVERGED * lock_tol
+    if op.guess is not None:
+        cycle = _block_cycle(apply_values, shape, rows, _guess_rows(op.guess, rows.array.dtype),
+                             settings.max_iterations, k, stop_tol)
+        steps, cap, estimates = cycle.steps, min(cycle.cap, size), cycle.estimates
+        # The leading pairs whose estimates meet the target.
+        done = int(np.argmin(np.append(estimates < stop_tol, False)))
+        _lock(rows, cycle.theta[:done], cycle.s_mat[:, :done], cycle.m, locked_vals)
 
     while True:
         probe = len(locked_vals) >= k
@@ -584,7 +726,7 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
             )
         want = 1 if probe else k - len(locked_vals)
         cycle = _lanczos_cycle(apply_values, shape, rows, rng, settings.max_iterations - steps,
-                               want, _CONVERGED * lock_tol)
+                               want, stop_tol)
         steps += cycle.steps
         restarts += cycle.restarts
         cap = max(cap, min(cycle.cap, size))
@@ -594,10 +736,7 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
             continue  # cut by the step budget
         if probe and cycle.theta[0] <= sorted(locked_vals, reverse=True)[k - 1] + lock_tol:
             break
-        basis = rows.array[rows.locked : rows.locked + cycle.m]
-        for y, value in zip(cycle.s_mat.T @ basis, cycle.theta):
-            rows.lock(y / _norm2(y))
-            locked_vals.append(float(value))
+        _lock(rows, cycle.theta, cycle.s_mat, cycle.m, locked_vals)
 
     return rows.array[: rows.locked]
 
@@ -844,7 +983,11 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
     """The k largest eigenpairs, descending, pairwise orthogonal.
 
     Default mode is restarted Lanczos with full reorthogonalization;
-    ``DENSE_FULL`` is available as an oracle on small grids.  Raises
+    ``DENSE_FULL`` is available as an oracle on small grids and ignores
+    ``op.guess``.  A Lanczos solve of an operator with a ``guess`` starts
+    with one block cycle on it; only the random completeness probe after
+    it vouches that no pair is missed, so the guess changes the applies,
+    not what is certified.  Raises
     ``ValueError`` for shift-invert or for k above the grid size, and
     :class:`NoConvergenceError` when the iteration budget runs out.
     """

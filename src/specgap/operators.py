@@ -78,6 +78,15 @@ class HermitianOperator:
     on the lattice, so the operator maps real vectors to real vectors and
     solvers may work in float64.
 
+    ``guess`` is another hint: flat rows, shape ``(rows, grid.size)``,
+    that span an estimate of the eigenvectors a solve wants.  The Lanczos
+    modes start their first cycle from it (a real operator takes the real
+    and imaginary parts of a complex guess); the random completeness probe
+    that follows, and the certification, do not read it, so a poor guess
+    costs applies but never changes what is certified.  No builder sets
+    it; :func:`~specgap.asymptotics.run_sweep` puts the model eigenvectors
+    on every sandwich it solves.
+
     ``apply_values`` takes an array of shape ``(..., *grid.shape)``: one
     grid function, or a stack of them along the leading axes.  The
     operators built here transform over the trailing grid axes only, so
@@ -91,6 +100,7 @@ class HermitianOperator:
     multiplier_part: np.ndarray | None = None
     potential_part: np.ndarray | None = None
     real: bool = False
+    guess: np.ndarray | None = None
 
     def apply(self, u: StateVector) -> StateVector:
         if u.grid != self.grid:

@@ -637,6 +637,30 @@ class TestTensorProductOracle:
             )
             assert [len(c) for c in cluster_eigenvalues(values, tol)] == sizes
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_sweep_whose_guess_ends_inside_a_level_matches_the_products(self, seed):
+        # The d2-inside case through run_sweep: its k = 5 model eigenvectors,
+        # the guess of every top solve, hold two of the three copies of the
+        # third level.
+        pair = make_pair(
+            make_catalog_profile("gaussian_power", [2], 2),
+            make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V),
+        )
+        tol = 1e-11
+        settings = SweepSettings(solver=SolveSettings(tol=tol, rng_seed=seed),
+                                 grid=build_grid(2, 48, 7.0))
+        report = run_sweep(pair, LADDER, 5, settings)
+        for alpha in LADDER:
+            levels = mehler_eigenvalues(alpha, 5)
+            exact = sorted(
+                (np.prod(lams) for lams in itertools.product(levels, repeat=2)), reverse=True
+            )[:5]
+            values = [r.lam for r in report.records if r.alpha == alpha]
+            np.testing.assert_allclose(
+                1.0 - np.array(values), 1.0 - np.array(exact), rtol=1e-9, atol=0.0
+            )
+            assert [len(c) for c in cluster_eigenvalues(values, tol)] == [1, 2, 2]
+
     def test_d2_sweep_passes_with_the_model_sums(self):
         # Model levels are sums of the 1-D sqrt(2)*(2n - 1): 2*sqrt(2) and
         # the doubled 4*sqrt(2).

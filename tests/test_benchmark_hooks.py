@@ -9,13 +9,18 @@ pins the set of names that are missing.  A study whose input a new rule
 rejects would turn a benchmark run into a failed operation; the second
 test keeps every study inside the rules.  A change to the model-mode
 policy changes what each workload measures; the third test pins the mode
-every study's model solve runs in."""
+every study's model solve runs in.  The top solves start from a guess
+that the sweep puts on each operator, after the hooks have replaced its
+apply; the last test checks that a traced sweep takes exactly the top
+solve applies of an untraced one."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
-from specgap.asymptotics import suggest_grid
+from specgap import asymptotics
+from specgap.asymptotics import run_sweep, suggest_grid
 from specgap.config import build_profiles, parse_config, sweep_settings
 from specgap.eigensolve import Mode, bottom_mode
 from specgap.operators import build_model_operator, make_scaled_symbols, normalized_pair
@@ -24,10 +29,15 @@ from specgap.profiles import validate_profile
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_every_traced_global_exists_except_the_stale_cli_hook():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_global_exists_except_the_stale_cli_hook():
+    spans = load_spans()
     missing = {
         (module, name)
         for module, names in spans.PATCHES.items()
@@ -89,3 +99,38 @@ def test_every_benchmark_study_runs_its_pinned_model_mode(workloads):
         for study, cfg, _, norm_pair, settings, grid in benchmark_studies(workloads)
     }
     assert modes == MODEL_MODES
+
+
+def test_a_traced_sweep_takes_the_top_solve_applies_of_an_untraced_one(workloads, monkeypatch):
+    spans = load_spans()
+    (study,) = workloads.studies("verify-iterative", shrink=True)
+    cfg = parse_config(study.ini)
+    pair, settings = build_profiles(cfg), sweep_settings(cfg)
+
+    def sweep():
+        return run_sweep(pair, cfg.alphas, cfg.eigen_count, settings)
+
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        root = tracer.begin(spans.STUDY)
+        sweep()
+        tracer.end(root)
+    layers = spans.layer_metrics(tracer.take())
+    traced = layers["eigensolve.top_applies_per_pair"] * cfg.eigen_count * len(cfg.alphas)
+
+    calls = [0]
+    build = asymptotics.build_scaled_operator
+
+    def counted_build(*args, **kwargs):
+        op = build(*args, **kwargs)
+
+        def apply_values(values):
+            calls[0] += 1
+            return op.apply_values(values)
+
+        return dataclasses.replace(op, apply_values=apply_values)
+
+    monkeypatch.setattr(asymptotics, "build_scaled_operator", counted_build)
+    sweep()
+    # The sandwiches are applied only inside their top solves.
+    assert calls[0] == traced

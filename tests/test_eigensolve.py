@@ -225,6 +225,83 @@ class TestCompleteness:
         assert certify(op, pairs, tol).passed
 
 
+class TestGuessedStart:
+    """An operator's ``guess`` starts one block Lanczos cycle; the random
+    probe and the certification that follow do not read it.  The d=2
+    Gaussian sandwich on 32^2 has the top levels 1, 2, 3 with
+    multiplicities 1, 2, 3, like its model operator."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def sandwich_and_model_vectors(alpha):
+        pair = make_pair(
+            make_catalog_profile("gaussian_power", [2], 2),
+            make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V),
+        )
+        grid = build_grid(2, 32, 6.0)
+        model = smallest_eigenpairs(build_model_operator(pair, grid),
+                                    SolveSettings(k=6, tol=1e-9, mode=Mode.DENSE_FULL))
+        return build_scaled_operator(pair, alpha, grid), [p.vector.values.ravel() for p in model]
+
+    @staticmethod
+    def guess(kind, vectors):
+        if kind == "model span":
+            return np.stack(vectors[:3])
+        if kind == "one copy dropped":
+            return np.stack(vectors[:2])
+        if kind == "wrong states":
+            return np.stack(vectors[3:6])
+        if kind == "complex span":  # real and imaginary parts are the same span
+            return np.stack(vectors[:3]) * np.exp(0.3j)
+        return np.random.default_rng(4).standard_normal((3, len(vectors[0])))
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.025])
+    @pytest.mark.parametrize(
+        "kind", ["model span", "one copy dropped", "wrong states", "complex span", "random"]
+    )
+    def test_completeness_does_not_rest_on_the_guess(self, kind, alpha):
+        op, vectors = self.sandwich_and_model_vectors(alpha)
+        settings = SolveSettings(k=3, tol=self.TOL)
+        plain, plain_calls = counting(op)
+        guessed, guessed_calls = counting(dataclasses.replace(op, guess=self.guess(kind, vectors)))
+        expected = [p.value for p in largest_eigenpairs(plain, settings)]
+        pairs = largest_eigenpairs(guessed, settings)
+        values = [p.value for p in pairs]
+        threshold = self.TOL * max(1.0, abs(op.upper_bound))
+        np.testing.assert_allclose(values, expected, rtol=0, atol=threshold)
+        assert [len(c) for c in cluster_eigenvalues(values, self.TOL)] == [
+            len(c) for c in cluster_eigenvalues(expected, self.TOL)
+        ] == [1, 2]
+        assert certify(op, pairs, self.TOL).passed
+        if kind in ("model span", "complex span"):
+            # 28 against 36 applies at alpha = 0.2, 39 against 89 at 0.025.
+            assert guessed_calls[0] < plain_calls[0]
+
+    def test_an_identical_guess_gives_bit_identical_pairs(self):
+        op, vectors = self.sandwich_and_model_vectors(0.1)
+        op = dataclasses.replace(op, guess=np.stack(vectors[:3]))
+        settings = SolveSettings(k=3, tol=self.TOL, rng_seed=99)
+        first = largest_eigenpairs(op, settings)
+        second = largest_eigenpairs(op, settings)
+        assert [p.value for p in first] == [p.value for p in second]
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.vector.values, b.vector.values)
+
+    def test_a_budget_below_the_block_cycle_names_the_steps(self):
+        # Two blocks of three rows fit in 7 steps and a third does not; the
+        # random cycle after it takes the last step.
+        op, vectors = self.sandwich_and_model_vectors(0.1)
+        op, calls = counting(dataclasses.replace(op, guess=np.stack(vectors[:3])))
+        with pytest.raises(NoConvergenceError) as exc_info:
+            largest_eigenpairs(op, SolveSettings(k=3, tol=self.TOL, max_iterations=7))
+        assert str(exc_info.value) == (
+            "scaled-sandwich(alpha=0.1): no convergence after 7 Lanczos steps "
+            "(restarts: 0, basis cap: 128 rows; 0/3 pairs certified)"
+        )
+        assert calls[0] == 7
+
+
 class TestReorthogonalization:
     """``_project_out`` runs one classical Gram-Schmidt pass, and a second
     only when the first cut the vector below 1/sqrt(2) of its norm on entry
