@@ -489,8 +489,8 @@ def run_sweep(
     sweep puts on each sandwich as its ``guess``: they span nearly an
     invariant subspace of every B_alpha on the study grid, the trial
     space of the paper's upper bound.  The guess only starts the first
-    Lanczos cycle; the random completeness probe alone vouches that no
-    pair beyond the k found is missed.
+    Lanczos cycle, a band cycle k rows wide; the random completeness
+    probe alone vouches that no pair beyond the k found is missed.
 
     Solver non-convergence at an individual (alpha, n) produces a
     flagged record and an inconclusive verdict for the affected index,

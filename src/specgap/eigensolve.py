@@ -3,55 +3,62 @@
 Three modes:
 
 * ``LANCZOS`` -- Lanczos with full reorthogonalization and thick
-  restarts, with deflation of converged pairs until the requested extreme
-  eigenpairs are certified.  It serves both ends of the spectrum: the
-  largest pairs of A, and the smallest as the largest of -A.  Grid
-  sizes here are modest, so full (not selective) reorthogonalization is
-  used throughout; ghost eigenvalues would poison an asymptotic sweep.
-  Each new Krylov vector is orthogonalized against the locked vectors
-  and the cycle basis at once (classical Gram-Schmidt over one 2-D
-  array) in one pass, and in a second only when the first cut its norm
-  below 1/sqrt(2) of its norm on entry (the Daniel-Gragg-Kaufman-Stewart
-  test).  An operator that carries a ``guess`` (flat rows spanning an
-  estimate of the wanted eigenvectors) first runs one block Lanczos
-  cycle on it (Golub & Underwood 1977; Saad 2011, ch. 6): one stacked
-  apply per block step, a dense projected matrix within the cycle cap
-  below, no restart; it locks the k pairs once all their estimates meet
-  the target, else the leading ones that do.  Every other cycle starts
-  from a random vector outside the locked span.  A cycle's basis holds
+  restarts, with deflation of converged pairs until the requested
+  extreme eigenpairs are certified.  It serves both ends of the
+  spectrum: the largest pairs of A, and the smallest as the largest of
+  -A.  Grid sizes here are modest, so full (not selective)
+  reorthogonalization is used throughout; ghost eigenvalues would poison
+  an asymptotic sweep.  Each new Krylov vector is orthogonalized against
+  the locked vectors and the cycle basis at once (classical Gram-Schmidt
+  over one 2-D array) in one pass, and in a second only when the first
+  cut its norm below 1/sqrt(2) of its norm on entry (the
+  Daniel-Gragg-Kaufman-Stewart test).  Every cycle runs band Lanczos
+  (Ruhe, *Math. Comp.* 33, 1979) from its start rows: one random row
+  outside the locked span, or, for the first cycle of an operator that
+  carries a ``guess`` (flat rows spanning an estimate of the wanted
+  eigenvectors), the guess rows outside it, at most half the cycle's cap
+  of them.  One basis row enters per step, with the same arithmetic for
+  every start; a start of b rows couples each row to the b before it, so
+  the projected matrix is banded (tridiagonal for one row), and the rows
+  not yet applied go through one stacked apply.  A cycle's basis holds
   at most a cap of rows that depends only on the grid size and the
   wanted count: about 2^17 / size, where one more row of
   reorthogonalization costs about one apply (20 rows at 80^2, 128 at
-  N = 1024; a grid of at most 362 unknowns never restarts).  A full basis
-  of a random-start cycle is restarted in Krylov-Schur fashion (Wu & Simon, SIAM J. Matrix Anal.
-  Appl. 22, 2000; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001): leading
-  wanted pairs that have converged are locked, the other wanted Ritz
-  vectors and a quarter of the remaining rows' worth of unwanted ones are
-  kept with the residual vector, and the kept vectors are rotated into a
-  Lanczos chain, so the projected matrix stays tridiagonal.  Where the
-  rate at which the estimates fall across restarts would not reach the
-  target within the whole complement of the locked span, or within half
-  the remaining budget, the cap doubles instead; at the complement the
-  cycle is plain Lanczos, exact over the complement.  One test ends a
-  cycle and decides what it locks: once the Ritz residual estimates
-  beta_m*|s_m,i| of the wanted pairs are below a tenth of the lock
-  tolerance (or on breakdown, or over the whole complement) it locks all
-  of them; cut by the step budget, it locks only what its restarts
+  N = 1024; a grid of at most 362 unknowns never restarts).  A cycle from
+  several rows does not restart: once its basis is full or the budget is
+  spent, it locks the leading wanted pairs whose estimates meet the
+  target.  A full basis of a one-row cycle is restarted in Krylov-Schur
+  fashion (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000; Stewart,
+  SIAM J. Matrix Anal. Appl. 23, 2001): leading wanted pairs that
+  have converged are locked, the other wanted Ritz vectors and a quarter
+  of the remaining rows' worth of unwanted ones are kept with the
+  residual vector, and the kept vectors are rotated into a Lanczos
+  chain, so the projected matrix stays tridiagonal.  Where the rate at
+  which the estimates fall across restarts would not reach the target
+  within the whole complement of the locked span, or within half the
+  remaining budget, the cap doubles instead; at the complement the cycle
+  is plain Lanczos, exact over the complement.  One test ends a cycle
+  and decides what it locks: once the Ritz residual estimates of the
+  wanted pairs (the norms of their couplings to the rows after the
+  basis, beta_m*|s_m,i| for one row) are below a tenth of the lock
+  tolerance (or once the basis spans an invariant subspace, the whole
+  complement at most) it locks all of them; cut by the step budget, it
+  locks only what its restarts, or its full basis of several rows,
   locked.  With full reorthogonalization the estimates are the residuals
   up to rounding (Parlett 1998); the certification below is the one
-  explicit residual check.  The test solves the tridiagonal Ritz problem,
-  so it runs on a schedule, not at every step: the estimates fall about
-  geometrically, and a failed test puts the next one half way to the step
-  where the rate since the test before reaches the target, at most one
-  step further off than the last gap (Saad, *Numerical Methods for Large
-  Eigenvalue Problems*, SIAM 2011, ch. 6).  A full basis and the last
-  step of a budget-cut cycle are always tested.  Once k pairs are locked,
-  a completeness probe runs one more cycle, from a random start.  A value
-  beyond the k-th locked one (a degenerate copy the earlier cycles could
-  not see, or a level the guess missed) is locked and the probe repeats;
-  otherwise the solve is done.  The guess only starts the first cycle:
-  the random probe alone vouches for completeness, and a poor guess costs
-  applies, never a pair.
+  explicit residual check.  The test solves the banded Ritz problem, so
+  it runs on a schedule, not at every step: the estimates fall about
+  geometrically, and a failed test puts the next one half way to the
+  step where the rate since the test before reaches the target, at most
+  one step further off than the last gap (Saad, *Numerical Methods for
+  Large Eigenvalue Problems*, SIAM 2011, ch. 6).  A full basis and the
+  last step of a budget-cut cycle are always tested.  Once k pairs are
+  locked, a completeness probe runs one more cycle, from a random start.
+  A value beyond the k-th locked one (a degenerate copy the earlier
+  cycles could not see, or a level the guess missed) is locked and the
+  probe repeats; otherwise the solve is done.  The guess only starts the
+  first cycle: the random probe alone vouches for completeness, and a
+  poor guess costs applies, never a pair.
 * ``DENSE_FULL`` -- materialize the operator and hand it to ``eigh``;
   permitted only up to ``DENSE_SIZE_LIMIT`` unknowns.  An operator whose
   multiplier and potential parts are both even samples commutes with the
@@ -253,7 +260,8 @@ class InnerSolveStallError(NoConvergenceError):
 # ---------------------------------------------------------------------------
 
 # A cycle stops and locks its wanted Ritz pairs once every residual estimate
-# beta_m * |s_{m,i}| is below this fraction of the lock tolerance.
+# (beta_m * |s_{m,i}| in a one-row cycle) is below this fraction of the lock
+# tolerance.
 _CONVERGED = 0.1
 # The Daniel-Gragg-Kaufman-Stewart test (Math. Comp. 30, 1976; Parlett,
 # *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 6): a classical
@@ -294,13 +302,12 @@ def _cycle_cap(size: int, want: int) -> int:
     return max(2 * want + 10, _CAP_AREA // size)
 
 
-def _vdot(a: np.ndarray, b: np.ndarray):
-    # A numpy scalar, so a real Krylov basis stays real.
-    return np.vdot(a.ravel(), b.ravel())
-
-
 def _norm2(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a.ravel()))
+    # np.linalg.norm's own arithmetic, without its argument handling.
+    a = a.ravel()
+    if a.dtype.kind == "c":
+        return math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+    return math.sqrt(a.dot(a))
 
 
 def _project_out(w: np.ndarray, rows: np.ndarray) -> float:
@@ -321,36 +328,18 @@ def _project_out(w: np.ndarray, rows: np.ndarray) -> float:
     return nw
 
 
-def _project_block(w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_project_out` for each row of the 2-D stack ``w``, in place:
-    one classical Gram-Schmidt pass over the whole stack, and a second for
-    each row that the first cut below ``_DGKS`` of its norm on entry.
-    Returns the norms left and the coefficients removed: row i lost
-    ``coeffs[i] @ rows``."""
-    entry = np.linalg.norm(w, axis=1)
-    coeffs = w @ rows.conj().T
-    w -= coeffs @ rows
-    norms = np.linalg.norm(w, axis=1)
-    again = np.flatnonzero(norms < _DGKS * entry)
-    if again.size:
-        extra = w[again] @ rows.conj().T
-        w[again] -= extra @ rows
-        coeffs[again] += extra
-        norms[again] = np.linalg.norm(w[again], axis=1)
-    return norms, coeffs
-
-
 class _Rows:
-    """Locked vectors followed by the current cycle's basis and its residual
-    row, as the rows of one 2-D array with at most one row per grid node."""
+    """Locked vectors followed by the current cycle's basis rows, those
+    taken and then those not yet taken, as the rows of one 2-D array
+    with at most one row per grid node."""
 
     def __init__(self, size: int, dtype):
         self.array = np.empty((0, size), dtype=dtype)
         self.locked = 0
 
     def reserve(self, cap: int, used: int) -> None:
-        """Make room for a basis of ``cap`` rows and its residual row after
-        the locked ones; a larger array keeps the first ``used`` rows."""
+        """Make room for ``cap`` basis rows and one more row after the
+        locked ones; a larger array keeps the first ``used`` rows."""
         count = min(self.locked + cap + 1, self.array.shape[1])
         if count > len(self.array):
             grown = np.empty((count, self.array.shape[1]), dtype=self.array.dtype)
@@ -362,29 +351,52 @@ class _Rows:
         self.array[self.locked] = y
         self.locked += 1
 
-    def start(self, rng: np.random.Generator) -> None:
-        """Make a random vector minus its locked components the first basis
-        row.  Real rows get a real start, which keeps the iteration real."""
-        size = self.array.shape[1]
-        for _ in range(20):
-            v = rng.standard_normal(size)
-            if np.iscomplexobj(self.array):
-                v = v + 1j * rng.standard_normal(size)
-            nw = _project_out(v, self.array[: self.locked])
-            if nw > 1e-8:
-                self.array[self.locked] = v / nw
-                return
-        raise NoConvergenceError("could not generate a start vector outside the locked span")
+    def start(self, candidates: np.ndarray) -> int:
+        """Orthonormalize the flat ``candidates`` rows, in place and in
+        order, outside the locked rows into the first basis rows, dropping
+        each one that keeps at most 1e-8 of its norm; return how many are
+        kept."""
+        kept = 0
+        for row in candidates:
+            entry = _norm2(row)
+            left = _project_out(row, self.array[: self.locked + kept])
+            if left > 1e-8 * entry:
+                self.array[self.locked + kept] = row / left
+                kept += 1
+        return kept
 
 
-def _leading_ritz(alphas: list[float], betas: list[float], count: int):
-    """The ``count`` largest eigenvalues (descending) of the Lanczos
-    tridiagonal matrix and their eigenvectors as columns."""
-    m = len(alphas)
-    theta, s_mat = sla.eigh_tridiagonal(
-        np.array(alphas), np.array(betas[: m - 1]), select="i", select_range=(m - count, m - 1)
-    )
+def _leading_ritz(band: np.ndarray, count: int):
+    """The ``count`` largest eigenvalues (descending) of the projected
+    matrix T over m basis rows, given as its lower band of m columns,
+    band[d, j] = T[j + d, j], and their eigenvectors as columns.
+
+    A tridiagonal T, the band of every single-vector cycle, goes to
+    ``eigh_tridiagonal``.  ``eig_banded`` is faster per call on it (29
+    against 39 us at m = 20, one BLAS thread), but its values and vectors
+    differ in the last bits, and those reach every model solve's mu."""
+    m = band.shape[1]
+    select = {"select": "i", "select_range": (m - count, m - 1)}
+    if len(band) == 2:
+        theta, s_mat = sla.eigh_tridiagonal(band[0], band[1, : m - 1], **select)
+    else:  # m columns hold at most m diagonals
+        theta, s_mat = sla.eig_banded(band[:m], lower=True, **select)
     return theta[::-1], s_mat[:, ::-1]
+
+
+def _estimates(band: np.ndarray, m: int, top: int, s_mat: np.ndarray) -> np.ndarray:
+    """The residual estimates of the Ritz vectors whose coefficients over
+    the first ``m`` basis rows are the columns of ``s_mat``: the norms of
+    their couplings, through the lower ``band`` of T (as in
+    :func:`_leading_ritz`), to the basis rows m to top - 1 (Ruhe, *Math.
+    Comp.* 33, 1979); beta_m * |s_m,i| for a tridiagonal band."""
+    b = len(band) - 1
+    if b == 1:
+        return band[1, m - 1] * np.abs(s_mat[-1])
+    cols = np.arange(max(0, m - b), m)
+    d = np.arange(m, top)[:, None] - cols  # T[i, c] is band[d, c] where d <= b
+    coupling = np.where(d <= b, band[np.minimum(d, b), cols], 0)
+    return np.linalg.norm(coupling @ s_mat[cols[0] :], axis=0)
 
 
 def _chain(theta: np.ndarray, coupling: np.ndarray):
@@ -402,7 +414,7 @@ def _chain(theta: np.ndarray, coupling: np.ndarray):
     arrow[0, 1:] = arrow[1:, 0] = coupling
     h, q = sla.hessenberg(arrow, calc_q=True)
     off = np.diag(h, -1)
-    return q[1:, :0:-1], np.diag(h)[:0:-1].tolist(), np.append(off[:0:-1], off[0]).tolist()
+    return q[1:, :0:-1], np.diag(h)[:0:-1], np.append(off[:0:-1], off[0])
 
 
 def _test_gap(last_step: int, last_worst: float, step: int, worst: float,
@@ -440,39 +452,39 @@ def _stalls(first, step: int, best: float, stop_tol: float, cap: int, limit: int
     return rate <= 0 or step + math.log(best / stop_tol) / rate > limit
 
 
-def _restart(rows: _Rows, m: int, alphas: list[float], betas: list[float], want: int,
-             stop_tol: float):
+def _restart(rows: _Rows, m: int, band: np.ndarray, want: int, stop_tol: float):
     """Thick-restart a full basis: the ``m`` rows after the locked ones,
-    whose tridiagonal matrix has diagonal ``alphas`` and off-diagonal
-    ``betas`` (the last entry couples row m to the residual row after it).
+    whose tridiagonal matrix has the diagonal ``band[0, :m]`` and the
+    off-diagonal ``band[1, :m]`` (its last entry couples row m to the
+    residual row after it).
 
     Locks the leading wanted Ritz pairs whose estimates meet ``stop_tol``
     and keeps the next wanted ones and ``_KEEP`` of the other rows as
-    unwanted ones, rotated into a chain by :func:`_chain`, with the
-    residual row moved up behind them.  Returns the locked values and the
-    chain's diagonal and off-diagonal."""
+    unwanted ones, rotated into a chain by :func:`_chain` whose band
+    overwrites the first columns of ``band``, with the residual row moved
+    up behind them.  Returns the locked values and the chain's length."""
     keep = want + int(_KEEP * (m - want))
-    theta, s_mat = _leading_ritz(alphas, betas, keep)
-    coupling = betas[-1] * s_mat[-1]
+    theta, s_mat = _leading_ritz(band[:, :m], keep)
+    coupling = band[1, m - 1] * s_mat[-1]
     # The first unmet estimate; the Ritz test before found one.
     done = int(np.argmin(np.abs(coupling[:want]) < stop_tol))
-    u, alphas, betas = _chain(theta[done:], coupling[done:])
+    u, band[0, : keep - done], band[1, : keep - done] = _chain(theta[done:], coupling[done:])
     arr, base = rows.array, rows.locked
     turn = np.concatenate([s_mat[:, :done], s_mat[:, done:] @ u], axis=1)
     arr[base : base + keep] = turn.T @ arr[base : base + m]
     arr[base + keep] = arr[base + m]
     rows.locked += done
-    return theta[:done].tolist(), alphas, betas
+    return theta[:done].tolist(), keep - done
 
 
 @dataclass
 class _Cycle:
     """What a Lanczos cycle leaves: the leading Ritz values ``theta`` and
-    their eigenvectors ``s_mat`` of the projected matrix (tridiagonal, or
-    dense for a block cycle) over the ``m`` basis rows after
-    the locked ones, their residual ``estimates``, whether they are final
-    (``converged``), the values it ``locked`` at restarts, and its
-    ``steps`` (applies), ``restarts`` and largest ``cap``."""
+    their eigenvectors ``s_mat`` of the banded projected matrix over the
+    ``m`` basis rows after the locked ones, their residual ``estimates``,
+    whether they are final (``converged``), the values it ``locked`` on its
+    own (at restarts, or at the end of a wide start), and its ``steps``
+    (applies), ``restarts`` and largest ``cap``."""
 
     theta: np.ndarray
     s_mat: np.ndarray
@@ -485,92 +497,135 @@ class _Cycle:
     cap: int
 
 
-def _lanczos_cycle(apply_values, shape, rows: _Rows, rng: np.random.Generator,
-                   max_steps: int, want: int, stop_tol: float) -> _Cycle:
-    """Run Lanczos from a random start outside the locked rows,
-    reorthogonalizing each new vector against the locked rows and the basis
-    so far, with thick restarts (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
-    2000; Stewart's Krylov-Schur form, SIAM J. Matrix Anal. Appl. 23, 2001).
+def _lanczos_cycle(apply_values, shape, rows: _Rows, start: np.ndarray, max_steps: int,
+                   want: int, stop_tol: float) -> _Cycle:
+    """Run band Lanczos (Ruhe, *Math. Comp.* 33, 1979) from the flat
+    ``start`` rows, reorthogonalizing each new vector against the locked
+    rows and the basis so far.
+
+    :meth:`_Rows.start` orthonormalizes at most half the cap of the start
+    rows outside the locked ones; the number b it keeps is the band
+    width, and a start of one row is single-vector Lanczos.  Each step
+    takes the next basis row q: alpha = <q, A q>; from A q - alpha q it
+    removes the known couplings to the b rows before q, and records and
+    removes the coefficients along the rows after q that are already in
+    the basis; :func:`_project_out` then leaves the next basis row.  A
+    new row that keeps at most 1e-14 of the largest entry seen, or that
+    the complement of the locked rows has no room for, narrows the band;
+    once no row is left to take, the basis spans an invariant subspace.
+    When every applied row is taken, the basis rows not yet applied go
+    through one stacked apply, as many as fit in the cap and in
+    ``max_steps``; each counts as one step.  The projected matrix T is
+    kept as its lower band; for b = 1 its rows 0 and 1 are the Lanczos
+    alphas and betas.
 
     The basis holds at most ``_cycle_cap(size, want)`` rows after the
-    locked ones, and its residual row follows it.  A full basis is tested
-    and, unless the test passes, restarted by :func:`_restart`, which may
-    lock leading pairs; the projected matrix stays tridiagonal, so a Ritz
-    test costs O(rows) at any basis size, not a dense eigensolve.  Where
+    locked ones, and the rows not yet taken follow it.  A full basis of a
+    single-vector cycle is tested and, unless the test passes, restarted
+    by :func:`_restart` (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000;
+    Stewart's Krylov-Schur form, SIAM J. Matrix Anal. Appl. 23, 2001),
+    which may lock leading pairs; T stays tridiagonal, so a Ritz test
+    costs O(rows) at any basis size, not a dense eigensolve.  Where
     :func:`_stalls` finds that restarts would need more steps than the
     whole complement of the locked rows, or than half of ``max_steps``,
     the cap doubles instead, up to the complement, where the cycle no
-    longer restarts.
+    longer restarts.  A wider start never restarts: once its basis is
+    full or ``max_steps`` is spent, it locks the leading wanted pairs
+    whose estimates meet ``stop_tol`` and stops.
 
-    Stops after ``max_steps`` steps, on breakdown (an invariant subspace),
-    once the basis spans the whole complement of the locked rows, or once
-    the leading wanted Ritz pairs have residual estimates beta_m*|s_m,i|
-    below ``stop_tol``.  The estimates are tested at the steps
-    :func:`_test_gap` schedules (from step ``want`` on), at every full
-    basis and at step ``max_steps``, so a cycle stops only at a step whose
-    test passed; ``stop_tol`` 0 tests every step.  The residual row
-    follows the basis unless the cycle stopped on convergence.
+    Stops after ``max_steps`` steps, when no row is left to take, or once
+    the leading wanted Ritz pairs have residual estimates
+    (:func:`_estimates`) below ``stop_tol``.  The estimates are tested
+    only when every applied row is taken: at the steps :func:`_test_gap`
+    schedules (from step ``want`` on), at every full basis and at step
+    ``max_steps``, so a cycle stops only at a step whose test passed;
+    ``stop_tol`` 0 tests every step.  A start with no row outside the
+    locked ones returns at once, with 0 steps and not converged.
     """
     size = rows.array.shape[1]
     cap = _cycle_cap(size, want)
-    rows.reserve(cap, rows.locked)
-    rows.start(rng)
+    start = start[: cap // 2]
+    rows.reserve(cap + len(start) - 1, rows.locked)
+    top = width = rows.start(start)  # top: the basis rows after the locked ones
+    if not width:
+        return _Cycle(np.empty(0), np.empty((0, 0)), 0, np.empty(0), False, [], 0, 0, cap)
     arr, base = rows.array, rows.locked
     limit = min(size - base, max_steps // 2)
-    alphas: list[float] = []
-    betas: list[float] = []
+    band = np.zeros((width + 1, cap), dtype=arr.dtype if width > 1 else np.float64)
     locked: list[float] = []
     scale = 1.0
     converged = False
-    steps = restarts = 0
+    m = steps = restarts = 0  # m: the basis rows taken, over which T is known
+    pending = 0  # the rows of the last apply not yet taken
     next_test, tested = want, (0, 0.0)  # (step, worst estimate) of the last Ritz test
     first, best = None, math.inf  # (step, worst) at the first restart; least worst since
     while True:
-        j = len(alphas)
-        q = arr[base + j]
-        av = apply_values(q.reshape(shape)).ravel()
-        steps += 1
-        alpha = float(np.real(_vdot(q, av)))
-        alphas.append(alpha)
+        if not pending:  # apply the basis rows not yet applied, as many as fit
+            pending = min(top, cap, m + max_steps - steps) - m
+            new = arr[base + m : base + m + pending]
+            applied = apply_values(new.reshape(pending, *shape) if pending > 1 else new.reshape(shape))
+            applied = applied.reshape(pending, size)
+            steps += pending
+        q, av = arr[base + m], applied[-pending]
+        pending -= 1
+        alpha = float(np.vdot(q, av).real)
+        band[0, m] = alpha
         w = av - alpha * q
-        if j:
-            w -= betas[-1] * arr[base + j - 1]
-        beta = _project_out(w, arr[: base + j + 1])
+        # The known couplings to the rows before, so that _project_out removes
+        # only what rounding left and rarely needs its second pass.
+        for d in range(1, min(m, width) + 1):
+            w -= band.item(d, m - d).conjugate() * arr[base + m - d]
+        if top > m + 1:  # the basis rows after q
+            ahead = arr[base + m + 1 : base + top]
+            band[1 : top - m, m] = ahead.conj() @ w
+            w -= band[1 : top - m, m] @ ahead
+        beta = _project_out(w, arr[: base + top])
         scale = max(scale, abs(alpha), beta)
-        m = j + 1
-        if beta <= 1e-14 * scale or m == size - base:
+        fits = beta > 1e-14 * scale and base + top < size
+        band[top - m, m] = beta if fits else 0.0  # else the band narrows
+        m += 1
+        if fits:
+            arr[base + top] = w / beta
+            top += 1
+        elif top == m:
             converged = True  # an invariant subspace, or the whole complement
             break
-        betas.append(beta)
+        if pending:
+            continue
         if steps >= next_test or steps == max_steps or m == cap:
-            theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
-            worst = beta * float(np.max(np.abs(s_mat[-1])))
+            theta, s_mat = _leading_ritz(band[:, :m], min(m, want))
+            estimates = _estimates(band, m, top, s_mat)
+            worst = float(np.max(estimates))
             next_test = steps + _test_gap(*tested, steps, worst, stop_tol)
             tested = (steps, worst)
             if worst < stop_tol:
                 converged = True
                 break
-        arr[base + m] = w / beta
+        if width > 1 and (steps == max_steps or m == cap):
+            # A wide start does not restart: it locks the leading pairs that met the target.
+            met = int(np.argmin(np.append(estimates < stop_tol, False)))
+            _lock(rows, theta[:met], s_mat[:, :met], m, locked)
+            break
         if steps == max_steps:
             break
         if m < cap:
             continue
         best = min(best, worst)
-        used = base + m + 1
         if _stalls(first, steps, best, stop_tol, cap, limit):
+            band = np.pad(band, ((0, 0), (0, cap)))
             cap *= 2  # grow the basis instead of restarting it
         else:
             first = first or (steps, worst)
-            values, alphas, betas = _restart(rows, m, alphas, betas, want, stop_tol)
+            values, m = _restart(rows, m, band, want, stop_tol)
             locked += values
-            base, want = rows.locked, want - len(values)
+            base, want, top = rows.locked, want - len(values), m + 1
             restarts += 1
-        rows.reserve(cap, used)
+        rows.reserve(cap, base + top)
         arr = rows.array
-    if tested[0] != steps:  # breakdown, or a cycle shorter than want
-        theta, s_mat = _leading_ritz(alphas, betas, min(m, want))
-    return _Cycle(theta, s_mat, m, beta * np.abs(s_mat[-1]), converged, locked, steps,
-                  restarts, cap)
+    if tested[0] != steps:  # the band closed, or a cycle shorter than want
+        theta, s_mat = _leading_ritz(band[:, :m], min(m, want))
+        estimates = _estimates(band, m, top, s_mat)
+    return _Cycle(theta, s_mat, m, estimates, converged, locked, steps, restarts, cap)
 
 
 def _guess_rows(guess: np.ndarray, dtype) -> np.ndarray:
@@ -580,88 +635,6 @@ def _guess_rows(guess: np.ndarray, dtype) -> np.ndarray:
     if np.iscomplexobj(rows) and dtype == np.float64:
         rows = np.stack([rows.real, rows.imag], axis=1).reshape(-1, rows.shape[1])
     return rows.astype(dtype)
-
-
-def _block_cycle(apply_values, shape, rows: _Rows, guess: np.ndarray, max_steps: int,
-                 want: int, stop_tol: float) -> _Cycle:
-    """Run block Lanczos (Golub & Underwood, in *Mathematical Software
-    III*, 1977; Saad 2011, ch. 6) from the rows of ``guess``, with full
-    reorthogonalization and no restart, for the ``want`` largest pairs.
-
-    The guess rows, orthonormalized outside the locked rows (dependent
-    ones dropped; at most half the cap of them), form the first block.
-    Each step applies the operator to the newest block in one stacked
-    call, counted as one step per row, and removes from the result its
-    components along the locked rows and the basis with
-    :func:`_project_block`; those over the newest block fill its diagonal
-    block of the projected matrix.  The rest is orthonormalized row by row
-    against the rows it has produced so far (a second pass over every row
-    where that cut one below ``_DGKS`` of its norm); its coefficients
-    couple the next block to the newest one, and a row that falls to 1e-14
-    of the largest entry seen deflates.  The Ritz test solves the dense
-    projected matrix of the ``m <= _cycle_cap(size, want)`` basis rows and
-    estimates the residual of each wanted pair as the norm of the coupling
-    times its last block of coefficients.
-
-    Stops once every estimate is below ``stop_tol`` or the whole block
-    deflated (``converged``), when the next block would take the basis
-    over its cap, or when the next block does not fit in ``max_steps``.
-    The residual rows are not kept, and nothing is locked here."""
-    size = rows.array.shape[1]
-    cap = _cycle_cap(size, want)
-    guess = guess[: cap // 2]
-    rows.reserve(cap + len(guess) - 1, rows.locked)
-    arr, base = rows.array, rows.locked
-    width = 0
-    for row in guess:
-        entry = _norm2(row)
-        left, _ = _project_block(row[None], arr[: base + width])
-        if left[0] > 1e-8 * entry:
-            arr[base + width] = row / left[0]
-            width += 1
-    t_mat = np.zeros((cap, cap), dtype=arr.dtype)
-    theta, s_mat, estimates = np.empty(0), np.empty((0, 0)), np.empty(0)
-    start = m = steps = 0
-    scale = 1.0
-    converged = False
-    while width and steps + width <= max_steps:
-        top = start + width
-        new = base + top
-        applied = apply_values(arr[base + start : new].reshape(width, *shape)).reshape(width, size)
-        steps += width
-        norms, coeffs = _project_block(applied, arr[:new])
-        t_mat[start:top, start:top] = coeffs[:, base + start :].T
-        scale = max(scale, float(np.max(np.abs(np.diag(t_mat)[start:top]))), float(np.max(norms)))
-        # Row i of what is left is coupling[:, i] @ the new rows.
-        coupling = np.zeros((width, width), dtype=arr.dtype)
-        fresh = 0
-        for i, w in enumerate(applied):
-            left = norms[i]
-            if fresh:
-                coupling[:fresh, i] = arr[new : new + fresh].conj() @ w
-                w -= coupling[:fresh, i] @ arr[new : new + fresh]
-                left = _norm2(w)
-                if left < _DGKS * norms[i]:
-                    again, extra = _project_block(w[None], arr[: new + fresh])
-                    coupling[:fresh, i] += extra[0, new:]
-                    left = again[0]
-            if left > 1e-14 * scale and new + fresh < len(arr):
-                arr[new + fresh] = w / left
-                coupling[fresh, i] = left
-                fresh += 1
-        m = top
-        count = min(m, want)
-        theta, s_mat = sla.eigh(t_mat[:m, :m], subset_by_index=[m - count, m - 1])
-        theta, s_mat = theta[::-1], s_mat[:, ::-1]
-        estimates = np.linalg.norm(coupling[:fresh] @ s_mat[start:top], axis=0)
-        if not fresh or (count == want and np.max(estimates) < stop_tol):
-            converged = True
-            break
-        if top + fresh > cap:
-            break
-        t_mat[top : top + fresh, start:top] = coupling[:fresh]
-        start, width = top, fresh
-    return _Cycle(theta, s_mat, m, estimates, converged, [], steps, 0, cap)
 
 
 def _lock(rows: _Rows, theta: np.ndarray, s_mat: np.ndarray, m: int,
@@ -680,20 +653,21 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
     the k largest eigenvectors of the Hermitian operator ``apply_values``
     on the grid of ``op`` (``op`` itself, -``op`` or an inverse of it).
 
-    When ``op`` carries a ``guess``, :func:`_block_cycle` runs on it first,
-    with the whole budget, and the leading pairs whose estimates meet
-    ``_CONVERGED * lock_tol`` are locked (all k when it converged); the
-    random-start cycles below then take what is left.  Every cycle, main
-    or probe, may take the rest of the budget of
+    The first cycle starts from the rows of ``op.guess`` when it carries
+    one; every other cycle, and the first when no guess row lies outside
+    the locked span, from one random row drawn from the settings' seed.
+    Every cycle, main or probe, may take the rest of the budget of
     ``max_iterations`` applies, with a basis capped by
     :func:`_cycle_cap`.  One that converged (estimates below
-    ``_CONVERGED * lock_tol``, breakdown, or the whole complement spanned)
-    locks its wanted Ritz pairs; one cut by the step budget locks only
-    what its restarts locked, and the solve raises, naming the steps, the
-    restarts and the largest cap.  Once k pairs are locked, a probe cycle
-    must find nothing beyond the k-th value plus ``lock_tol``; what it
-    does find beyond is locked and probed past in turn, so a degenerate
-    copy that the earlier cycles could not see is not lost.
+    ``_CONVERGED * lock_tol``, or a basis that spans an invariant
+    subspace) locks its wanted Ritz pairs; one that did not locks only
+    what it locked on its own.  The random-start cycles take what a
+    guessed cycle whose basis filled left; once the step budget is spent,
+    the solve raises, naming the steps, the restarts and the largest cap.
+    Once k pairs are locked, a probe cycle must find nothing beyond the
+    k-th value plus ``lock_tol``; what it does find beyond is locked and
+    probed past in turn, so a degenerate copy that the earlier cycles
+    could not see is not lost.
     """
     shape, size, k = op.grid.shape, op.grid.size, settings.k
     rng = np.random.default_rng(settings.rng_seed)
@@ -704,14 +678,7 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
     steps = restarts = cap = 0
     estimates = ()
     stop_tol = _CONVERGED * lock_tol
-    if op.guess is not None:
-        cycle = _block_cycle(apply_values, shape, rows, _guess_rows(op.guess, rows.array.dtype),
-                             settings.max_iterations, k, stop_tol)
-        steps, cap, estimates = cycle.steps, min(cycle.cap, size), cycle.estimates
-        # The leading pairs whose estimates meet the target.
-        done = int(np.argmin(np.append(estimates < stop_tol, False)))
-        _lock(rows, cycle.theta[:done], cycle.s_mat[:, :done], cycle.m, locked_vals)
-
+    start = None if op.guess is None else _guess_rows(op.guess, rows.array.dtype)
     while True:
         probe = len(locked_vals) >= k
         if probe and rows.locked == size:
@@ -725,15 +692,20 @@ def _lanczos_largest(apply_values, op: HermitianOperator, settings: SolveSetting
                 best_residuals=estimates,
             )
         want = 1 if probe else k - len(locked_vals)
-        cycle = _lanczos_cycle(apply_values, shape, rows, rng, settings.max_iterations - steps,
+        if start is None:  # real rows get a real start, which keeps the iteration real
+            start = rng.standard_normal((1, size))
+            if not op.real:
+                start = start + 1j * rng.standard_normal((1, size))
+        cycle = _lanczos_cycle(apply_values, shape, rows, start, settings.max_iterations - steps,
                                want, stop_tol)
+        start = None
         steps += cycle.steps
         restarts += cycle.restarts
         cap = max(cap, min(cycle.cap, size))
         locked_vals.extend(cycle.locked)
         estimates = cycle.estimates
         if not cycle.converged:
-            continue  # cut by the step budget
+            continue  # cut by the step budget or, from several rows, by its cap
         if probe and cycle.theta[0] <= sorted(locked_vals, reverse=True)[k - 1] + lock_tol:
             break
         _lock(rows, cycle.theta, cycle.s_mat, cycle.m, locked_vals)
@@ -985,9 +957,9 @@ def largest_eigenpairs(op: HermitianOperator, settings: SolveSettings) -> list[E
     Default mode is restarted Lanczos with full reorthogonalization;
     ``DENSE_FULL`` is available as an oracle on small grids and ignores
     ``op.guess``.  A Lanczos solve of an operator with a ``guess`` starts
-    with one block cycle on it; only the random completeness probe after
-    it vouches that no pair is missed, so the guess changes the applies,
-    not what is certified.  Raises
+    its first cycle from the guess rows; only the random completeness
+    probe after it vouches that no pair is missed, so the guess changes
+    the applies, not what is certified.  Raises
     ``ValueError`` for shift-invert or for k above the grid size, and
     :class:`NoConvergenceError` when the iteration budget runs out.
     """

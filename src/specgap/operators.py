@@ -80,8 +80,10 @@ class HermitianOperator:
 
     ``guess`` is another hint: flat rows, shape ``(rows, grid.size)``,
     that span an estimate of the eigenvectors a solve wants.  The Lanczos
-    modes start their first cycle from it (a real operator takes the real
-    and imaginary parts of a complex guess); the random completeness probe
+    modes start their first cycle from its rows, one band Lanczos cycle as
+    wide as the rows that lie outside the locked span (a real operator
+    takes the real and imaginary parts of a complex guess, and a cycle at
+    most half its basis cap of rows); the random completeness probe
     that follows, and the certification, do not read it, so a poor guess
     costs applies but never changes what is certified.  No builder sets
     it; :func:`~specgap.asymptotics.run_sweep` puts the model eigenvectors

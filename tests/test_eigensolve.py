@@ -302,6 +302,96 @@ class TestGuessedStart:
         assert calls[0] == 7
 
 
+class TestBandStart:
+    """A guess's rows start one band Lanczos cycle, as wide as the rows it
+    keeps outside the locked span; a guess with none falls back to the
+    random start."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def gaussian_2d_pair():
+        return make_pair(
+            make_catalog_profile("gaussian_power", [2], 2),
+            make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V),
+        )
+
+    def test_an_all_zero_guess_gives_the_unguessed_pairs(self):
+        op, _ = TestGuessedStart.sandwich_and_model_vectors(0.1)
+        settings = SolveSettings(k=3, tol=self.TOL, rng_seed=7)
+        plain = largest_eigenpairs(op, settings)
+        zero = largest_eigenpairs(
+            dataclasses.replace(op, guess=np.zeros((3, op.grid.size))), settings
+        )
+        assert [p.value for p in zero] == [p.value for p in plain]
+        for a, b in zip(zero, plain):
+            np.testing.assert_array_equal(a.vector.values, b.vector.values)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.0125])
+    def test_a_guessed_start_on_a_complex_operator_matches_dense(self, alpha):
+        # The symbol's and the weight's samples are not lattice-even here,
+        # so the model operator, its eigenvectors and the sandwich are complex.
+        pair = make_pair(
+            make_catalog_profile("aniso_gaussian", [1.0, 0.4, 0.4, 1.5], 2),
+            make_catalog_profile("gaussian_power", [2], 2, role=ProfileRole.WEIGHT_V),
+        )
+        grid = build_grid(2, 24, 6.0)
+        model_op = build_model_operator(pair, grid)
+        model = smallest_eigenpairs(model_op, SolveSettings(k=4, tol=self.TOL,
+                                                            mode=Mode.DENSE_FULL))
+        op = build_scaled_operator(pair, alpha, grid)
+        assert not model_op.real and not op.real
+        guess = np.stack([p.vector.values.ravel() for p in model])
+        assert np.iscomplexobj(guess)
+        pairs = largest_eigenpairs(dataclasses.replace(op, guess=guess),
+                                   SolveSettings(k=4, tol=self.TOL))
+        dense = largest_eigenpairs(op, SolveSettings(k=4, tol=self.TOL, mode=Mode.DENSE_FULL))
+        np.testing.assert_allclose(
+            [p.value for p in pairs], [p.value for p in dense],
+            rtol=0, atol=self.TOL * max(1.0, abs(op.upper_bound)),
+        )
+        assert certify(op, pairs, self.TOL).passed
+
+    def test_a_wide_start_that_fills_its_cap_locks_the_pairs_that_met_the_target(
+        self, monkeypatch
+    ):
+        # The d=2 Gaussian pair on 64^2 with k=8: the 8 model vectors start
+        # a band of width 8 whose basis fills its cap of 32 rows at alpha 0.2
+        # before every estimate meets the target.
+        pair = self.gaussian_2d_pair()
+        grid = build_grid(2, 64, 8.0)
+        k = 8
+        model = smallest_eigenpairs(build_model_operator(pair, grid),
+                                    SolveSettings(k=k, tol=self.TOL, mode=Mode.LANCZOS))
+        op = build_scaled_operator(pair, 0.2, grid)
+        guessed = dataclasses.replace(op, guess=np.stack([p.vector.values.ravel() for p in model]))
+        assert eigensolve._cycle_cap(grid.size, k) == 32
+        cycles = []
+        lanczos_cycle = eigensolve._lanczos_cycle
+
+        def recorded_cycle(*args):
+            cycles.append(lanczos_cycle(*args))
+            return cycles[-1]
+
+        monkeypatch.setattr(eigensolve, "_lanczos_cycle", recorded_cycle)
+        settings = SolveSettings(k=k, tol=self.TOL)
+        pairs = largest_eigenpairs(guessed, settings)
+        first = cycles[0]
+        assert (first.steps, first.m, first.converged, first.restarts) == (32, 32, False, 0)
+        stop_tol = eigensolve._CONVERGED * self.TOL * max(1.0, abs(op.upper_bound))
+        met = int(np.argmin(np.append(first.estimates < stop_tol, False)))
+        assert 0 < met < k
+        assert first.locked == first.theta[:met].tolist()
+        plain = largest_eigenpairs(op, settings)
+        values, expected = [p.value for p in pairs], [p.value for p in plain]
+        threshold = self.TOL * max(1.0, abs(op.upper_bound))
+        np.testing.assert_allclose(values, expected, rtol=0, atol=threshold)
+        assert [len(c) for c in cluster_eigenvalues(values, self.TOL)] == [
+            len(c) for c in cluster_eigenvalues(expected, self.TOL)
+        ]
+        assert certify(op, pairs, self.TOL).passed
+
+
 class TestReorthogonalization:
     """``_project_out`` runs one classical Gram-Schmidt pass, and a second
     only when the first cut the vector below 1/sqrt(2) of its norm on entry
@@ -336,21 +426,51 @@ class TestReorthogonalization:
         np.testing.assert_array_equal(w, once)
         assert nw == np.linalg.norm(once)
 
-    def test_a_long_cycle_keeps_its_basis_orthonormal(self):
-        # 300 steps of Lanczos on the negated 48^2 Gaussian model operator,
-        # never stopped by its estimates, across several restarts.
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_long_cycle_keeps_its_basis_orthonormal(self, width):
+        # Up to 300 steps of Lanczos on the negated 48^2 Gaussian model
+        # operator, never stopped by its estimates: from one random row
+        # across several restarts, from three until the basis fills its cap
+        # (a wide start never restarts).
         op = gaussian_model(2, 48, 8.0)
         assert op.real
         rows = eigensolve._Rows(op.grid.size, np.float64)
         cycle = eigensolve._lanczos_cycle(
             lambda values: -op.apply_values(values), op.grid.shape, rows,
-            np.random.default_rng(1), 300, 3, 0.0
+            np.random.default_rng(1).standard_normal((width, op.grid.size)), 300, 3, 0.0
         )
-        assert (cycle.steps, cycle.converged) == (300, False)
-        assert cycle.restarts >= 2 and cycle.cap == 56
-        basis = rows.array[: cycle.m + 1]  # the basis and its residual row
+        if width == 1:
+            assert (cycle.steps, cycle.converged) == (300, False)
+            assert cycle.restarts >= 2 and cycle.cap == 56
+        else:
+            assert (cycle.steps, cycle.m, cycle.converged, cycle.restarts) == (56, 56, False, 0)
+        basis = rows.array[: cycle.m + width]  # the basis and the rows not yet applied
         gram = basis @ basis.T
-        assert np.max(np.abs(gram - np.eye(cycle.m + 1))) <= 1e-13
+        assert np.max(np.abs(gram - np.eye(cycle.m + width))) <= 1e-13
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_step_leaves_only_rounding_for_the_projection(self, width, monkeypatch):
+        # A step removes the couplings it knows, to the rows before q and to
+        # the basis rows after it, so the vector that reaches _project_out
+        # holds only rounding along the basis: one pass suffices.  Without
+        # the couplings to the rows before the last, a width-3 cycle sends
+        # up to 0.74 of it through the projection.
+        op = gaussian_model(2, 48, 8.0)
+        shares = []
+        project_out = eigensolve._project_out
+
+        def recorded_project_out(w, rows):
+            shares.append(np.linalg.norm(rows @ w) / np.linalg.norm(w) if len(rows) else 0.0)
+            return project_out(w, rows)
+
+        monkeypatch.setattr(eigensolve, "_project_out", recorded_project_out)
+        rows = eigensolve._Rows(op.grid.size, np.float64)
+        eigensolve._lanczos_cycle(
+            lambda values: -op.apply_values(values), op.grid.shape, rows,
+            np.random.default_rng(1).standard_normal((width, op.grid.size)), 50, 3, 0.0
+        )
+        steps = shares[width:]  # the first calls orthonormalize the start rows
+        assert len(steps) == 50 and max(steps) <= 1e-12
 
     @pytest.mark.parametrize("steps", [57, 70, 100])
     def test_a_restarted_basis_keeps_the_krylov_relation(self, steps, monkeypatch):
@@ -361,15 +481,15 @@ class TestReorthogonalization:
         solved = []
         leading_ritz = eigensolve._leading_ritz
 
-        def recorded_ritz(alphas, betas, count):
-            solved.append((list(alphas), list(betas)))
-            return leading_ritz(alphas, betas, count)
+        def recorded_ritz(band, count):
+            solved.append((list(band[0]), list(band[1])))
+            return leading_ritz(band, count)
 
         monkeypatch.setattr(eigensolve, "_leading_ritz", recorded_ritz)
         rows = eigensolve._Rows(op.grid.size, np.float64)
         cycle = eigensolve._lanczos_cycle(
             lambda values: -op.apply_values(values), op.grid.shape, rows,
-            np.random.default_rng(1), steps, 3, 0.0
+            np.random.default_rng(1).standard_normal((1, op.grid.size)), steps, 3, 0.0
         )
         assert cycle.restarts == (1 if steps < 96 else 2)
         alphas, betas = solved[-1]
@@ -407,8 +527,9 @@ class TestRitzTestSchedule:
         # The stop tolerance of a k=3, tol=1e-9 solve, from a fixed start.
         rows = eigensolve._Rows(op.grid.size, np.float64)
         stop_tol = eigensolve._CONVERGED * 1e-9 * max(1.0, abs(op.upper_bound))
+        start = np.random.default_rng(1).standard_normal((1, op.grid.size))
         return eigensolve._lanczos_cycle(
-            apply_values, op.grid.shape, rows, np.random.default_rng(1), max_steps, 3, stop_tol
+            apply_values, op.grid.shape, rows, start, max_steps, 3, stop_tol
         )
 
     @pytest.mark.parametrize("case", ["1-D model", "48^2 model", "scaled sandwich"])
@@ -521,7 +642,7 @@ class TestThickRestart:
         stop_tol = eigensolve._CONVERGED * 1e-9 * op.upper_bound
         cycle = eigensolve._lanczos_cycle(
             lambda values: -op.apply_values(values), op.grid.shape, rows,
-            np.random.default_rng(1), 6000, 16, stop_tol
+            np.random.default_rng(1).standard_normal((1, op.grid.size)), 6000, 16, stop_tol
         )
         assert cycle.converged and cycle.restarts >= 1
         assert cycle.cap >= 1024 - len(cycle.locked)
